@@ -27,7 +27,7 @@ from .search import (
     SearchBudget,
     find_rainbow_ham_path,
     find_rainbow_path,
-    rainbow_distance,
+    shortest_rainbow_path,
 )
 
 
@@ -184,10 +184,11 @@ def is_rainbow_panconnected(
     try:
         for i, x in enumerate(alive):
             for y in alive[i + 1 :]:
-                d = rainbow_distance(view, x, y, budget=budget)
+                shortest = shortest_rainbow_path(view, x, y, budget=budget)
+                d = None if shortest is None else shortest.k - 1
                 report = PairReport(x, y, d)
                 pairs.append(report)
-                if d is None:
+                if shortest is None:
                     # no rainbow path at any length: fails wholesale
                     return PanconnectivityCertificate(
                         view.n_surviving,
@@ -198,7 +199,9 @@ def is_rainbow_panconnected(
                         None,
                         k_cap,
                     )
-                for k in range(d + 1, k_cap + 1):
+                # the shortest path is the k = d + 1 witness
+                report.witnesses[d + 1] = shortest
+                for k in range(d + 2, k_cap + 1):
                     path = find_rainbow_path(view, x, y, k, budget=budget)
                     if path is None:
                         return PanconnectivityCertificate(

@@ -42,7 +42,7 @@ from .search import (
     default_budget,
     find_rainbow_ham_path,
     find_rainbow_path,
-    rainbow_distance,
+    shortest_rainbow_path,
 )
 
 EXIT_PASS = 0
@@ -183,12 +183,15 @@ def _check_pair(coll, x, y, k, budget, cert_path) -> int:
             if cert_path:
                 print("found" if path is not None else "absent")
             return EXIT_PASS if path is not None else EXIT_FAIL
-        dist = rainbow_distance(coll, x, y, budget=budget)
+        shortest = shortest_rainbow_path(coll, x, y, budget=budget)
+        dist = None if shortest is None else shortest.k - 1
         k_cap = min(coll.n, coll.m + 1)
         witnesses = {}
         missing = []
-        if dist is not None:
-            for kk in range(dist + 1, k_cap + 1):
+        if shortest is not None:
+            # the shortest path is the k = dist + 1 witness
+            witnesses[dist + 1] = shortest.to_json_dict()
+            for kk in range(dist + 2, k_cap + 1):
                 p = find_rainbow_path(coll, x, y, kk, budget=budget)
                 if p is None:
                     missing.append(kk)
@@ -219,21 +222,26 @@ def cmd_classify(args) -> int:
     budget = _budget_from(args)
     report: dict = {"n": coll.n, "m": coll.m, "min_degree": collection_min_degree(coll)}
     witness = recognize_F_family(coll)
-    if witness is None:
-        witness = recognize_two_cliques(coll)
-    if witness is None:
-        witness = recognize_join_partition(coll)
-    report["kind"] = witness.kind if witness is not None else "none"
-    report["witness"] = None if witness is None else witness.to_json_dict()
     if coll.m == coll.n:
+        # the classification runs the two-clique and join recognizers itself
+        # (before any search), so its witness stands in for theirs
         try:
             cls = classify_ham_path_obstruction(coll, budget=budget)
             report["case"] = cls.case
             report["within_hypothesis"] = cls.within_hypothesis
             if cls.ham_report is not None:
                 report["ham_connected"] = cls.ham_report.holds
+            if witness is None:
+                witness = cls.witness
         except BudgetExceeded:
             report["case"] = "unknown"
+    else:
+        if witness is None:
+            witness = recognize_two_cliques(coll)
+        if witness is None:
+            witness = recognize_join_partition(coll)
+    report["kind"] = witness.kind if witness is not None else "none"
+    report["witness"] = None if witness is None else witness.to_json_dict()
     _emit_json(report, args.out)
     if args.out:
         print(report["kind"])

@@ -8,6 +8,7 @@ graph indices into the collection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence, Union
 
 MAX_VERTICES = 64
@@ -145,6 +146,12 @@ class GraphCollection:
     def has_edge(self, color: int, u: int, v: int) -> bool:
         return self.graphs[color].has_edge(u, v)
 
+    @cached_property
+    def _view(self) -> "SubCollectionView":
+        """The whole collection as one view, so every caller that passes the
+        collection shares that view's snapshot."""
+        return SubCollectionView(self)
+
 
 def collection_min_degree(coll: GraphCollection) -> int:
     return min(min_degree(g) for g in coll.graphs)
@@ -218,7 +225,10 @@ class ColoredCycle:
 class SubCollectionView:
     """Copy-free restriction of a collection: vertices and colors masked out.
 
-    Vertex ids and color ids stay those of the base collection.
+    Vertex ids and color ids stay those of the base collection. The view's
+    snapshot (vertex mask, surviving colors, restricted rows per color, union
+    rows and the flat kernel input) is built on first use and cached on the
+    view; views are immutable, so it lives exactly as long as the view.
     """
 
     base: GraphCollection
@@ -241,15 +251,15 @@ class SubCollectionView:
     def n(self) -> int:
         return self.base.n
 
-    @property
+    @cached_property
     def vertex_mask(self) -> int:
         return ((1 << self.base.n) - 1) & ~mask_of(self.removed_vertices)
 
-    @property
+    @cached_property
     def vertices(self) -> tuple[int, ...]:
         return tuple(bits(self.vertex_mask))
 
-    @property
+    @cached_property
     def colors(self) -> tuple[int, ...]:
         return tuple(c for c in range(self.base.m) if c not in self.removed_colors)
 
@@ -261,17 +271,45 @@ class SubCollectionView:
     def m_surviving(self) -> int:
         return self.base.m - len(self.removed_colors)
 
+    @cached_property
+    def color_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Restricted adjacency rows per base color: color_rows[c][v] is v's
+        neighborhood in graph c among surviving vertices, zero when v or c is
+        removed."""
+        vmask = self.vertex_mask
+        alive = [(vmask >> v) & 1 for v in range(self.base.n)]
+        zero = (0,) * self.base.n
+        return tuple(
+            zero
+            if c in self.removed_colors
+            else tuple(row & vmask if keep else 0 for row, keep in zip(g.adj, alive))
+            for c, g in enumerate(self.base.graphs)
+        )
+
+    @cached_property
+    def union_rows(self) -> tuple[int, ...]:
+        """Per-vertex union of the restricted rows over surviving colors."""
+        rows = [0] * self.base.n
+        for c in self.colors:
+            for v, row in enumerate(self.color_rows[c]):
+                rows[v] |= row
+        return tuple(rows)
+
+    @cached_property
+    def kernel_adj(self) -> tuple[int, ...]:
+        """Flat kernel input over every surviving color: entry pos*n + v is
+        the row of v in the pos-th color of `colors`."""
+        return tuple(row for c in self.colors for row in self.color_rows[c])
+
     def adj_mask(self, color: int, v: int) -> int:
         """Restricted adjacency row; zero for removed vertices/colors."""
-        if color in self.removed_colors or v in self.removed_vertices:
-            return 0
-        return self.base.graphs[color].adj[v] & self.vertex_mask
+        return self.color_rows[color][v]
 
     def has_edge(self, color: int, u: int, v: int) -> bool:
-        return bool((self.adj_mask(color, u) >> v) & 1)
+        return bool((self.color_rows[color][u] >> v) & 1)
 
     def degree(self, color: int, v: int) -> int:
-        return self.adj_mask(color, v).bit_count()
+        return self.color_rows[color][v].bit_count()
 
 
 CollectionLike = Union[GraphCollection, SubCollectionView]
@@ -280,7 +318,7 @@ CollectionLike = Union[GraphCollection, SubCollectionView]
 def as_view(coll: CollectionLike) -> SubCollectionView:
     if isinstance(coll, SubCollectionView):
         return coll
-    return SubCollectionView(coll)
+    return coll._view
 
 
 def restrict(
@@ -311,18 +349,19 @@ def check_colored_cycle(coll: CollectionLike, cycle: ColoredCycle) -> str | None
 
 def _check_items(view, vertices, edge_items, n_edges) -> str | None:
     vmask = view.vertex_mask
-    alive_colors = set(view.colors)
-    if n_edges > len(alive_colors):
-        return f"{n_edges} edges exceed {len(alive_colors)} available colors"
+    n_alive = view.m_surviving
+    if n_edges > n_alive:
+        return f"{n_edges} edges exceed {n_alive} available colors"
     for v in vertices:
         if not 0 <= v < view.n:
             return f"vertex {v} outside range"
         if not (vmask >> v) & 1:
             return f"vertex {v} removed by view"
+    rows = view.color_rows
     for u, v, c in edge_items:
-        if c not in alive_colors:
+        if not 0 <= c < view.base.m or c in view.removed_colors:
             return f"color {c} unavailable"
-        if not view.has_edge(c, u, v):
+        if not (rows[c][u] >> v) & 1:
             return f"edge ({u}, {v}) missing from graph {c}"
     return None
 
@@ -337,9 +376,4 @@ def verify_colored_cycle(coll: CollectionLike, cycle: ColoredCycle) -> bool:
 
 def union_adjacency(coll: CollectionLike) -> list[int]:
     """Per-vertex union adjacency across surviving colors, restricted."""
-    view = as_view(coll)
-    rows = [0] * view.n
-    for c in view.colors:
-        for v in bits(view.vertex_mask):
-            rows[v] |= view.adj_mask(c, v)
-    return rows
+    return list(as_view(coll).union_rows)

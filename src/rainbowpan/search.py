@@ -5,6 +5,13 @@ in its assigned graph. Exact-length existence queries run on the selected
 kernel; feasibility of the color assignment is maintained incrementally by
 the kernel (one augmenting step per appended edge), so infeasible branches
 are pruned as soon as the partial edge set stops being assignable.
+
+The kernel input comes from the view's snapshot (`SubCollectionView` in
+core): the flat adjacency over every surviving color is built once per view
+and reused by every query on it; a query with forbidden colors concatenates
+the view's cached per-color rows instead. A raw collection stands for its one
+cached full view, so callers that pass the collection share that snapshot.
+Every witness a kernel returns is re-checked against the view.
 """
 from __future__ import annotations
 
@@ -21,7 +28,6 @@ from .core import (
     bits,
     check_colored_cycle,
     check_colored_path,
-    union_adjacency,
 )
 
 DEFAULT_NODE_LIMIT = 50_000_000
@@ -33,13 +39,10 @@ class SearchBudget:
     """Node budget for one search query.
 
     node_limit counts search-tree nodes; exhausting it raises BudgetExceeded,
-    a third outcome distinct from "no such path". The deterministic flag
-    records that the caller requires reproducible witnesses; both kernels
-    always search deterministically, so it never changes behavior.
+    a third outcome distinct from "no such path".
     """
 
     node_limit: int = DEFAULT_NODE_LIMIT
-    deterministic: bool = True
 
     def __post_init__(self) -> None:
         if self.node_limit <= 0:
@@ -64,16 +67,18 @@ class BudgetExceeded(Exception):
 
 
 def _dense(view, forbidden: frozenset[int]):
-    """Flat kernel adjacency for surviving colors minus forbidden ones."""
-    n = view.n
-    vmask = view.vertex_mask
-    active = [c for c in view.colors if c not in forbidden]
-    adj = [0] * (len(active) * n)
-    for pos, c in enumerate(active):
-        base = pos * n
-        for v in bits(vmask):
-            adj[base + v] = view.adj_mask(c, v)
-    return n, active, adj, vmask
+    """Flat kernel adjacency for surviving colors minus forbidden ones.
+
+    Without a forbidden surviving color this is the view's cached kernel
+    input; otherwise the view's cached per-color rows are concatenated.
+    """
+    active = view.colors
+    adj = view.kernel_adj
+    if not forbidden.isdisjoint(active):
+        rows = view.color_rows
+        active = tuple(c for c in active if c not in forbidden)
+        adj = tuple(row for c in active for row in rows[c])
+    return view.n, active, adj, view.vertex_mask
 
 
 def _require_vertex(view, v: int, name: str) -> None:
@@ -184,24 +189,26 @@ def find_rainbow_ham_path(
     return find_rainbow_path(view, x, y, view.n_surviving, forbidden_colors, budget)
 
 
-def rainbow_distance(
+def shortest_rainbow_path(
     coll: CollectionLike,
     x: int,
     y: int,
     forbidden_colors: Iterable[int] = (),
     budget: SearchBudget | None = None,
-) -> int | None:
-    """Length (edge count) of a shortest rainbow path, or None if unreachable.
+) -> ColoredPath | None:
+    """A shortest rainbow path joining x and y, or None if there is none.
 
-    Iterative deepening from the union-graph distance, which is a lower bound.
+    Iterative deepening from the union-graph distance, which is a lower bound;
+    the path returned is the one find_rainbow_path gives at that length. For
+    x == y it is the one-vertex path.
     """
     view = as_view(coll)
     forbidden = frozenset(forbidden_colors)
     _require_vertex(view, x, "x")
     _require_vertex(view, y, "y")
     if x == y:
-        return 0
-    rows = union_adjacency(view)
+        return ColoredPath((x,), ())
+    rows = view.union_rows
     # union distance by BFS
     dist = {x: 0}
     frontier = [x]
@@ -218,9 +225,22 @@ def rainbow_distance(
     n_colors = sum(1 for c in view.colors if c not in forbidden)
     top = min(view.n_surviving - 1, n_colors)
     for length in range(dist[y], top + 1):
-        if find_rainbow_path(view, x, y, length + 1, forbidden, budget) is not None:
-            return length
+        path = find_rainbow_path(view, x, y, length + 1, forbidden, budget)
+        if path is not None:
+            return path
     return None
+
+
+def rainbow_distance(
+    coll: CollectionLike,
+    x: int,
+    y: int,
+    forbidden_colors: Iterable[int] = (),
+    budget: SearchBudget | None = None,
+) -> int | None:
+    """Length (edge count) of a shortest rainbow path, or None if unreachable."""
+    path = shortest_rainbow_path(coll, x, y, forbidden_colors, budget)
+    return None if path is None else path.k - 1
 
 
 def find_rainbow_cycle(

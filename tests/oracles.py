@@ -2,26 +2,56 @@
 
 Everything here enumerates exhaustively with no shared code with the package
 search internals: simple paths by DFS over explicit neighbor sets, color
-assignments by trying every injective mapping. Exponential on purpose; only
-run on small instances.
+assignments by trying every injective mapping. Views are read through their
+base graphs and removal sets, never through a view's cached snapshot, so the
+oracles can check that snapshot. Exponential on purpose; only run on small
+instances.
 """
 from __future__ import annotations
 
 from itertools import permutations
 
-from rainbowpan.core import CollectionLike, as_view, bits
+from rainbowpan.core import CollectionLike, as_view
 
 
 def neighbor_sets(coll: CollectionLike) -> list[set[int]]:
     """Union-graph neighbor sets over surviving vertices."""
     view = as_view(coll)
+    alive = set(range(view.n)) - view.removed_vertices
     out: list[set[int]] = [set() for _ in range(view.n)]
-    for v in view.vertices:
-        acc = 0
-        for c in view.colors:
-            acc |= view.adj_mask(c, v)
-        out[v] = set(bits(acc))
+    for c, g in enumerate(view.base.graphs):
+        if c in view.removed_colors:
+            continue
+        for v in alive:
+            out[v] |= set(g.neighbors(v)) & alive
     return out
+
+
+def _edge_colors(view, u: int, v: int, banned=()) -> list[int]:
+    """Surviving, non-banned colors whose graph has edge uv, both ends alive."""
+    if u in view.removed_vertices or v in view.removed_vertices:
+        return []
+    return [
+        c
+        for c, g in enumerate(view.base.graphs)
+        if c not in view.removed_colors and c not in banned and g.has_edge(u, v)
+    ]
+
+
+def restricted_rows(coll: CollectionLike, c: int) -> list[int]:
+    """Adjacency rows of color c restricted to the view, built by hand from
+    the base graph; all zero for a removed color, zero at removed vertices."""
+    view = as_view(coll)
+    if c in view.removed_colors:
+        return [0] * view.n
+    alive = [v for v in range(view.n) if v not in view.removed_vertices]
+    adj = view.base.graphs[c].adj
+    return [
+        0
+        if v in view.removed_vertices
+        else sum(1 << u for u in alive if (adj[v] >> u) & 1)
+        for v in range(view.n)
+    ]
 
 
 def all_simple_paths(coll: CollectionLike, x: int, y: int, max_edges: int):
@@ -52,9 +82,7 @@ def edge_color_options(coll: CollectionLike, vertices, forbidden=()) -> list[lis
     banned = set(forbidden)
     out = []
     for u, v in zip(vertices, vertices[1:]):
-        out.append(
-            [c for c in view.colors if c not in banned and view.has_edge(c, u, v)]
-        )
+        out.append(_edge_colors(view, u, v, banned))
     return out
 
 
@@ -97,7 +125,7 @@ def rainbow_path_exists(coll: CollectionLike, x: int, y: int, k: int, forbidden=
 def rainbow_cycle_exists(coll: CollectionLike, length: int, forbidden=()) -> bool:
     """True iff some cycle on `length` vertices is rainbow-colorable."""
     view = as_view(coll)
-    verts = sorted(view.vertices)
+    verts = sorted(set(range(view.n)) - view.removed_vertices)
     banned = set(forbidden)
 
     def colorable(cyc: tuple[int, ...]) -> bool:
@@ -105,9 +133,7 @@ def rainbow_cycle_exists(coll: CollectionLike, length: int, forbidden=()) -> boo
         m = len(cyc)
         for i in range(m):
             u, v = cyc[i], cyc[(i + 1) % m]
-            opts = [
-                c for c in view.colors if c not in banned and view.has_edge(c, u, v)
-            ]
+            opts = _edge_colors(view, u, v, banned)
             if not opts:
                 return False
             options.append(opts)
@@ -134,10 +160,7 @@ def rainbow_cycle_exists(coll: CollectionLike, length: int, forbidden=()) -> boo
             if length > 2 and cyc[1] > cyc[-1]:
                 continue
             ok = all(
-                any(
-                    view.has_edge(c, cyc[i], cyc[(i + 1) % length])
-                    for c in view.colors
-                )
+                _edge_colors(view, cyc[i], cyc[(i + 1) % length])
                 for i in range(length)
             )
             if ok and colorable(cyc):

@@ -3,7 +3,13 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from rainbowpan.core import GraphCollection, SimpleGraph, build_graph
+from rainbowpan.core import (
+    GraphCollection,
+    SimpleGraph,
+    SubCollectionView,
+    build_graph,
+    restrict,
+)
 
 
 def _pairs(n: int) -> list[tuple[int, int]]:
@@ -25,3 +31,12 @@ def collections(
     n = draw(st.integers(min_n, max_n))
     m = draw(st.integers(min_m, max_m))
     return GraphCollection(n, tuple(draw(graphs(n=n)) for _ in range(m)))
+
+
+@st.composite
+def views(draw, **kwargs) -> SubCollectionView:
+    """A random collection with some vertices and colors removed (never all)."""
+    coll = draw(collections(**kwargs))
+    gone_v = draw(st.sets(st.integers(0, coll.n - 1), max_size=coll.n - 1))
+    gone_c = draw(st.sets(st.integers(0, coll.m - 1), max_size=coll.m - 1))
+    return restrict(coll, gone_v, gone_c)

@@ -24,7 +24,8 @@ from rainbowpan.generate import (
     gen_extremal_F,
     gen_random_collection,
 )
-from rainbowpan.search import SearchBudget
+from rainbowpan import kernels
+from rainbowpan.search import SearchBudget, find_rainbow_path
 
 from .oracles import rainbow_path_exists
 
@@ -72,7 +73,26 @@ def test_certificate_witnesses_verify():
         for k, path in pair.witnesses.items():
             assert len(path.vertices) == k
             assert {path.vertices[0], path.vertices[-1]} == {pair.x, pair.y}
-            verify_colored_path(coll, path)
+            assert verify_colored_path(coll, path)
+
+
+def test_certificate_asks_each_query_once(monkeypatch):
+    coll = gen_random_collection(7, 6, 4, seed=11)
+    asked = []
+    real = kernels.find_path
+
+    def recording(n, m, adj, x, y, k, vmask, node_limit):
+        asked.append((x, y, k))
+        return real(n, m, adj, x, y, k, vmask, node_limit)
+
+    monkeypatch.setattr(kernels, "find_path", recording)
+    cert = is_rainbow_panconnected(coll)
+    monkeypatch.undo()
+    assert cert.verdict is True
+    assert len(asked) == len(set(asked))
+    for pair in cert.pairs:
+        k = pair.distance + 1
+        assert pair.witnesses[k] == find_rainbow_path(coll, pair.x, pair.y, k)
 
 
 def test_certificate_json_shape():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from rainbowpan.core import (
@@ -21,7 +21,8 @@ from rainbowpan.core import (
     union_adjacency,
     verify_colored_path,
 )
-from .strategies import collections, graphs
+from . import oracles
+from .strategies import collections, graphs, views
 
 
 @given(st.lists(st.integers(0, 63), unique=True))
@@ -250,3 +251,44 @@ def test_union_adjacency_matches_naive(coll):
         for g in coll.graphs:
             expect |= g.adj[v]
         assert rows[v] == expect
+
+
+class TestViewSnapshot:
+    @given(views())
+    def test_color_rows_match_reference(self, view):
+        for c in range(view.base.m):
+            ref = oracles.restricted_rows(view, c)
+            assert list(view.color_rows[c]) == ref
+            assert [view.adj_mask(c, v) for v in range(view.n)] == ref
+
+    @given(views())
+    def test_union_rows_match_reference(self, view):
+        expect = [0] * view.n
+        for c in range(view.base.m):
+            for v, row in enumerate(oracles.restricted_rows(view, c)):
+                expect[v] |= row
+        assert list(view.union_rows) == expect
+        rows = union_adjacency(view)
+        assert rows == expect
+        rows[0] ^= 1  # a fresh list: the cached rows stay as they were
+        assert list(view.union_rows) == expect
+
+    @given(views(), st.data())
+    def test_restrict_of_cached_view_gets_fresh_snapshot(self, view, data):
+        view.kernel_adj, view.union_rows  # fill the parent's snapshot
+        more_v = data.draw(st.sets(st.integers(0, view.n - 1)))
+        more_c = data.draw(st.sets(st.integers(0, view.base.m - 1)))
+        assume(len(view.removed_vertices | more_v) < view.n)
+        assume(len(view.removed_colors | more_c) < view.base.m)
+        sub = restrict(view, more_v, more_c)
+        assert sub.vertex_mask == ((1 << view.n) - 1) & ~mask_of(sub.removed_vertices)
+        assert sub.colors == tuple(
+            c for c in range(view.base.m) if c not in sub.removed_colors
+        )
+        for c in range(view.base.m):
+            assert list(sub.color_rows[c]) == oracles.restricted_rows(sub, c)
+
+    def test_collection_shares_one_full_view(self):
+        coll = _demo_collection()
+        assert as_view(coll) is as_view(coll)
+        assert as_view(coll) == SubCollectionView(coll)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from rainbowpan.core import (
     GraphCollection,
@@ -10,6 +11,7 @@ from rainbowpan.core import (
     verify_colored_path,
 )
 from rainbowpan.search import (
+    _dense,
     BudgetExceeded,
     SearchBudget,
     assign_colors,
@@ -18,9 +20,10 @@ from rainbowpan.search import (
     find_rainbow_ham_path,
     find_rainbow_path,
     rainbow_distance,
+    shortest_rainbow_path,
 )
 from . import oracles
-from .strategies import collections
+from .strategies import collections, views
 
 
 def random_collection(seed: str, max_n: int = 6, max_m: int = 4, p: float = 0.5):
@@ -321,3 +324,40 @@ class TestViewsAndValidation:
             for u, v in coll[c].edges():
                 path = find_rainbow_path(coll, u, v, 2)
                 assert path is not None
+
+
+class TestKernelInput:
+    @given(views(), st.data())
+    def test_dense_matches_reference(self, view, data):
+        forbidden = frozenset(data.draw(st.sets(st.integers(0, view.base.m - 1))))
+        n, active, adj, vmask = _dense(view, forbidden)
+        expect_active = [
+            c
+            for c in range(view.base.m)
+            if c not in view.removed_colors and c not in forbidden
+        ]
+        assert n == view.n
+        assert list(active) == expect_active
+        assert list(adj) == [
+            row for c in expect_active for row in oracles.restricted_rows(view, c)
+        ]
+        alive = [v for v in range(view.n) if v not in view.removed_vertices]
+        assert vmask == sum(1 << v for v in alive)
+
+
+class TestShortestPath:
+    def test_is_the_distance_witness(self):
+        for seed in range(6):
+            coll = random_collection(f"short:{seed}")
+            for x in range(coll.n):
+                for y in range(x + 1, coll.n):
+                    d = rainbow_distance(coll, x, y)
+                    path = shortest_rainbow_path(coll, x, y)
+                    if d is None:
+                        assert path is None
+                        continue
+                    assert path == find_rainbow_path(coll, x, y, d + 1)
+
+    def test_same_vertex_is_one_vertex_path(self):
+        coll = random_collection("short:self")
+        assert shortest_rainbow_path(coll, 2, 2).vertices == (2,)
