@@ -10,17 +10,20 @@ into False.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .core import (
     CollectionLike,
     ColoredPath,
     GraphCollection,
     SimpleGraph,
+    SubCollectionView,
     as_view,
     bits,
+    clique_split,
     collection_min_degree,
-    verify_colored_path,
+    components,
+    distances,
+    mask_of,
 )
 from .search import (
     BudgetExceeded,
@@ -130,21 +133,6 @@ class HamConnectivityReport:
         }
 
 
-def _plain_distances(g: SimpleGraph, src: int) -> list[int | None]:
-    dist: list[int | None] = [None] * g.n
-    dist[src] = 0
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.neighbors(u):
-                if dist[v] is None:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return dist
-
-
 def is_panconnected_single(g: SimpleGraph, budget: SearchBudget | None = None) -> bool:
     """Every pair joined by a plain k-path for all k in [d(x,y)+1, n].
 
@@ -156,7 +144,7 @@ def is_panconnected_single(g: SimpleGraph, budget: SearchBudget | None = None) -
         raise ValueError("need at least two vertices")
     coll = GraphCollection(g.n, (g,) * (g.n - 1))
     for x in range(g.n):
-        dist = _plain_distances(g, x)
+        dist = distances(g.adj, x)
         for y in range(x + 1, g.n):
             d = dist[y]
             if d is None:
@@ -249,52 +237,21 @@ def is_rainbow_ham_connected(
 # -- extremal recognizers ---------------------------------------------------
 
 
-def _components(g: SimpleGraph, inside: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Connected components of g restricted to `inside`."""
-    inside_set = set(inside)
-    seen: set[int] = set()
-    comps = []
-    for start in inside:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v in g.neighbors(u):
-                if v in inside_set and v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-                    queue.append(v)
-        comps.append(tuple(sorted(comp)))
-    return comps
-
-
 def _verify_F_partition(g: SimpleGraph, q1: tuple[int, ...], q2: tuple[int, ...]):
     """Check one graph against the join-family shape; returns the single-edge
     component or None."""
     n = g.n
     if len(q1) != (n - 1) // 2 or len(q2) != (n + 1) // 2:
         return None
-    q1_set, q2_set = set(q1), set(q2)
-    for u in q1:
-        # independent inside, joined to all of q2
-        if any(v in q1_set for v in g.neighbors(u)):
-            return None
-        if set(g.neighbors(u)) != q2_set:
-            return None
-    comps = _components(g, q2)
-    single = None
-    for comp in comps:
-        inner_deg_ok = all(
-            any(v in comp for v in g.neighbors(u) if v in q2_set) for u in comp
-        )
-        if not inner_deg_ok:
-            return None  # δ(Q2) ≥ 1 fails
-        if len(comp) == 2 and single is None:
-            single = comp
-    return single
+    q2_mask = mask_of(q2)
+    # q1 independent inside and joined to all of q2
+    if any(g.adj[u] != q2_mask for u in q1):
+        return None
+    comps = components(g.adj, q2_mask)
+    if any(comp.bit_count() == 1 for comp in comps):
+        return None  # δ(Q2) ≥ 1 fails
+    single = next((comp for comp in comps if comp.bit_count() == 2), None)
+    return None if single is None else tuple(bits(single))
 
 
 def recognize_F_family(coll: GraphCollection) -> ExtremalWitness | None:
@@ -303,7 +260,7 @@ def recognize_F_family(coll: GraphCollection) -> ExtremalWitness | None:
 
     Detection: a vertex of the independent half has neighborhood exactly the
     other half, so its non-neighborhood (itself included) is the candidate
-    half; an exhaustive partition sweep backs that up for n <= 11.
+    half.
     """
     n = coll.n
     if n % 2 == 0 or n < 5:
@@ -311,32 +268,15 @@ def recognize_F_family(coll: GraphCollection) -> ExtremalWitness | None:
     g0 = coll.graphs[0]
     if any(g is not g0 and g != g0 for g in coll.graphs[1:]):
         return None
-    half = (n - 1) // 2
-
-    def attempt(q1: tuple[int, ...]) -> ExtremalWitness | None:
-        q2 = tuple(v for v in range(n) if v not in set(q1))
-        single = _verify_F_partition(g0, q1, q2)
-        if single is None:
-            return None
-        return ExtremalWitness(
-            "F_family", {"q1": q1, "q2": q2, "single_edge": single}
-        )
-
-    tried: set[tuple[int, ...]] = set()
+    full = (1 << n) - 1
     for v in range(n):
-        q1 = tuple(sorted(set(range(n)) - set(g0.neighbors(v))))
-        if len(q1) == half and q1 not in tried:
-            tried.add(q1)
-            found = attempt(q1)
-            if found is not None:
-                return found
-    if n <= 11:
-        for q1 in combinations(range(n), half):
-            if q1 in tried:
-                continue
-            found = attempt(q1)
-            if found is not None:
-                return found
+        q1 = tuple(bits(full & ~g0.adj[v]))
+        q2 = tuple(bits(g0.adj[v]))
+        single = _verify_F_partition(g0, q1, q2)
+        if single is not None:
+            return ExtremalWitness(
+                "F_family", {"q1": q1, "q2": q2, "single_edge": single}
+            )
     return None
 
 
@@ -356,14 +296,10 @@ def f_family_rejection_reason(coll: GraphCollection) -> str:
 
 def recognize_clique_split(g: SimpleGraph) -> ExtremalWitness | None:
     """Graph equal to two disjoint cliques covering every vertex."""
-    comps = _components(g, tuple(range(g.n)))
-    if len(comps) != 2:
+    split = clique_split(g.adj, (1 << g.n) - 1)
+    if split is None:
         return None
-    for comp in comps:
-        for u, v in combinations(comp, 2):
-            if not g.has_edge(u, v):
-                return None
-    a, b = sorted(comps, key=lambda c: (len(c), c))
+    a, b = split
     return ExtremalWitness("single_graph_split", {"half1": a, "half2": b})
 
 
@@ -375,37 +311,48 @@ def recognize_two_cliques(coll: GraphCollection) -> ExtremalWitness | None:
     g0 = coll.graphs[0]
     if any(g != g0 for g in coll.graphs[1:]):
         return None
-    split = recognize_clique_split(g0)
-    if split is None:
+    split = clique_split(g0.adj, (1 << n) - 1)
+    if split is None or len(split[0]) != n // 2:
         return None
-    h1, h2 = split.partition["half1"], split.partition["half2"]
-    if len(h1) != n // 2:
-        return None
+    h1, h2 = split
     return ExtremalWitness("two_cliques", {"half1": h1, "half2": h2})
+
+
+def join_partition(
+    view: SubCollectionView,
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Partition (H, I) of the surviving vertices with |I| = n_surviving//2 + 1
+    such that in every surviving color each I vertex is adjacent to exactly
+    H, or None.
+
+    I is a group of vertices sharing one row in every surviving color, that
+    row being H. At most one partition qualifies: I holds more than half the
+    surviving vertices, so two candidate I sides share a vertex, and that
+    vertex's neighborhood fixes H and with it I. Grouping by rows finds it in
+    O(m·n).
+    """
+    keep = view.vertex_mask
+    i_size = view.n_surviving // 2 + 1
+    groups: dict[tuple[int, ...], int] = {}
+    for v in view.vertices:
+        key = tuple(view.color_rows[c][v] for c in view.colors)
+        groups[key] = groups.get(key, 0) | (1 << v)
+    for key, eye in groups.items():
+        if eye.bit_count() == i_size and set(key) == {keep & ~eye}:
+            return tuple(bits(keep & ~eye)), tuple(bits(eye))
+    return None
 
 
 def recognize_join_partition(coll: GraphCollection) -> ExtremalWitness | None:
     """Partition (H, I) with |H| = (n-2)/2: every graph has all H-I edges and
     an independent I; H interiors are unconstrained."""
-    n = coll.n
-    if n % 2 != 0:
+    if coll.n % 2 != 0:
         return None
-    h_size = (n - 2) // 2
-
-    def check(h: tuple[int, ...]) -> bool:
-        iset = tuple(v for v in range(n) if v not in set(h))
-        for g in coll.graphs:
-            for u in iset:
-                nb = set(g.neighbors(u))
-                if nb != set(h):
-                    return False
-        return True
-
-    for h in combinations(range(n), h_size):
-        if check(h):
-            iset = tuple(v for v in range(n) if v not in set(h))
-            return ExtremalWitness("join_partition", {"h": h, "i": iset})
-    return None
+    split = join_partition(as_view(coll))
+    if split is None:
+        return None
+    h, i = split
+    return ExtremalWitness("join_partition", {"h": h, "i": i})
 
 
 @dataclass

@@ -28,14 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
-from .analysis import ExtremalWitness
+from .analysis import ExtremalWitness, join_partition
 from .core import (
     ColoredCycle,
     ColoredPath,
     GraphCollection,
-    bits,
     check_colored_cycle,
     check_colored_path,
+    clique_split,
     collection_min_degree,
     mask_of,
     restrict,
@@ -1543,13 +1543,15 @@ def two_clique_k_path(
     if len(side1) != half or len(side2) != half:
         raise ValueError(f"each side must hold {half} vertices")
     stage = "two_clique"
-    star_cands = []
-    for c in range(m):
-        if c == j:
-            continue
-        rest = [i for i in range(m) if i not in (c, j)]
-        if all(_is_two_clique(coll, i, side1, side2) for i in rest):
-            star_cands.append(c)
+    # the sides have equal size, so clique_split orders them as tuples
+    pair = tuple(sorted((side1, side2)))
+    keep_mask = mask_of(keep)
+    split_ok = [clique_split(g.adj, keep_mask) == pair for g in coll.graphs]
+    star_cands = [
+        c
+        for c in range(m)
+        if c != j and all(split_ok[i] for i in range(m) if i not in (c, j))
+    ]
     _req(
         bool(star_cands),
         stage,
@@ -1615,19 +1617,6 @@ def two_clique_k_path(
     return _emit(coll, stage, verts, cols), "z-full"
 
 
-def _is_two_clique(coll, color, side1, side2) -> bool:
-    for side in (side1, side2):
-        for idx, a in enumerate(side):
-            for b in side[idx + 1 :]:
-                if not coll.has_edge(color, a, b):
-                    return False
-    for a in side1:
-        for b in side2:
-            if coll.has_edge(color, a, b):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # the join shape
 
@@ -1669,11 +1658,13 @@ def join_partition_k_path(
             f"expected sides of {(n - 1) // 2} and {(n - 5) // 2} vertices"
         )
     stage = "join_partition"
-    star_cands = []
-    for c in range(m):
-        rest = [i for i in range(m) if i != c]
-        if all(_is_join_shape(coll, i, eye, eff) for i in rest):
-            star_cands.append(c)
+    keep_mask, eff_mask = mask_of(keep), mask_of(eff)
+    shape_ok = [
+        all(g.adj[w0] & keep_mask == eff_mask for w0 in eye) for g in coll.graphs
+    ]
+    star_cands = [
+        c for c in range(m) if all(shape_ok[i] for i in range(m) if i != c)
+    ]
     _req(
         bool(star_cands),
         stage,
@@ -1796,15 +1787,6 @@ def _join_family_verdict(coll, eye, eff, x, y, z, stage):
             "single_edge": (min(x, y), max(x, y)),
         },
     )
-
-
-def _is_join_shape(coll, color, eye, eff) -> bool:
-    eff_mask = mask_of(eff)
-    keep_mask = mask_of(eye) | eff_mask
-    for w0 in eye:
-        if coll.graphs[color].adj[w0] & keep_mask != eff_mask:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1955,14 +1937,19 @@ def constructive_panconnect(
     _validate_pair(coll, x, y)
     rows = union_adjacency(coll)
     adjacent = bool((rows[x] >> y) & 1)
-    if not adjacent:
-        assert rows[x] & rows[y], "degree threshold forces distance <= 2"
+    if not adjacent and not rows[x] & rows[y]:
+        raise RuntimeError(
+            "invariant broken: the degree threshold forces distance <= 2"
+        )
     dist = 1 if adjacent else 2
     report = ConstructiveReport(x=x, y=y, n=n, m=m, distance=dist)
 
     two, three = construct_short_paths(coll, x, y)
     if dist == 1:
-        assert two is not None
+        if two is None:
+            raise RuntimeError(
+                "invariant broken: adjacent endpoints have no 2-path"
+            )
         report.paths[2] = two
         report.traces.append(
             BranchTrace("short_path", None, None, {"color": two.colors[0]}, 2, two)
@@ -2011,7 +1998,11 @@ def constructive_panconnect(
                 break
         if c_star is not None:
             break
-    assert c_star is not None and z is not None
+    if c_star is None:
+        raise RuntimeError(
+            "invariant broken: x is not universal yet misses no interior "
+            "vertex in any color"
+        )
     view = restrict(coll, remove_vertices=(x, y, z), remove_colors=(c_star,))
     route = _pan_route(coll, view, x, y, z, budget)
     for k in range(4, n):
@@ -2066,21 +2057,17 @@ def _pan_route(coll, view, x, y, z, budget):
                 found = find_rainbow_path(sub, a, b, n - 3, budget=budget)
                 if found is not None:
                     return ("ham_path", found)
+    splits = {
+        c: clique_split(view.color_rows[c], view.vertex_mask) for c in view.colors
+    }
     for j in view.colors:
         ref = min(c for c in view.colors if c != j)
-        split = _clique_split_of_view(coll, ref, keep)
-        if split is None:
+        split = splits[ref]
+        if split is None or len(split[0]) != (n - 3) // 2:
             continue
-        side1, side2 = split
-        if len(side1) != (n - 3) // 2:
-            continue
-        if all(
-            _is_two_clique(coll, i, side1, side2)
-            for i in view.colors
-            if i != j
-        ):
-            return ("two_clique", (side1, side2, j))
-    join = _join_partition_of_view(coll, keep, view.colors)
+        if all(splits[i] == split for i in view.colors if i != j):
+            return ("two_clique", split + (j,))
+    join = join_partition(view)
     if join is not None:
         return ("join_partition", join)
     return None
@@ -2203,55 +2190,3 @@ def _pan_fallback(coll, x, y, k, report, budget, origin):
                 "misses a guaranteed length",
             }
         )
-
-
-def _clique_split_of_view(coll, color, keep):
-    """Two cliques partitioning `keep` in the given color, or None."""
-    keep_set = set(keep)
-    km = mask_of(keep)
-    seen: set[int] = set()
-    comps = []
-    for v0 in keep:
-        if v0 in seen:
-            continue
-        comp = {v0}
-        frontier = [v0]
-        while frontier:
-            u0 = frontier.pop()
-            for w0 in bits(coll.graphs[color].adj[u0] & km):
-                if w0 not in comp:
-                    comp.add(w0)
-                    frontier.append(w0)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
-    if len(comps) != 2:
-        return None
-    for comp in comps:
-        for ai, a in enumerate(comp):
-            for b in comp[ai + 1 :]:
-                if not coll.has_edge(color, a, b):
-                    return None
-    comps.sort()
-    return comps[0], comps[1]
-
-
-def _join_partition_of_view(coll, keep, colors):
-    """Partition (f_side, i_side) of `keep` in the join shape over all
-    `colors`, or None. i_side vertices have the same neighborhood, namely
-    f_side, in every color."""
-    n_keep = len(keep)
-    km = mask_of(keep)
-    uniform: dict[int, list[int]] = {}
-    for v0 in keep:
-        masks = {coll.graphs[c].adj[v0] & km for c in colors}
-        if len(masks) == 1:
-            uniform.setdefault(masks.pop(), []).append(v0)
-    for mask, group in sorted(uniform.items()):
-        i_side = tuple(sorted(group))
-        f_side = tuple(sorted(set(keep) - set(group)))
-        if len(i_side) != (coll.n - 1) // 2:
-            continue
-        if mask != mask_of(f_side):
-            continue
-        return f_side, i_side
-    return None

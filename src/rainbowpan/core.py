@@ -30,6 +30,60 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def _reach(rows: Sequence[int], frontier: int) -> int:
+    out = 0
+    for v in bits(frontier):
+        out |= rows[v]
+    return out
+
+
+def distances(rows: Sequence[int], src: int) -> list[int | None]:
+    """BFS layer of every vertex from src over adjacency rows; None when
+    unreachable."""
+    dist: list[int | None] = [None] * len(rows)
+    dist[src] = 0
+    seen = frontier = 1 << src
+    layer = 0
+    while frontier:
+        layer += 1
+        frontier = _reach(rows, frontier) & ~seen
+        seen |= frontier
+        for v in bits(frontier):
+            dist[v] = layer
+    return dist
+
+
+def components(rows: Sequence[int], keep_mask: int) -> list[int]:
+    """Component masks of the graph induced on keep_mask, in order of their
+    smallest vertex."""
+    comps = []
+    rest = keep_mask
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            frontier = _reach(rows, frontier) & rest & ~comp
+            comp |= frontier
+        comps.append(comp)
+        rest &= ~comp
+    return comps
+
+
+def clique_split(
+    rows: Sequence[int], keep_mask: int
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The two cliques partitioning the graph induced on keep_mask, smaller
+    side first (ties by vertex tuple), or None when it is not exactly two
+    disjoint cliques."""
+    comps = components(rows, keep_mask)
+    if len(comps) != 2:
+        return None
+    for comp in comps:
+        if any(rows[v] & comp != comp & ~(1 << v) for v in bits(comp)):
+            return None
+    a, b = sorted((tuple(bits(c)) for c in comps), key=lambda c: (len(c), c))
+    return a, b
+
+
 @dataclass(frozen=True)
 class SimpleGraph:
     """Undirected simple graph with bitmask adjacency rows."""

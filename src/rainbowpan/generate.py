@@ -36,12 +36,11 @@ from .core import (
     ColoredCycle,
     ColoredPath,
     GraphCollection,
-    SimpleGraph,
-    bits,
     build_graph,
     check_colored_cycle,
     check_colored_path,
     collection_min_degree,
+    components,
     min_degree,
 )
 
@@ -163,7 +162,7 @@ def gen_random_collection(
             deg[u] += 1
             deg[v] += 1
         g = build_graph(n, sorted(edges))
-        assert min_degree(g) >= min_degree_target
+        _expect(min_degree(g) >= min_degree_target, "degree repair fell short")
         graphs.append(g)
     return GraphCollection(n, tuple(graphs))
 
@@ -221,7 +220,7 @@ def gen_extremal_F(
     q2 = build_graph(q2n, q2_edges)
     if min_degree(q2) < 1:
         raise ValueError("small side must have min degree >= 1")
-    if not _has_single_edge_component(q2):
+    if not any(c.bit_count() == 2 for c in components(q2.adj, (1 << q2n) - 1)):
         raise ValueError("small side needs a component that is a single edge")
     half = (n - 1) // 2
     perm = list(range(n))
@@ -242,25 +241,6 @@ def gen_extremal_F(
             "join-family degree off the threshold",
         )
     return coll
-
-
-def _has_single_edge_component(g: SimpleGraph) -> bool:
-    seen: set[int] = set()
-    for v0 in range(g.n):
-        if v0 in seen:
-            continue
-        comp = {v0}
-        frontier = [v0]
-        while frontier:
-            u = frontier.pop()
-            for w in bits(g.adj[u]):
-                if w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        seen |= comp
-        if len(comp) == 2:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

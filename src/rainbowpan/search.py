@@ -28,6 +28,7 @@ from .core import (
     bits,
     check_colored_cycle,
     check_colored_path,
+    distances,
 )
 
 DEFAULT_NODE_LIMIT = 50_000_000
@@ -208,23 +209,12 @@ def shortest_rainbow_path(
     _require_vertex(view, y, "y")
     if x == y:
         return ColoredPath((x,), ())
-    rows = view.union_rows
-    # union distance by BFS
-    dist = {x: 0}
-    frontier = [x]
-    while frontier and y not in dist:
-        nxt = []
-        for u in frontier:
-            for v in bits(rows[u]):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    if y not in dist:
+    lower = distances(view.union_rows, x)[y]
+    if lower is None:
         return None
     n_colors = sum(1 for c in view.colors if c not in forbidden)
     top = min(view.n_surviving - 1, n_colors)
-    for length in range(dist[y], top + 1):
+    for length in range(lower, top + 1):
         path = find_rainbow_path(view, x, y, length + 1, forbidden, budget)
         if path is not None:
             return path

@@ -9,7 +9,7 @@ instances.
 """
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 from rainbowpan.core import CollectionLike, as_view
 
@@ -185,3 +185,48 @@ def single_graph_path_exists(g, x: int, y: int, k: int) -> bool:
     if k == 1:
         return x == y
     return walk(x, {x}, k - 1)
+
+
+def _surviving(coll: CollectionLike):
+    """Surviving vertices and graphs of a view, from its base and removal sets."""
+    view = as_view(coll)
+    alive = [v for v in range(view.n) if v not in view.removed_vertices]
+    graphs = [
+        g for c, g in enumerate(view.base.graphs) if c not in view.removed_colors
+    ]
+    return alive, graphs
+
+
+def join_partitions(coll: CollectionLike) -> list[tuple[tuple, tuple]]:
+    """Every split (H, I) of the surviving vertices with |I| = half + 1 such
+    that, in every surviving color, the surviving neighbors of each I vertex
+    are exactly H. Enumerates every candidate I."""
+    alive, graphs = _surviving(coll)
+    alive_set = set(alive)
+    found = []
+    for eye in combinations(alive, len(alive) // 2 + 1):
+        h = tuple(v for v in alive if v not in eye)
+        if all(
+            set(g.neighbors(u)) & alive_set == set(h) for g in graphs for u in eye
+        ):
+            found.append((h, eye))
+    return found
+
+
+def clique_splits(coll: CollectionLike, color: int) -> list[tuple[tuple, tuple]]:
+    """Every split of the surviving vertices into two nonempty cliques with no
+    edge between them in graph `color`, smaller side first (ties by vertex
+    tuple). Enumerates every side holding the first surviving vertex."""
+    alive, _ = _surviving(coll)
+    g = as_view(coll).base.graphs[color]
+    found = []
+    for r in range(1, len(alive)):
+        for a in combinations(alive[1:], r - 1):
+            a = (alive[0],) + a
+            b = tuple(v for v in alive if v not in a)
+            inner = [e for side in (a, b) for e in combinations(side, 2)]
+            if all(g.has_edge(u, v) for u, v in inner) and not any(
+                g.has_edge(u, v) for u in a for v in b
+            ):
+                found.append(tuple(sorted((a, b), key=lambda s: (len(s), s))))
+    return found

@@ -1,5 +1,6 @@
 """Certificates, recognizers and headline verdicts against brute force."""
 import pytest
+from hypothesis import given, settings
 
 from rainbowpan.analysis import (
     classify_ham_path_obstruction,
@@ -7,6 +8,7 @@ from rainbowpan.analysis import (
     is_panconnected_single,
     is_rainbow_ham_connected,
     is_rainbow_panconnected,
+    join_partition,
     recognize_clique_split,
     recognize_F_family,
     recognize_join_partition,
@@ -16,7 +18,9 @@ from rainbowpan.analysis import (
 from rainbowpan.core import (
     GraphCollection,
     build_graph,
+    clique_split,
     collection_min_degree,
+    restrict,
     verify_colored_path,
 )
 from rainbowpan.generate import (
@@ -27,7 +31,8 @@ from rainbowpan.generate import (
 from rainbowpan import kernels
 from rainbowpan.search import SearchBudget, find_rainbow_path
 
-from .oracles import rainbow_path_exists
+from .oracles import clique_splits, join_partitions, rainbow_path_exists
+from .strategies import shaped_collections, shaped_views
 
 
 def complete_collection(n: int, m: int) -> GraphCollection:
@@ -196,6 +201,18 @@ def test_recognize_F_family_roundtrip():
     assert g0.has_edge(a, b)
     others = [v for v in q2 if v not in (a, b)]
     assert all(not g0.has_edge(a, v) and not g0.has_edge(b, v) for v in others)
+    # with several single-edge components, the one with the smallest vertex
+    fam = gen_extremal_F(11, seed=3)
+    g0 = fam.graphs[0]
+    q2 = recognize_F_family(fam).partition["q2"]
+    alone = [
+        (u, v)
+        for u, v in g0.edges()
+        if {u, v} <= set(q2)
+        and all(not g0.has_edge(t, s) for t in (u, v) for s in q2 if s not in (u, v))
+    ]
+    assert len(alone) == 3
+    assert recognize_F_family(fam).partition["single_edge"] == min(alone)
 
 
 def test_recognize_F_family_rejects_nonmembers():
@@ -249,6 +266,84 @@ def test_recognize_join_partition():
         for u in i:
             assert set(g.neighbors(u)) == set(h)
     assert recognize_join_partition(gen_cor23_obstruction(8, "ii", seed=4)) is None
+    # the join must hold in every graph: detach one H vertex in the last one
+    last = build_graph(8, [e for e in coll.graphs[-1].edges() if h[0] not in e])
+    detached = GraphCollection(8, coll.graphs[:-1] + (last,))
+    assert recognize_join_partition(detached) is None
+
+
+def _first(found):
+    assert len(found) <= 1
+    return found[0] if found else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_views())
+def test_view_recognizers_match_bruteforce(view):
+    assert join_partition(view) == _first(join_partitions(view))
+    for c in view.colors:
+        got = clique_split(view.color_rows[c], view.vertex_mask)
+        assert got == _first(clique_splits(view, c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_collections())
+def test_recognizers_match_bruteforce(coll):
+    join = _first(join_partitions(coll))
+    w = recognize_join_partition(coll)
+    if coll.n % 2 or join is None:
+        assert w is None
+    else:
+        assert (w.partition["h"], w.partition["i"]) == join
+    splits = [_first(clique_splits(coll, c)) for c in range(coll.m)]
+    for g, split in zip(coll.graphs, splits):
+        w = recognize_clique_split(g)
+        got = None if w is None else (w.partition["half1"], w.partition["half2"])
+        assert got == split
+    w = recognize_two_cliques(coll)
+    halves = splits[0]
+    if (
+        coll.n % 2 == 0
+        and halves is not None
+        and len(halves[0]) == coll.n // 2
+        and all(g == coll.graphs[0] for g in coll.graphs)
+    ):
+        assert (w.partition["half1"], w.partition["half2"]) == halves
+    else:
+        assert w is None
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_join_partition_on_reduced_family_views(n):
+    """The reduced view the constructive replay inspects: the exceptional
+    family without the single edge, one more small-side vertex and a color."""
+    for seed in range(4):
+        coll = gen_extremal_F(n, seed=seed)
+        part = recognize_F_family(coll).partition
+        x, y = part["single_edge"]
+        z = next(v for v in part["q2"] if v not in (x, y))
+        view = restrict(coll, (x, y, z), (seed % coll.m,))
+        found = join_partitions(view)
+        assert found and found[0][1] == part["q1"]
+        assert join_partition(view) == found[0]
+
+
+def test_recognizers_at_size_limit():
+    join = gen_cor23_obstruction(62, "iii", seed=5)
+    w = recognize_join_partition(join)
+    assert len(w.partition["h"]) == 30 and len(w.partition["i"]) == 32
+    i_mask = sum(1 << v for v in w.partition["i"])
+    h_mask = sum(1 << v for v in w.partition["h"])
+    assert all(g.adj[v] == h_mask for g in join.graphs for v in w.partition["i"])
+    assert i_mask | h_mask == (1 << 62) - 1
+    # one extra edge inside I breaks the shape
+    a, b = w.partition["i"][:2]
+    broken = GraphCollection(62, (join.graphs[0].with_edge(a, b),) + join.graphs[1:])
+    assert recognize_join_partition(broken) is None
+    assert recognize_join_partition(gen_random_collection(62, 62, 30, seed=1)) is None
+    fam = gen_extremal_F(63)
+    w = recognize_F_family(fam)
+    assert len(w.partition["q1"]) == 31 and len(w.partition["q2"]) == 32
 
 
 # -- trichotomy ----------------------------------------------------------------

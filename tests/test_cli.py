@@ -1,5 +1,6 @@
 """Exit codes, JSON outputs and determinism of the command line front end."""
 import json
+import random
 
 import pytest
 
@@ -151,6 +152,20 @@ def test_classify_cor23_cases(tmp_path, capsys):
     assert main(["classify", "--in", str(join)]) == EXIT_PASS
     payload = json.loads(capsys.readouterr().out)
     assert payload["kind"] == "join_partition" and payload["case"] == "iii"
+
+
+def test_classify_join_at_size_limit(tmp_path, capsys):
+    join = write_instance_via_gen(tmp_path, "--family", "cor23_iii", "--n", "62",
+                                  "--seed", "5")
+    assert main(["classify", "--in", str(join)]) == EXIT_PASS
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["kind"] == "join_partition" and payload["case"] == "iii"
+    # the generator plants H on the first (n - 2) / 2 vertices of its shuffle
+    perm = list(range(62))
+    random.Random("5").shuffle(perm)
+    partition = payload["witness"]["partition"]
+    assert partition["h"] == sorted(perm[:30])
+    assert partition["i"] == sorted(perm[30:])
 
 
 def test_classify_dense_random(rand7, capsys):

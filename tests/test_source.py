@@ -1,0 +1,23 @@
+"""Checks on the package source itself."""
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rainbowpan"
+# the pure-Python kernel stays an operation-for-operation twin of _kernel.pyx,
+# so it changes only together with the compiled kernel
+EXEMPT = {"_kernel_py.py"}
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name not in EXEMPT)
+
+
+def test_modules_found():
+    assert len(MODULES) >= 8
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    """`python -O` strips assert statements, so invariants must raise."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name} asserts at lines {lines}; raise instead"
