@@ -328,18 +328,26 @@ def join_partition(
     I is a group of vertices sharing one row in every surviving color, that
     row being H. At most one partition qualifies: I holds more than half the
     surviving vertices, so two candidate I sides share a vertex, and that
-    vertex's neighborhood fixes H and with it I. Grouping by rows finds it in
-    O(m·n).
+    vertex's neighborhood fixes H and with it I. No H vertex has row H (it
+    is not its own neighbor), so in the first surviving color I is exactly
+    the group of vertices with row H: grouping that color's rows finds the
+    only candidate in O(n), and checking it in the other colors costs
+    O(m·n) only when one exists.
     """
+    if not view.colors:
+        return None
     keep = view.vertex_mask
     i_size = view.n_surviving // 2 + 1
-    groups: dict[tuple[int, ...], int] = {}
+    rows = view.color_rows
+    first = rows[view.colors[0]]
+    groups: dict[int, int] = {}
     for v in view.vertices:
-        key = tuple(view.color_rows[c][v] for c in view.colors)
-        groups[key] = groups.get(key, 0) | (1 << v)
-    for key, eye in groups.items():
-        if eye.bit_count() == i_size and set(key) == {keep & ~eye}:
-            return tuple(bits(keep & ~eye)), tuple(bits(eye))
+        groups[first[v]] = groups.get(first[v], 0) | (1 << v)
+    for h, eye in groups.items():
+        if eye.bit_count() == i_size and h == keep & ~eye:
+            members = tuple(bits(eye))
+            if all(rows[c][v] == h for c in view.colors[1:] for v in members):
+                return tuple(bits(h)), members
     return None
 
 

@@ -10,7 +10,6 @@ infeasible input, 3 inconclusive under the search budget.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -35,7 +34,7 @@ from .generate import (
     gen_random_collection,
     generate,
 )
-from .io import InstanceFormatError, format_instance, read_instance
+from .io import InstanceFormatError, format_instance, format_json, read_instance
 from .search import (
     BudgetExceeded,
     SearchBudget,
@@ -54,7 +53,7 @@ THEOREM_IDS = ("t1_1", "t1_5", "t2_1", "lem1", "lem5-bounds", "cor2_3")
 
 
 def _emit_json(obj, path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    text = format_json(obj)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -118,7 +117,7 @@ def cmd_gen(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(text)
         with open(args.out + ".spec.json", "w") as fh:
-            fh.write(json.dumps(spec.to_json_dict(), indent=2, sort_keys=True) + "\n")
+            fh.write(format_json(spec.to_json_dict()) + "\n")
         _say(f"wrote {args.out} ({coll.n} vertices, {coll.m} graphs)")
     else:
         sys.stdout.write(text)

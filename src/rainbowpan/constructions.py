@@ -2042,6 +2042,17 @@ def _pan_universal(coll, x, y, report, spanning):
 def _pan_route(coll, view, x, y, z, budget):
     """Locate the spanning structure of the reduced view that drives [4, n-1]."""
     n = coll.n
+    # Test the join shape first: when it is present, every search below is an
+    # exhaustive refutation. The view has N = n - 3 vertices, even because n
+    # is odd, so a join side I has |I| = |H| + 2 and is independent in every
+    # surviving color. No two I vertices are consecutive on a cycle or path,
+    # so an N-cycle needs |I| <= |H|, and an (N-1)-cycle or an N-vertex path
+    # needs |I| - 1 <= |H|: none exists. A two-clique color would put two I
+    # vertices, each with row H, into one side of size |H| + 2 > N/2. So the
+    # route is the same as when the join is tested last.
+    join = join_partition(view)
+    if join is not None:
+        return ("join_partition", join)
     cyc = find_rainbow_cycle(view, n - 3, budget=budget)
     if cyc is not None:
         return ("rotation", cyc)
@@ -2067,9 +2078,6 @@ def _pan_route(coll, view, x, y, z, budget):
             continue
         if all(splits[i] == split for i in view.colors if i != j):
             return ("two_clique", split + (j,))
-    join = join_partition(view)
-    if join is not None:
-        return ("join_partition", join)
     return None
 
 

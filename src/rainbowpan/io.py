@@ -1,4 +1,4 @@
-"""Plain-text instance format.
+"""Plain-text instance format, and the JSON writer for every report.
 
 Layout: first line ``n m``; then for each color i in 0..m-1 a block starting
 ``graph i``, followed by one ``u v`` edge per line, closed by ``end``.
@@ -6,6 +6,7 @@ Blank lines and ``#`` comments are ignored anywhere.
 """
 from __future__ import annotations
 
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Union
 
@@ -84,6 +85,80 @@ def format_instance(coll: GraphCollection) -> str:
         lines.extend(f"{u} {v}" for u, v in sorted(g.edges()))
         lines.append("end")
     return "\n".join(lines) + "\n"
+
+
+_INT_ONLY = {int}
+_INF = float("inf")
+
+
+def format_json(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    With any ``indent`` the stdlib falls back to its pure-Python encoder;
+    this writer recurses over dicts and lists itself, quotes strings with the
+    C string encoder and writes a list of plain ints with one join. Only
+    str, int, float, bool, None, list, tuple and str-keyed dict are accepted;
+    anything else raises TypeError.
+    """
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    return "".join(out)
+
+
+def _write_json(obj, newline: str, out: list[str]) -> None:
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + _quote(key) + ": ")
+            _write_json(obj[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if {*map(type, obj)} == _INT_ONLY:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]")
+            return
+        sep = "[" + inner
+        for v in obj:
+            out.append(sep)
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(_scalar_text(obj))
+
+
+def _scalar_text(obj) -> str:
+    # the stdlib's order: str, None, bools, then int and float subclasses
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == _INF:
+            return "Infinity"
+        if obj == -_INF:
+            return "-Infinity"
+        return float.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def read_instance(path: Union[str, Path]) -> GraphCollection:

@@ -295,3 +295,71 @@ def test_replay_out_file(rand7, tmp_path):
     out = tmp_path / "replay.json"
     assert main(["replay", "--in", str(rand7), "--out", str(out)]) == EXIT_PASS
     assert json.loads(out.read_text())["clean"] is True
+
+
+# -- JSON bytes --------------------------------------------------------------
+# Every JSON output is ASCII, indented by two spaces with sorted keys, exactly
+# as the stdlib's `json.dumps(..., indent=2, sort_keys=True)` writes it.
+
+
+def assert_stdlib_bytes(text):
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.fixture
+def rand9(tmp_path):
+    return write_instance_via_gen(tmp_path, "--family", "random", "--n", "9",
+                                  "--m", "8", "--min-degree", "5", "--seed", "1")
+
+
+def test_check_cert_bytes_equal_stdlib(rand9, tmp_path, capsys):
+    from rainbowpan.analysis import is_rainbow_panconnected
+    from rainbowpan.io import read_instance
+
+    cert = tmp_path / "cert.json"
+    assert main(["check", "--in", str(rand9), "--cert", str(cert)]) == EXIT_PASS
+    text = cert.read_text()
+    assert_stdlib_bytes(text)
+    want = is_rainbow_panconnected(read_instance(rand9)).to_json_dict()
+    assert text == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("k", [None, "5"])
+def test_check_pair_bytes(rand9, tmp_path, capsys, k):
+    args = ["check", "--in", str(rand9), "--pair", "0", "4"] + (["--k", k] if k else [])
+    main(args)
+    assert_stdlib_bytes(capsys.readouterr().out)
+    out = tmp_path / "pair.json"
+    main(args + ["--cert", str(out)])
+    assert_stdlib_bytes(out.read_text())
+
+
+def test_classify_bytes(f6, tmp_path, capsys):
+    out = tmp_path / "classify.json"
+    assert main(["classify", "--in", str(f6), "--out", str(out)]) == EXIT_PASS
+    assert_stdlib_bytes(out.read_text())
+    capsys.readouterr()
+    main(["classify", "--in", str(f6)])
+    assert_stdlib_bytes(capsys.readouterr().out)
+
+
+def test_verify_report_bytes(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--theorem", "t1_5", "--n", "5,7", "--trials", "2",
+                 "--report", str(out)]) == EXIT_PASS
+    text = out.read_text()
+    assert isinstance(json.loads(text)["wall_time_s"], float)
+    assert_stdlib_bytes(text)
+
+
+def test_replay_bytes(rand7, f6, tmp_path, capsys):
+    for inst in (rand7, f6):
+        out = tmp_path / "replay.json"
+        main(["replay", "--in", str(inst), "--out", str(out)])
+        assert_stdlib_bytes(out.read_text())
+
+
+def test_gen_sidecar_bytes(tmp_path):
+    out = write_instance_via_gen(tmp_path, "--family", "lemma_shape:lem5", "--n", "9",
+                                 "--variant", "lo-hi", "--seed", "3")
+    assert_stdlib_bytes((tmp_path / (out.name + ".spec.json")).read_text())

@@ -7,9 +7,10 @@ it emits is still valid.
 """
 import pytest
 
-from rainbowpan.analysis import ExtremalWitness
+from rainbowpan.analysis import ExtremalWitness, join_partition
 from rainbowpan.constructions import (
     HypothesisViolation,
+    _pan_route,
     construct_short_paths,
     constructive_panconnect,
     endpoint_bound_report,
@@ -20,12 +21,20 @@ from rainbowpan.constructions import (
     rotation_k_path,
     two_clique_k_path,
 )
-from rainbowpan.core import GraphCollection, build_graph, verify_colored_path
+from rainbowpan.core import (
+    GraphCollection,
+    build_graph,
+    clique_split,
+    restrict,
+    verify_colored_path,
+)
 from rainbowpan.generate import (
     gen_extremal_F,
     gen_lemma_shape,
     gen_random_collection,
 )
+
+from rainbowpan.search import find_rainbow_cycle, find_rainbow_path
 
 from .oracles import rainbow_path_exists
 
@@ -363,6 +372,52 @@ def test_constructive_family_verdict_on_single_edge_pair():
     # other lengths are present and valid
     for k, path in rep.paths.items():
         check_path(coll, path, sx, sy, k)
+
+
+def reduced_views(coll):
+    """(x, y, z, view) for every pair whose replay reaches `_pan_route`,
+    reduced the way `constructive_panconnect` reduces it."""
+    n = coll.n
+    for x in range(n):
+        for y in range(x + 1, n):
+            interior = [v for v in range(n) if v not in (x, y)]
+            miss = next(
+                ((c, u) for c in range(coll.m) for u in interior if not coll.has_edge(c, x, u)),
+                None,
+            )
+            if miss is not None:
+                c_star, z = miss
+                yield x, y, z, restrict(coll, (x, y, z), (c_star,))
+
+
+@pytest.mark.parametrize("n", [11, 13])
+def test_join_route_excludes_the_searched_routes(n):
+    """Where the reduced view has the join shape, `_pan_route` takes it, and
+    the searches it skips (N- and (N-1)-cycles, N-vertex paths with one color
+    removed, two-clique colors) all come back empty. The searches run on the
+    first two join views, every color and pair at n = 11 and one removed color
+    at n = 13, to keep the pure-Python kernel quick."""
+    coll = gen_extremal_F(n, seed=0)
+    joins = 0
+    for x, y, z, view in reduced_views(coll):
+        join = join_partition(view)
+        if join is None:
+            continue
+        joins += 1
+        assert _pan_route(coll, view, x, y, z, None) == ("join_partition", join)
+        assert all(clique_split(view.color_rows[c], view.vertex_mask) is None for c in view.colors)
+        if joins > 2:
+            continue
+        big = view.n_surviving
+        assert find_rainbow_cycle(view, big) is None
+        assert find_rainbow_cycle(view, big - 1) is None
+        keep = view.vertices
+        for j in view.colors if n == 11 else view.colors[:1]:
+            sub = restrict(view, remove_colors=(j,))
+            for ai, a in enumerate(keep):
+                for b in keep[ai + 1 :]:
+                    assert find_rainbow_path(sub, a, b, big) is None
+    assert joins > 2
 
 
 def test_constructive_rejects_out_of_scope():

@@ -1,9 +1,13 @@
+import json
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from rainbowpan.io import (
     InstanceFormatError,
     format_instance,
+    format_json,
     parse_instance,
     read_instance,
     write_instance,
@@ -70,3 +74,50 @@ def test_malformed_instances_rejected(text, fragment):
 def test_error_carries_line_number():
     with pytest.raises(InstanceFormatError, match="line 3"):
         parse_instance("3 1\ngraph 0\n0 1 2\nend\n")
+
+
+# JSON values the stdlib can encode: every scalar spelling it has (NaN,
+# infinities, -0.0, ints past 64 bits, escapes and non-ASCII text), nested in
+# lists, tuples and str-keyed dicts
+_SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 1.7976931348623157e308, 5e-324]
+_text = st.text(st.characters(), max_size=12) | st.sampled_from(
+    ["", '"', "\\", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", 'a"b\\c\nd\te']
+)
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**80), 2**80)
+    | st.sampled_from([0, -1, 2**63, -(2**63) - 1, 2**64 + 1])
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(_SPECIAL_FLOATS)
+    | _text
+)
+_json_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.lists(st.integers(), max_size=6)
+    | st.dictionaries(_text, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@given(_json_values)
+def test_format_json_matches_stdlib(value):
+    assert format_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_format_json_special_scalars():
+    value = {"floats": _SPECIAL_FLOATS, "ints": [2**64 + 1, -(2**63)], "mixed": [1, True, None, 2.0]}
+    assert format_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{1, 2}, object(), {1: "a"}, [1, {2}], {"a": {"b": object()}}, {"a": 1, None: 2}],
+    ids=["set", "object", "int-key", "nested-set", "nested-object", "none-key"],
+)
+def test_format_json_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        format_json(value)

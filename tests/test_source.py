@@ -21,3 +21,19 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} asserts at lines {lines}; raise instead"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_indented_json_dumps(path):
+    """Every pretty-printed JSON output goes through `io.format_json`; an
+    indented `json.dump`/`json.dumps` would bring back the stdlib's
+    pure-Python encoder."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps")
+        and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+    assert not lines, f"{path.name} writes indented JSON at lines {lines}; use io.format_json"

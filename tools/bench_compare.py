@@ -1,0 +1,139 @@
+"""Benchmark a base revision against the working tree into BENCH_<label>.json.
+
+    python3 tools/bench_compare.py --label L --before REV \
+        --workloads certificate,replay --seeds 0,1,2,3
+
+For every workload and seed it runs
+`python3 perfbench/run.py --workload W --seed S --seconds 20 --trace 0` once
+in an export of REV's committed files (`git archive`, in a temporary
+directory under $TMPDIR) and once in the working tree, one run at a time,
+and keeps each run's last output line, its JSON result. Even seeds run the
+base first, odd seeds the working tree first, so a slow phase of the host
+does not always land on the same side. The file is rewritten after every
+pair, so an interrupted comparison keeps the pairs it finished. A summary of
+medians per metric goes to stderr.
+"""
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import shlex
+import statistics
+import subprocess
+import sys
+import sysconfig
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SECONDS = 20  # the run length BENCHMARK.json declares
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout
+
+
+def _export(rev: str, dest: Path) -> None:
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest)
+
+
+def _compiler() -> str:
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    try:
+        out = subprocess.run(cc + ["--version"], capture_output=True, text=True).stdout
+    except OSError:
+        return "none"
+    return out.splitlines()[0].strip() if out else "unknown"
+
+
+def _run(tree: Path, workload: str, seed: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(SECONDS), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        raise SystemExit(
+            f"{workload} seed {seed} in {tree} gave no result (exit {done.returncode}):\n"
+            + done.stderr[-2000:]
+        ) from None
+
+
+def summary(doc: dict) -> list[str]:
+    """One line per workload and metric: medians before -> after, and how
+    many seeds moved in the metric's better direction."""
+    lines = []
+    for workload, seeds in doc["workloads"].items():
+        pairs = list(seeds.values())
+        if not pairs:
+            continue
+        lines.append(f"{workload}: {len(pairs)} seed(s), correct "
+                     f"{all(p[s]['correct'] for p in pairs for s in ('before', 'after'))}, "
+                     f"failed {[p['before']['failed'] for p in pairs]} -> "
+                     f"{[p['after']['failed'] for p in pairs]}")
+        for metric in pairs[0]["before"]["metrics"]:
+            b = [p["before"]["metrics"][metric]["value"] for p in pairs]
+            a = [p["after"]["metrics"][metric]["value"] for p in pairs]
+            higher = metric == "items_per_s"  # every other metric is better lower
+            wins = sum((y > x) if higher else (y < x) for x, y in zip(b, a))
+            mb, ma = statistics.median(b), statistics.median(a)
+            lines.append(f"  {metric:<12} {mb:10.4g} -> {ma:10.4g}  ({(ma - mb) / mb:+.1%}, "
+                         f"better on {wins} of {len(pairs)})")
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="writes BENCH_<label>.json at the repo root")
+    ap.add_argument("--before", required=True, help="base revision")
+    ap.add_argument("--workloads", required=True, help="comma-separated workload names")
+    ap.add_argument("--seeds", default="0,1,2,3", help="comma-separated seeds")
+    args = ap.parse_args(argv)
+
+    workloads = [w for w in args.workloads.split(",") if w]
+    seeds = [int(s) for s in args.seeds.split(",") if s]
+    before_commit = _git("rev-parse", "--short", args.before).strip()
+    out = ROOT / f"BENCH_{args.label}.json"
+    doc = {
+        "what": "perfbench/run.py last-line JSON per workload and seed, at commit "
+                f"{before_commit} (before) and the working tree (after)",
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
+        "before_commit": before_commit,
+        "host": {
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "compiler": _compiler(),
+            "note": "shared host; end-to-end times are reported at the benchmark's "
+                    "fixed calibration speed",
+        },
+        "order": "one run at a time; even seeds: before then after; odd seeds: after then before",
+        "workloads": {w: {} for w in workloads},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-before-") as tmp:
+        base = Path(tmp) / "tree"
+        _export(before_commit, base)
+        trees = {"before": base, "after": ROOT}
+        for workload in workloads:
+            for seed in seeds:
+                order = ("before", "after") if seed % 2 == 0 else ("after", "before")
+                pair = {}
+                for side in order:
+                    pair[side] = _run(trees[side], workload, seed)
+                    print(f"{workload} seed {seed} {side}: "
+                          f"{json.dumps(pair[side]['metrics'])}", file=sys.stderr)
+                doc["workloads"][workload][str(seed)] = {s: pair[s] for s in ("before", "after")}
+                out.write_text(json.dumps(doc, indent=1) + "\n")
+    print("\n".join(summary(doc)), file=sys.stderr)
+    print(f"wrote {out.relative_to(ROOT)}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
