@@ -16,14 +16,13 @@ from .core import (
     ColoredPath,
     GraphCollection,
     SimpleGraph,
-    SubCollectionView,
-    as_view,
     bits,
     clique_split,
     collection_min_degree,
     components,
     distances,
     mask_of,
+    row_groups,
 )
 from .search import (
     BudgetExceeded,
@@ -156,7 +155,7 @@ def is_panconnected_single(g: SimpleGraph, budget: SearchBudget | None = None) -
 
 
 def is_rainbow_panconnected(
-    coll: CollectionLike, budget: SearchBudget | None = None
+    view: CollectionLike, budget: SearchBudget | None = None
 ) -> PanconnectivityCertificate:
     """Certificate over all pairs, k from distance+1 to min(n, m+1).
 
@@ -165,7 +164,6 @@ def is_rainbow_panconnected(
     stops at the first failure; budget exhaustion anywhere yields verdict
     None ("unknown"), never False.
     """
-    view = as_view(coll)
     alive = view.vertices
     k_cap = min(view.n_surviving, view.m_surviving + 1)
     pairs: list[PairReport] = []
@@ -212,10 +210,9 @@ def is_rainbow_panconnected(
 
 
 def is_rainbow_ham_connected(
-    coll: CollectionLike, budget: SearchBudget | None = None
+    view: CollectionLike, budget: SearchBudget | None = None
 ) -> HamConnectivityReport:
     """Rainbow Hamiltonian path between every pair of surviving vertices."""
-    view = as_view(coll)
     if view.m_surviving < view.n_surviving - 1:
         raise ValueError(
             f"{view.m_surviving} colors cannot span {view.n_surviving} vertices"
@@ -319,7 +316,7 @@ def recognize_two_cliques(coll: GraphCollection) -> ExtremalWitness | None:
 
 
 def join_partition(
-    view: SubCollectionView,
+    view: CollectionLike,
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Partition (H, I) of the surviving vertices with |I| = n_surviving//2 + 1
     such that in every surviving color each I vertex is adjacent to exactly
@@ -339,11 +336,7 @@ def join_partition(
     keep = view.vertex_mask
     i_size = view.n_surviving // 2 + 1
     rows = view.color_rows
-    first = rows[view.colors[0]]
-    groups: dict[int, int] = {}
-    for v in view.vertices:
-        groups[first[v]] = groups.get(first[v], 0) | (1 << v)
-    for h, eye in groups.items():
+    for h, eye in row_groups(rows[view.colors[0]], keep).items():
         if eye.bit_count() == i_size and h == keep & ~eye:
             members = tuple(bits(eye))
             if all(rows[c][v] == h for c in view.colors[1:] for v in members):
@@ -356,7 +349,7 @@ def recognize_join_partition(coll: GraphCollection) -> ExtremalWitness | None:
     an independent I; H interiors are unconstrained."""
     if coll.n % 2 != 0:
         return None
-    split = join_partition(as_view(coll))
+    split = join_partition(coll)
     if split is None:
         return None
     h, i = split

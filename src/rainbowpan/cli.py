@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cache
 
 from .analysis import (
     classify_ham_path_obstruction,
@@ -423,6 +423,9 @@ def run_campaign(
     ]
     start = time.perf_counter()
     if jobs > 1:
+        # imported here: it loads multiprocessing, which nothing else needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_campaign_trial, tasks, chunksize=8))
     else:
@@ -561,7 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--variant")
     g.add_argument("--out")
-    g.set_defaults(func=cmd_gen)
 
     c = sub.add_parser("check", help="panconnectivity check / single query")
     c.add_argument("--in", dest="infile", required=True)
@@ -569,13 +571,11 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--k", type=int)
     c.add_argument("--cert", help="write certificate JSON here")
     c.add_argument("--budget", type=int)
-    c.set_defaults(func=cmd_check)
 
     cl = sub.add_parser("classify", help="recognize extremal structure")
     cl.add_argument("--in", dest="infile", required=True)
     cl.add_argument("--out")
     cl.add_argument("--budget", type=int)
-    cl.set_defaults(func=cmd_classify)
 
     v = sub.add_parser("verify", help="seeded campaign for one statement")
     v.add_argument("--theorem", required=True, choices=THEOREM_IDS)
@@ -585,21 +585,33 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--budget", type=int)
     v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--report", help="write campaign JSON here")
-    v.set_defaults(func=cmd_verify)
 
     r = sub.add_parser("replay", help="constructive certificate with traces")
     r.add_argument("--in", dest="infile", required=True)
     r.add_argument("--pair", type=int, nargs=2, metavar=("U", "V"))
     r.add_argument("--out")
     r.add_argument("--budget", type=int)
-    r.set_defaults(func=cmd_replay)
     return ap
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a replaced cmd_* function takes effect
+    command = {
+        "gen": cmd_gen,
+        "check": cmd_check,
+        "classify": cmd_classify,
+        "verify": cmd_verify,
+        "replay": cmd_replay,
+    }[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except SystemExit as done:
         code = done.code
         return code if isinstance(code, int) else EXIT_USAGE

@@ -68,6 +68,15 @@ def components(rows: Sequence[int], keep_mask: int) -> list[int]:
     return comps
 
 
+def row_groups(rows: Sequence[int], keep_mask: int) -> dict[int, int]:
+    """Vertices of keep_mask grouped by their row: each row maps to the mask
+    of the vertices having it, in order of their smallest vertex."""
+    groups: dict[int, int] = {}
+    for v in bits(keep_mask):
+        groups[rows[v]] = groups.get(rows[v], 0) | (1 << v)
+    return groups
+
+
 def clique_split(
     rows: Sequence[int], keep_mask: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -174,12 +183,104 @@ def sigma2(g: SimpleGraph) -> int | None:
     return best
 
 
+class _Snapshot:
+    """The cached snapshot of a view: vertex mask, surviving colors,
+    restricted rows per color, union rows with their components and twin
+    classes, and the flat kernel input.
+
+    Built on first use from `base`, `removed_vertices` and `removed_colors`
+    and cached on the instance. Both `SubCollectionView` and
+    `GraphCollection` (its own full view, with nothing removed) carry it, so
+    a collection holds its snapshot without holding a view that points back
+    at it.
+    """
+
+    @cached_property
+    def vertex_mask(self) -> int:
+        return ((1 << self.base.n) - 1) & ~mask_of(self.removed_vertices)
+
+    @cached_property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(bits(self.vertex_mask))
+
+    @cached_property
+    def colors(self) -> tuple[int, ...]:
+        return tuple(c for c in range(self.base.m) if c not in self.removed_colors)
+
+    @property
+    def n_surviving(self) -> int:
+        return self.base.n - len(self.removed_vertices)
+
+    @property
+    def m_surviving(self) -> int:
+        return self.base.m - len(self.removed_colors)
+
+    @cached_property
+    def color_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Restricted adjacency rows per base color: color_rows[c][v] is v's
+        neighborhood in graph c among surviving vertices, zero when v or c is
+        removed."""
+        vmask = self.vertex_mask
+        alive = [(vmask >> v) & 1 for v in range(self.base.n)]
+        zero = (0,) * self.base.n
+        return tuple(
+            zero
+            if c in self.removed_colors
+            else tuple(row & vmask if keep else 0 for row, keep in zip(g.adj, alive))
+            for c, g in enumerate(self.base.graphs)
+        )
+
+    @cached_property
+    def union_rows(self) -> tuple[int, ...]:
+        """Per-vertex union of the restricted rows over surviving colors."""
+        rows = [0] * self.base.n
+        for c in self.colors:
+            for v, row in enumerate(self.color_rows[c]):
+                rows[v] |= row
+        return tuple(rows)
+
+    @cached_property
+    def union_components(self) -> tuple[int, ...]:
+        """Component masks of the union graph on the surviving vertices."""
+        return tuple(components(self.union_rows, self.vertex_mask))
+
+    @cached_property
+    def union_twin_classes(self) -> tuple[int, ...]:
+        """Masks of the surviving vertices grouped by union row. Each class
+        is independent in the union graph: no vertex is its own neighbor,
+        and every member has the row the others are missing from."""
+        return tuple(row_groups(self.union_rows, self.vertex_mask).values())
+
+    @cached_property
+    def kernel_adj(self) -> tuple[int, ...]:
+        """Flat kernel input over every surviving color: entry pos*n + v is
+        the row of v in the pos-th color of `colors`."""
+        return tuple(row for c in self.colors for row in self.color_rows[c])
+
+    def adj_mask(self, color: int, v: int) -> int:
+        """Restricted adjacency row; zero for removed vertices/colors."""
+        return self.color_rows[color][v]
+
+    def has_edge(self, color: int, u: int, v: int) -> bool:
+        return bool((self.color_rows[color][u] >> v) & 1)
+
+    def degree(self, color: int, v: int) -> int:
+        return self.color_rows[color][v].bit_count()
+
+
 @dataclass(frozen=True)
-class GraphCollection:
-    """Ordered collection of graphs over one shared vertex set."""
+class GraphCollection(_Snapshot):
+    """Ordered collection of graphs over one shared vertex set.
+
+    A collection is its own full view: its base is itself and it removes
+    nothing, so every caller that passes the collection shares one snapshot.
+    """
 
     n: int
     graphs: tuple[SimpleGraph, ...]
+
+    removed_vertices = frozenset()
+    removed_colors = frozenset()
 
     def __post_init__(self) -> None:
         if not self.graphs:
@@ -191,20 +292,15 @@ class GraphCollection:
                 raise ValueError(f"graph {i} has n={g.n}, expected {self.n}")
 
     @property
+    def base(self) -> "GraphCollection":
+        return self
+
+    @property
     def m(self) -> int:
         return len(self.graphs)
 
     def __getitem__(self, color: int) -> SimpleGraph:
         return self.graphs[color]
-
-    def has_edge(self, color: int, u: int, v: int) -> bool:
-        return self.graphs[color].has_edge(u, v)
-
-    @cached_property
-    def _view(self) -> "SubCollectionView":
-        """The whole collection as one view, so every caller that passes the
-        collection shares that view's snapshot."""
-        return SubCollectionView(self)
 
 
 def collection_min_degree(coll: GraphCollection) -> int:
@@ -275,14 +371,15 @@ class ColoredCycle:
         return {"vertices": list(self.vertices), "colors": list(self.colors)}
 
 
-@dataclass(frozen=True)
-class SubCollectionView:
+@dataclass(frozen=True, eq=False)
+class SubCollectionView(_Snapshot):
     """Copy-free restriction of a collection: vertices and colors masked out.
 
     Vertex ids and color ids stay those of the base collection. The view's
-    snapshot (vertex mask, surviving colors, restricted rows per color, union
-    rows and the flat kernel input) is built on first use and cached on the
-    view; views are immutable, so it lives exactly as long as the view.
+    snapshot is built on first use and cached on the view; views are
+    immutable, so it lives exactly as long as the view. Views with the same
+    base and removal sets are equal, and a view that removes nothing equals
+    its collection, which is its own full view.
     """
 
     base: GraphCollection
@@ -301,88 +398,41 @@ class SubCollectionView:
         if len(self.removed_vertices) >= self.base.n:
             raise ValueError("view removes every vertex")
 
+    def _key(self) -> tuple:
+        return (self.base, self.removed_vertices, self.removed_colors)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (SubCollectionView, GraphCollection)):
+            return NotImplemented
+        return self._key() == (other.base, other.removed_vertices, other.removed_colors)
+
+    def __hash__(self) -> int:
+        if self.removed_vertices or self.removed_colors:
+            return hash(self._key())
+        return hash(self.base)
+
     @property
     def n(self) -> int:
         return self.base.n
-
-    @cached_property
-    def vertex_mask(self) -> int:
-        return ((1 << self.base.n) - 1) & ~mask_of(self.removed_vertices)
-
-    @cached_property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(bits(self.vertex_mask))
-
-    @cached_property
-    def colors(self) -> tuple[int, ...]:
-        return tuple(c for c in range(self.base.m) if c not in self.removed_colors)
-
-    @property
-    def n_surviving(self) -> int:
-        return self.base.n - len(self.removed_vertices)
-
-    @property
-    def m_surviving(self) -> int:
-        return self.base.m - len(self.removed_colors)
-
-    @cached_property
-    def color_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Restricted adjacency rows per base color: color_rows[c][v] is v's
-        neighborhood in graph c among surviving vertices, zero when v or c is
-        removed."""
-        vmask = self.vertex_mask
-        alive = [(vmask >> v) & 1 for v in range(self.base.n)]
-        zero = (0,) * self.base.n
-        return tuple(
-            zero
-            if c in self.removed_colors
-            else tuple(row & vmask if keep else 0 for row, keep in zip(g.adj, alive))
-            for c, g in enumerate(self.base.graphs)
-        )
-
-    @cached_property
-    def union_rows(self) -> tuple[int, ...]:
-        """Per-vertex union of the restricted rows over surviving colors."""
-        rows = [0] * self.base.n
-        for c in self.colors:
-            for v, row in enumerate(self.color_rows[c]):
-                rows[v] |= row
-        return tuple(rows)
-
-    @cached_property
-    def kernel_adj(self) -> tuple[int, ...]:
-        """Flat kernel input over every surviving color: entry pos*n + v is
-        the row of v in the pos-th color of `colors`."""
-        return tuple(row for c in self.colors for row in self.color_rows[c])
-
-    def adj_mask(self, color: int, v: int) -> int:
-        """Restricted adjacency row; zero for removed vertices/colors."""
-        return self.color_rows[color][v]
-
-    def has_edge(self, color: int, u: int, v: int) -> bool:
-        return bool((self.color_rows[color][u] >> v) & 1)
-
-    def degree(self, color: int, v: int) -> int:
-        return self.color_rows[color][v].bit_count()
 
 
 CollectionLike = Union[GraphCollection, SubCollectionView]
 
 
-def as_view(coll: CollectionLike) -> SubCollectionView:
-    if isinstance(coll, SubCollectionView):
-        return coll
-    return coll._view
+def as_view(coll: CollectionLike) -> CollectionLike:
+    """The view a query reads: every view and every collection is one (a
+    collection is its own full view), so this returns its argument; the
+    package's functions take either directly."""
+    return coll
 
 
 def restrict(
-    coll: CollectionLike,
+    view: CollectionLike,
     remove_vertices: Iterable[int] = (),
     remove_colors: Iterable[int] = (),
 ) -> SubCollectionView:
     """View with extra vertices/colors removed. Composes: restricting a view
     merges removal sets against the original base."""
-    view = as_view(coll)
     return SubCollectionView(
         view.base,
         view.removed_vertices | frozenset(remove_vertices),
@@ -392,13 +442,11 @@ def restrict(
 
 def check_colored_path(coll: CollectionLike, path: ColoredPath) -> str | None:
     """First violation making path invalid in coll, or None if valid."""
-    view = as_view(coll)
-    return _check_items(view, path.vertices, path.edge_items(), len(path.colors))
+    return _check_items(coll, path.vertices, path.edge_items(), len(path.colors))
 
 
 def check_colored_cycle(coll: CollectionLike, cycle: ColoredCycle) -> str | None:
-    view = as_view(coll)
-    return _check_items(view, cycle.vertices, cycle.edge_items(), len(cycle.colors))
+    return _check_items(coll, cycle.vertices, cycle.edge_items(), len(cycle.colors))
 
 
 def _check_items(view, vertices, edge_items, n_edges) -> str | None:
@@ -430,4 +478,4 @@ def verify_colored_cycle(coll: CollectionLike, cycle: ColoredCycle) -> bool:
 
 def union_adjacency(coll: CollectionLike) -> list[int]:
     """Per-vertex union adjacency across surviving colors, restricted."""
-    return list(as_view(coll).union_rows)
+    return list(coll.union_rows)

@@ -6,12 +6,19 @@ kernel; feasibility of the color assignment is maintained incrementally by
 the kernel (one augmenting step per appended edge), so infeasible branches
 are pruned as soon as the partial edge set stops being assignable.
 
-The kernel input comes from the view's snapshot (`SubCollectionView` in
-core): the flat adjacency over every surviving color is built once per view
+The kernel input comes from the view's snapshot (`_Snapshot` in core):
+the flat adjacency over every surviving color is built once per view
 and reused by every query on it; a query with forbidden colors concatenates
-the view's cached per-color rows instead. A raw collection stands for its one
-cached full view, so callers that pass the collection share that snapshot.
-Every witness a kernel returns is re-checked against the view.
+the view's cached per-color rows instead. A collection is its own full view,
+so callers that pass the collection share its snapshot. Every witness a
+kernel returns is re-checked against the view.
+
+A query for a path or cycle through every surviving vertex is refuted at the
+root, without a kernel call, when the view's union graph is disconnected or
+one of its twin classes (vertices with one shared union row, an independent
+set) is too large to alternate with the other vertices; see
+`_spanning_refuted`. Both checks are sound under forbidden colors. The
+collections of Corollary 2.3's cases (ii) and (iii) are refuted this way.
 """
 from __future__ import annotations
 
@@ -24,7 +31,6 @@ from .core import (
     CollectionLike,
     ColoredCycle,
     ColoredPath,
-    as_view,
     bits,
     check_colored_cycle,
     check_colored_path,
@@ -82,6 +88,34 @@ def _dense(view, forbidden: frozenset[int]):
     return view.n, active, adj, view.vertex_mask
 
 
+def _spanning_refuted(view, ends: tuple[int, ...]) -> bool:
+    """Whether the union graph alone rules out every rainbow path through all
+    surviving vertices joining the two `ends`, or every spanning rainbow
+    cycle when `ends` is empty.
+
+    Such a path or cycle is connected, so a disconnected union graph has
+    none. A twin class I is independent, so its members are pairwise
+    non-consecutive: a path needs one vertex outside I in each of the
+    |I| - 1 gaps between them and at each end outside I, and a cycle needs
+    |I| vertices outside I. Both checks read the union over every surviving
+    color, and stay sound whatever colors a query forbids: the union over the
+    allowed colors is a subgraph of it, so it is disconnected whenever this
+    one is, and I is independent in it too.
+    """
+    if len(view.union_components) > 1:
+        return True
+    total = view.n_surviving
+    for eye in view.union_twin_classes:
+        size = eye.bit_count()
+        if ends:
+            need = size - 1 + sum(not (eye >> v) & 1 for v in ends)
+        else:
+            need = size
+        if total - size < need:
+            return True
+    return False
+
+
 def _require_vertex(view, v: int, name: str) -> None:
     if not 0 <= v < view.n:
         raise ValueError(f"{name}={v} outside vertex range")
@@ -90,7 +124,7 @@ def _require_vertex(view, v: int, name: str) -> None:
 
 
 def assign_colors(
-    coll: CollectionLike,
+    view: CollectionLike,
     vertices: Sequence[int],
     forbidden_colors: Iterable[int] = (),
 ) -> tuple[int, ...] | None:
@@ -103,7 +137,6 @@ def assign_colors(
     Deterministic: edges are matched in path order, colors scanned ascending,
     via augmenting steps.
     """
-    view = as_view(coll)
     forbidden = frozenset(forbidden_colors)
     if len(set(vertices)) != len(vertices):
         raise ValueError("repeated vertex in path")
@@ -140,7 +173,7 @@ def assign_colors(
 
 
 def find_rainbow_path(
-    coll: CollectionLike,
+    view: CollectionLike,
     x: int,
     y: int,
     k: int,
@@ -151,7 +184,6 @@ def find_rainbow_path(
 
     Raises BudgetExceeded when the node budget runs out undecided.
     """
-    view = as_view(coll)
     forbidden = frozenset(forbidden_colors)
     _require_vertex(view, x, "x")
     _require_vertex(view, y, "y")
@@ -162,6 +194,8 @@ def find_rainbow_path(
     n, active, adj, vmask = _dense(view, forbidden)
     if k - 1 > len(active):
         raise ValueError(f"k={k} needs {k - 1} colors, only {len(active)} available")
+    if k == view.n_surviving and _spanning_refuted(view, (x, y)):
+        return None
     if budget is None:
         budget = default_budget()
     status, verts, cols, nodes = kernels.find_path(
@@ -179,19 +213,18 @@ def find_rainbow_path(
 
 
 def find_rainbow_ham_path(
-    coll: CollectionLike,
+    view: CollectionLike,
     x: int,
     y: int,
     forbidden_colors: Iterable[int] = (),
     budget: SearchBudget | None = None,
 ) -> ColoredPath | None:
     """Rainbow path through every surviving vertex, joining x and y."""
-    view = as_view(coll)
     return find_rainbow_path(view, x, y, view.n_surviving, forbidden_colors, budget)
 
 
 def shortest_rainbow_path(
-    coll: CollectionLike,
+    view: CollectionLike,
     x: int,
     y: int,
     forbidden_colors: Iterable[int] = (),
@@ -203,7 +236,6 @@ def shortest_rainbow_path(
     the path returned is the one find_rainbow_path gives at that length. For
     x == y it is the one-vertex path.
     """
-    view = as_view(coll)
     forbidden = frozenset(forbidden_colors)
     _require_vertex(view, x, "x")
     _require_vertex(view, y, "y")
@@ -234,13 +266,12 @@ def rainbow_distance(
 
 
 def find_rainbow_cycle(
-    coll: CollectionLike,
+    view: CollectionLike,
     length: int,
     forbidden_colors: Iterable[int] = (),
     budget: SearchBudget | None = None,
 ) -> ColoredCycle | None:
     """Rainbow cycle on exactly `length` vertices, or None."""
-    view = as_view(coll)
     forbidden = frozenset(forbidden_colors)
     if length < 3:
         raise ValueError("cycle length below 3")
@@ -249,6 +280,8 @@ def find_rainbow_cycle(
     n, active, adj, vmask = _dense(view, forbidden)
     if length > len(active):
         raise ValueError(f"length={length} exceeds {len(active)} available colors")
+    if length == view.n_surviving and _spanning_refuted(view, ()):
+        return None
     if budget is None:
         budget = default_budget()
     status, verts, cols, nodes = kernels.find_cycle(

@@ -13,6 +13,7 @@ from rainbowpan.cli import (
     main,
     run_campaign,
 )
+from rainbowpan.search import DEFAULT_NODE_LIMIT
 
 
 def write_instance_via_gen(tmp_path, *args):
@@ -189,6 +190,49 @@ def test_verify_small_campaigns(tmp_path, capsys):
         assert payload["passed"] is True
         assert payload["fails"] == 0 and payload["inconclusive"] == 0
         capsys.readouterr()
+
+
+def test_verify_cor2_3_at_n16_n20_within_default_budget(tmp_path, monkeypatch, capsys):
+    """Cases (ii) and (iii) are refuted without kernel search, so the
+    campaign decides every pair at sizes exhaustive search could not reach."""
+    monkeypatch.delenv("RAINBOW_BUDGET", raising=False)
+    report = tmp_path / "cor2_3.json"
+    code = main(["verify", "--theorem", "cor2_3", "--n", "16,20", "--report", str(report)])
+    assert code == EXIT_PASS
+    payload = json.loads(report.read_text())
+    assert payload["passes"] == 200 and payload["inconclusive"] == 0
+    assert payload["budget"]["node_limit"] == DEFAULT_NODE_LIMIT
+
+
+def test_consecutive_mains_parse_independently(rand7, tmp_path, capsys):
+    """One parser serves every call in a process; no option of one call
+    carries over to the next."""
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    assert main(["gen", "--family", "random", "--n", "7", "--m", "6", "--min-degree", "4",
+                 "--seed", "5", "--variant", "lo-lo", "--out", str(first)]) == EXIT_PASS
+    assert main(["gen", "--family", "f", "--n", "7", "--out", str(second)]) == EXIT_PASS
+    spec = json.loads((tmp_path / "b.txt.spec.json").read_text())
+    assert spec == {"n": 7, "m": 6, "seed": 0, "family": "F_family", "min_degree": None,
+                    "params": {}}
+    capsys.readouterr()
+    assert main(["check", "--in", str(rand7), "--pair", "0", "3", "--k", "5"]) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["k"] == 5
+    main(["check", "--in", str(rand7), "--pair", "0", "3"])
+    assert "k" not in json.loads(capsys.readouterr().out)
+    assert main(["check", "--in", str(rand7)]) == EXIT_PASS
+    assert capsys.readouterr().out.startswith("panconnected: yes")
+    assert main(["check", "--in", str(rand7), "--budget", "1"]) == EXIT_INCONCLUSIVE
+    assert main(["check", "--in", str(rand7)]) == EXIT_PASS
+
+
+def test_main_calls_the_current_command_function(rand7, monkeypatch):
+    """The parser is built once, but the command function is looked up per
+    call, so a wrapped or replaced `cmd_*` takes effect."""
+    assert main(["check", "--in", str(rand7), "--budget", "1"]) == EXIT_INCONCLUSIVE
+    seen = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.infile) or 42)
+    assert main(["check", "--in", str(rand7)]) == 42
+    assert seen == [str(rand7)]
 
 
 def test_verify_rejects_wrong_order(capsys):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -17,12 +20,13 @@ from rainbowpan.core import (
     mask_of,
     min_degree,
     restrict,
+    row_groups,
     sigma2,
     union_adjacency,
     verify_colored_path,
 )
 from . import oracles
-from .strategies import collections, graphs, views
+from .strategies import collections, graphs, shaped_views, views
 
 
 @given(st.lists(st.integers(0, 63), unique=True))
@@ -292,3 +296,81 @@ class TestViewSnapshot:
         coll = _demo_collection()
         assert as_view(coll) is as_view(coll)
         assert as_view(coll) == SubCollectionView(coll)
+
+    def test_collection_is_its_own_full_view(self):
+        coll = _demo_collection()
+        full = SubCollectionView(coll)
+        assert as_view(coll) is coll and coll.base is coll
+        assert not coll.removed_vertices and not coll.removed_colors
+        assert full == coll and hash(full) == hash(coll)
+        assert restrict(coll, [1]) != coll and restrict(coll, [1]) == restrict(full, [1])
+        for name in ("vertex_mask", "colors", "color_rows", "union_rows", "kernel_adj"):
+            assert getattr(coll, name) == getattr(full, name), name
+
+    def test_collection_freed_without_cycle_collector(self):
+        """A collection holds its own snapshot, so nothing it caches points
+        back at it and reference counting frees it."""
+        from rainbowpan.analysis import (
+            classify_ham_path_obstruction,
+            is_rainbow_panconnected,
+        )
+        from rainbowpan.generate import GenSpec, gen_cor23_obstruction, generate
+
+        def run(coll, check):
+            ref = weakref.ref(coll)
+            check(coll)
+            return ref
+
+        gc.collect()
+        gc.disable()
+        try:
+            refs = [
+                run(generate(GenSpec(7, 6, 1, "random", min_degree=4)), is_rainbow_panconnected),
+                run(gen_cor23_obstruction(8, "iii", 0), classify_ham_path_obstruction),
+                run(generate(GenSpec(8, 8, 0, "random", min_degree=4)), classify_ham_path_obstruction),
+            ]
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
+
+
+def _union_neighbors(view):
+    """Union neighbor sets of the surviving vertices, from the base graphs."""
+    nbr = oracles.neighbor_sets(view)
+    return {v: nbr[v] for v in range(view.n) if v not in view.removed_vertices}
+
+
+@given(st.lists(st.integers(0, 7), max_size=8), st.integers(0, 255))
+def test_row_groups_partitions_keep_mask_by_row(rows, keep):
+    keep &= (1 << len(rows)) - 1
+    groups = row_groups(rows, keep)
+    expect: dict[int, list[int]] = {}
+    for v in range(len(rows)):
+        if (keep >> v) & 1:
+            expect.setdefault(rows[v], []).append(v)
+    assert {r: list(bits(m)) for r, m in groups.items()} == expect
+    firsts = [next(bits(m)) for m in groups.values()]
+    assert firsts == sorted(firsts)
+
+
+@given(shaped_views())
+def test_union_components_and_twin_classes_match_reference(view):
+    nbr = _union_neighbors(view)
+    comps, left = [], set(nbr)
+    while left:
+        comp, todo = set(), [min(left)]
+        while todo:
+            u = todo.pop()
+            if u not in comp:
+                comp.add(u)
+                todo.extend(nbr[u] - comp)
+        comps.append(comp)
+        left -= comp
+    assert [set(bits(c)) for c in view.union_components] == comps
+    twins: dict[frozenset, set] = {}
+    for v, s in nbr.items():
+        twins.setdefault(frozenset(s), set()).add(v)
+    classes = [set(bits(c)) for c in view.union_twin_classes]
+    assert sorted(map(sorted, classes)) == sorted(map(sorted, twins.values()))
+    for eye in classes:
+        assert not any(nbr[u] & eye for u in eye)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rainbowpan.core import (
@@ -10,8 +10,10 @@ from rainbowpan.core import (
     restrict,
     verify_colored_path,
 )
+from rainbowpan.generate import gen_cor23_obstruction
 from rainbowpan.search import (
     _dense,
+    _spanning_refuted,
     BudgetExceeded,
     SearchBudget,
     assign_colors,
@@ -23,7 +25,7 @@ from rainbowpan.search import (
     shortest_rainbow_path,
 )
 from . import oracles
-from .strategies import collections, views
+from .strategies import collections, shaped_views, views
 
 
 def random_collection(seed: str, max_n: int = 6, max_m: int = 4, p: float = 0.5):
@@ -282,6 +284,82 @@ class TestCycles:
         coll = GraphCollection(5, (kn,) * 3)
         with pytest.raises(ValueError):
             find_rainbow_cycle(coll, 4)
+
+
+def _complete_bipartite(a: int, b: int, m: int) -> GraphCollection:
+    """m copies of K_{a,b}, sides range(a) and range(a, a + b)."""
+    g = build_graph(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
+    return GraphCollection(a + b, (g,) * m)
+
+
+class TestSpanningRefutation:
+    """Spanning queries refuted at the root, before any kernel call: a node
+    limit of 1 shows that no search ran."""
+
+    @settings(deadline=None)
+    @given(shaped_views())
+    def test_refutation_agrees_with_oracle(self, view):
+        k = view.n_surviving
+        assume(k <= 9)
+        alive = view.vertices
+        for i, x in enumerate(alive):
+            for y in alive[i + 1 :]:
+                if _spanning_refuted(view, (x, y)):
+                    assert not oracles.rainbow_path_exists(view, x, y, k), (x, y)
+        if k >= 3 and _spanning_refuted(view, ()):
+            assert not oracles.rainbow_cycle_exists(view, k)
+
+    @settings(deadline=None)
+    @given(shaped_views(), st.data())
+    def test_spanning_paths_match_oracle_under_forbidden_colors(self, view, data):
+        k = view.n_surviving
+        assume(2 <= k <= 7)
+        forbidden = data.draw(st.sets(st.sampled_from(view.colors), max_size=2))
+        assume(k - 1 <= len(set(view.colors) - forbidden))
+        alive = view.vertices
+        for i, x in enumerate(alive):
+            for y in alive[i + 1 :]:
+                got = find_rainbow_ham_path(view, x, y, forbidden)
+                expect = oracles.rainbow_path_exists(view, x, y, k, forbidden)
+                assert (got is not None) == expect, (x, y)
+
+    def test_twin_bound_counts_the_ends(self):
+        one = SearchBudget(node_limit=1)
+        # K_{3,3}: a spanning path joins the two sides; a spanning cycle exists
+        coll = _complete_bipartite(3, 3, 6)
+        assert find_rainbow_ham_path(coll, 0, 1, budget=one) is None
+        assert find_rainbow_ham_path(coll, 4, 5, budget=one) is None
+        assert find_rainbow_ham_path(coll, 0, 3) is not None
+        assert find_rainbow_cycle(coll, 6) is not None
+        # K_{3,4}: both ends on the larger side, and no spanning cycle
+        coll = _complete_bipartite(3, 4, 7)
+        assert find_rainbow_ham_path(coll, 3, 4) is not None
+        assert find_rainbow_ham_path(coll, 0, 3, budget=one) is None
+        assert find_rainbow_ham_path(coll, 0, 1, budget=one) is None
+        assert find_rainbow_cycle(coll, 7, budget=one) is None
+        # shorter paths are left to the kernel
+        with pytest.raises(BudgetExceeded):
+            find_rainbow_path(coll, 0, 1, 5, budget=one)
+
+    def test_disconnected_union_refuted(self):
+        one = SearchBudget(node_limit=1)
+        # vertex 0 is isolated in every color; the other five span a K_5
+        k5 = build_graph(6, [(u, v) for u in range(1, 6) for v in range(u + 1, 6)])
+        coll = GraphCollection(6, (k5,) * 6)
+        assert find_rainbow_ham_path(coll, 1, 2, budget=one) is None
+        assert find_rainbow_cycle(coll, 6, budget=one) is None
+        rest = restrict(coll, remove_vertices=[0])
+        assert find_rainbow_ham_path(rest, 1, 2) is not None
+        assert find_rainbow_cycle(rest, 5) is not None
+
+    @pytest.mark.parametrize("case", ["ii", "iii"])
+    def test_cor23_obstructions_at_size_limit(self, case):
+        coll = gen_cor23_obstruction(62, case)
+        one = SearchBudget(node_limit=1)
+        for x, y in [(0, 1), (0, 61), (30, 31)]:
+            assert find_rainbow_ham_path(coll, x, y, budget=one) is None
+        assert find_rainbow_ham_path(coll, 0, 61, forbidden_colors=[5], budget=one) is None
+        assert find_rainbow_cycle(coll, 62, budget=one) is None
 
 
 class TestViewsAndValidation:

@@ -1,5 +1,8 @@
 """Checks on the package source itself."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +40,13 @@ def test_no_indented_json_dumps(path):
         and any(kw.arg == "indent" for kw in node.keywords)
     ]
     assert not lines, f"{path.name} writes indented JSON at lines {lines}; use io.format_json"
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    """Only `verify --jobs N` with N > 1 uses a process pool, so importing
+    the command line front end does not load multiprocessing."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = "import sys, rainbowpan.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
