@@ -186,6 +186,10 @@ def find_path(n, m, adj, x, y, k, vmask, node_limit):
         ok = extend(1 << x)
     except _Budget:
         return (BUDGET, None, None, st.nodes)
+    finally:
+        # the closure refers to itself through its cell; break that cycle so
+        # reference counting frees the search state
+        extend = None
     if not ok:
         return (NONE, None, None, st.nodes)
     return (FOUND, list(path), st.edge_color.copy(), st.nodes)
@@ -246,6 +250,8 @@ def find_cycle(n, m, adj, length, vmask, node_limit):
                 break
         except _Budget:
             return (BUDGET, None, None, st.nodes)
+        finally:
+            extend = None  # as in find_path: no self-referencing closure left
         # matching is fully unwound between start vertices
         assert not st.edge_color
 

@@ -20,7 +20,6 @@ from .core import (
     clique_split,
     collection_min_degree,
     components,
-    distances,
     mask_of,
     row_groups,
 )
@@ -132,26 +131,21 @@ class HamConnectivityReport:
         }
 
 
-def is_panconnected_single(g: SimpleGraph, budget: SearchBudget | None = None) -> bool:
-    """Every pair joined by a plain k-path for all k in [d(x,y)+1, n].
+def is_panconnected_single(
+    g: SimpleGraph, budget: SearchBudget | None = None
+) -> bool | None:
+    """Every pair joined by a plain k-path for all k in [d(x,y)+1, n]; None
+    when the budget ran out first.
 
     A single graph is the collection of n-1 copies of itself: with that many
     colors an injective assignment always exists, so rainbow search decides
-    plain path existence.
+    plain path existence, the union distance is the plain distance, and the
+    rainbow certificate of the copies is the verdict.
     """
     if g.n < 2:
         raise ValueError("need at least two vertices")
     coll = GraphCollection(g.n, (g,) * (g.n - 1))
-    for x in range(g.n):
-        dist = distances(g.adj, x)
-        for y in range(x + 1, g.n):
-            d = dist[y]
-            if d is None:
-                return False
-            for k in range(d + 1, g.n + 1):
-                if find_rainbow_path(coll, x, y, k, budget=budget) is None:
-                    return False
-    return True
+    return is_rainbow_panconnected(coll, budget=budget).verdict
 
 
 def is_rainbow_panconnected(

@@ -317,6 +317,8 @@ def _trial_t1_1(n: int, seed: int, budget: SearchBudget):
     spec = GenSpec(n, 1, seed, "random", min_degree=target)
     coll = generate(spec)
     ok = is_panconnected_single(coll[0], budget=budget)
+    if ok is None:
+        return "inconclusive", "budget", spec
     return ("pass" if ok else "fail"), (None if ok else "k-path missing"), spec
 
 

@@ -25,8 +25,10 @@ one attached at the closing end.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+import itertools
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Sequence
 
 from .analysis import ExtremalWitness, join_partition
 from .core import (
@@ -39,10 +41,8 @@ from .core import (
     collection_min_degree,
     mask_of,
     restrict,
-    union_adjacency,
 )
 from .search import (
-    BudgetExceeded,
     SearchBudget,
     find_rainbow_cycle,
     find_rainbow_ham_path,
@@ -273,17 +273,96 @@ def _emit(coll: GraphCollection, stage: str, vertices, colors) -> ColoredPath:
     return path
 
 
-def _validate_pair(coll: GraphCollection, x: int, y: int) -> None:
-    for name, v in (("x", x), ("y", y)):
+def _check_vertices(coll: GraphCollection, vertices: Sequence[int]) -> None:
+    for v in vertices:
         if not 0 <= v < coll.n:
-            raise ValueError(f"{name}={v} outside vertex range")
-    if x == y:
-        raise ValueError("endpoints must differ")
+            raise ValueError(f"vertex {v} outside [0, {coll.n})")
+    if len(set(vertices)) != len(vertices):
+        raise ValueError(f"vertices {tuple(vertices)} must be distinct")
 
 
-def _missing_colors(coll: GraphCollection, used: Iterable[int]) -> list[int]:
-    used_set = set(used)
-    return [c for c in range(coll.m) if c not in used_set]
+def _check_inputs(
+    coll: GraphCollection,
+    ends: Sequence[int],
+    k: int | None = None,
+    structure: ColoredPath | ColoredCycle | None = None,
+    cover: int = 0,
+    free: int = 0,
+) -> list[int]:
+    """The argument checks the builders share: n-1 graphs, distinct in-range
+    `ends`, k in [4, n-1], and a valid `structure` (path or cycle) on `cover`
+    vertices that leaves out every vertex of `ends` and misses exactly `free`
+    colors. Returns those missing colors."""
+    n = coll.n
+    if coll.m != n - 1:
+        raise ValueError(f"expected {n - 1} graphs, got {coll.m}")
+    _check_vertices(coll, ends)
+    if k is not None and not 4 <= k <= n - 1:
+        raise ValueError(f"k={k} outside [4, {n - 1}]")
+    if structure is None:
+        return []
+    if isinstance(structure, ColoredCycle):
+        kind, check = "cycle", check_colored_cycle
+    else:
+        kind, check = "path", check_colored_path
+    if len(structure.vertices) != cover:
+        raise ValueError(
+            f"{kind} must cover {cover} vertices, has {len(structure.vertices)}"
+        )
+    off = set(range(n)) - set(structure.vertices)
+    if not off >= set(ends) or len(off) != n - cover:
+        raise ValueError(
+            f"{kind} must leave out {n - cover} vertices, among them {tuple(ends)}"
+        )
+    problem = check(coll, structure)
+    if problem is not None:
+        raise ValueError(f"input {kind} invalid: {problem}")
+    used = set(structure.colors)
+    missing = [c for c in range(coll.m) if c not in used]
+    if len(missing) != free:
+        raise ValueError(f"{kind} must miss exactly {free} colors, misses {missing}")
+    return missing
+
+
+def _check_sides(
+    coll: GraphCollection,
+    ends: Sequence[int],
+    parts: tuple[Sequence[int], Sequence[int]],
+    sizes: tuple[int, int],
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two parts, sorted, after checking that they partition the
+    vertices outside `ends` into sides of the given sizes."""
+    a, b = (tuple(sorted(p)) for p in parts)
+    if set(a) | set(b) != set(range(coll.n)) - set(ends) or set(a) & set(b):
+        raise ValueError("the two parts must partition the view vertices")
+    if (len(a), len(b)) != sizes:
+        raise ValueError(f"expected sides of {sizes[0]} and {sizes[1]} vertices")
+    return a, b
+
+
+def _retry(attempts):
+    """Result of the first attempt that succeeds. A fatal violation ends the
+    search at once; when every attempt fails, the first violation is raised."""
+    first = None
+    for attempt in attempts:
+        try:
+            return attempt()
+        except HypothesisViolation as hv:
+            if hv.fatal:
+                raise
+            first = first or hv
+    raise first
+
+
+def _fatal_cycle(coll, stage, claim, cyc, details):
+    """Raise the fatal violation that a rainbow cycle the hypotheses forbid
+    carries as evidence, after verifying the cycle on the instance."""
+    problem = check_colored_cycle(coll, cyc)
+    if problem is not None:
+        raise AssertionError(f"implied cycle failed verification: {problem}")
+    raise HypothesisViolation(
+        stage, claim, details, evidence={"cycle": cyc.to_json_dict()}, fatal=True
+    )
 
 
 def _fill_colors(
@@ -313,7 +392,7 @@ def construct_short_paths(
     degree threshold such a vertex always exists, and its absence raises a
     hypothesis violation.
     """
-    _validate_pair(coll, x, y)
+    _check_vertices(coll, (x, y))
     if coll.m < 2:
         raise ValueError("two-edge path needs at least two graphs")
     two = None
@@ -354,25 +433,10 @@ def rotation_k_path(
     y-attachable ones, and walks the cycle backwards between the two pivot
     vertices. The smallest common position is chosen.
     """
-    n, m = coll.n, coll.m
-    if m != n - 1:
-        raise ValueError(f"expected {n - 1} graphs, got {m}")
-    _validate_pair(coll, x, y)
+    n = coll.n
     length = n - 3
-    if cycle.length != length:
-        raise ValueError(f"cycle must cover {length} vertices, has {cycle.length}")
-    if not 4 <= k <= n - 1:
-        raise ValueError(f"k={k} outside [4, {n - 1}]")
-    off = set(range(n)) - set(cycle.vertices)
-    if x not in off or y not in off or len(off) != 3:
-        raise ValueError("cycle must span the view with x, y and one more vertex removed")
-    z = next(iter(off - {x, y}))
-    problem = check_colored_cycle(coll, cycle)
-    if problem is not None:
-        raise ValueError(f"input cycle invalid: {problem}")
-    missing = _missing_colors(coll, cycle.colors)
-    if len(missing) != 2:
-        raise ValueError(f"cycle must miss exactly two colors, misses {missing}")
+    missing = _check_inputs(coll, (x, y), k, cycle, cover=length, free=2)
+    z = next(iter(set(range(n)) - set(cycle.vertices) - {x, y}))
     candidates = [c for c in missing if not coll.has_edge(c, x, z)]
     if not candidates:
         raise HypothesisViolation(
@@ -443,26 +507,7 @@ def near_cycle_k_path(
     attachment pattern is forced into an alternating normal form and the
     emitted path threads w between cycle vertices chosen by position parity.
     """
-    n, m = coll.n, coll.m
-    if m != n - 1:
-        raise ValueError(f"expected {n - 1} graphs, got {m}")
-    _validate_pair(coll, x, y)
-    if len({x, y, z, w}) != 4:
-        raise ValueError("x, y, z, w must be four distinct vertices")
-    length = n - 4
-    if cycle.length != length:
-        raise ValueError(f"cycle must cover {length} vertices, has {cycle.length}")
-    if not 4 <= k <= n - 1:
-        raise ValueError(f"k={k} outside [4, {n - 1}]")
-    expected_off = {x, y, z, w}
-    if set(range(n)) - set(cycle.vertices) != expected_off:
-        raise ValueError("cycle vertices must be exactly the view minus {x,y,z,w}")
-    problem = check_colored_cycle(coll, cycle)
-    if problem is not None:
-        raise ValueError(f"input cycle invalid: {problem}")
-    missing = _missing_colors(coll, cycle.colors)
-    if len(missing) != 3:
-        raise ValueError(f"cycle must miss exactly three colors, misses {missing}")
+    missing = _check_inputs(coll, (x, y, z, w), k, cycle, cover=coll.n - 4, free=3)
     star_cands = [c for c in missing if not coll.has_edge(c, x, z)]
     if not star_cands:
         raise HypothesisViolation(
@@ -470,19 +515,11 @@ def near_cycle_k_path(
             "free-color",
             f"every unused color {missing} joins x={x} to z={z}",
         )
-    collected: list[HypothesisViolation] = []
-    for c_star in star_cands:
-        rest = [c for c in missing if c != c_star]
-        for f_a, f_b in ((rest[0], rest[1]), (rest[1], rest[0])):
-            try:
-                return _near_cycle_attempt(
-                    coll, cycle, x, y, z, w, k, c_star, f_a, f_b
-                )
-            except HypothesisViolation as hv:
-                if hv.fatal:
-                    raise
-                collected.append(hv)
-    raise collected[0]
+    return _retry(
+        partial(_near_cycle_attempt, coll, cycle, x, y, z, w, k, c_star, f_a, f_b)
+        for c_star in star_cands
+        for f_a, f_b in itertools.permutations(c for c in missing if c != c_star)
+    )
 
 
 def _near_cycle_attempt(coll, cycle, x, y, z, w, k, c_star, f_a, f_b):
@@ -507,18 +544,14 @@ def _near_cycle_attempt(coll, cycle, x, y, z, w, k, c_star, f_a, f_b):
         # closing w through both free colors yields a spanning rainbow cycle
         verts = (w,) + tuple(u(s - t) for t in range(length))
         cols = (f_b,) + tuple(sig(s - 1 - t) for t in range(length - 1)) + (f_a,)
-        found = ColoredCycle(verts, cols)
-        problem = check_colored_cycle(coll, found)
-        if problem is not None:
-            raise AssertionError(f"implied cycle failed verification: {problem}")
-        raise HypothesisViolation(
+        _fatal_cycle(
+            coll,
             stage,
             "detached-vertex",
+            ColoredCycle(verts, cols),
             f"positions {meet} attach w={w} on both sides; the view carries a "
             f"spanning rainbow cycle, contradicting the cycle-freeness "
             f"assumption ({tag})",
-            evidence={"cycle": found.to_json_dict()},
-            fatal=True,
         )
     half = (n - 5) // 2
     _req(
@@ -726,18 +759,9 @@ def endpoint_bound_report(
     sum; an overlap would splice a spanning cycle, which is returned as
     fatal evidence.
     """
-    n, m = coll.n, coll.m
-    if m != n - 1:
-        raise ValueError(f"expected {n - 1} graphs, got {m}")
-    if ham_path.k != n - 3:
-        raise ValueError(f"path must cover {n - 3} vertices, has {ham_path.k}")
-    problem = check_colored_path(coll, ham_path)
-    if problem is not None:
-        raise ValueError(f"input path invalid: {problem}")
+    n = coll.n
+    free = _check_inputs(coll, (), None, ham_path, cover=n - 3, free=3)
     off = tuple(sorted(set(range(n)) - set(ham_path.vertices)))
-    free = _missing_colors(coll, ham_path.colors)
-    if len(free) != 3:
-        raise ValueError(f"path must miss exactly three colors, misses {free}")
     if excluded_color is not None:
         if excluded_color not in free:
             raise ValueError(f"excluded_color {excluded_color} is not free")
@@ -757,13 +781,7 @@ def endpoint_bound_report(
                 first_cycle = bad
             continue
         return _endpoint_bounds_with(coll, ham_path, c_star, free)
-    raise HypothesisViolation(
-        "endpoint_bounds",
-        "cycle-free",
-        "; ".join(rejections),
-        evidence=None if first_cycle is None else {"cycle": first_cycle.to_json_dict()},
-        fatal=True,
-    )
+    _fatal_cycle(coll, "endpoint_bounds", "cycle-free", first_cycle, "; ".join(rejections))
 
 
 def _endpoint_bounds_with(coll, ham_path, c_star, free):
@@ -794,17 +812,13 @@ def _endpoint_bounds_with(coll, ham_path, c_star, free):
             + tuple(sig[t - 1] for t in range(L - 1, i, -1))
             + (f1,)
         )
-        found = ColoredCycle(cv, cc)
-        problem = check_colored_cycle(coll, found)
-        if problem is not None:
-            raise AssertionError(f"implied cycle failed verification: {problem}")
-        raise HypothesisViolation(
+        _fatal_cycle(
+            coll,
             stage,
             "splice-overlap",
+            ColoredCycle(cv, cc),
             f"index {i} lies in both endpoint sets, splicing a spanning "
             "rainbow cycle of the view",
-            evidence={"cycle": found.to_json_dict()},
-            fatal=True,
         )
     d1 = sum(1 for t in range(2, L + 1) if coll.has_edge(f1, w1, u(t)))
     d2 = sum(1 for t in range(1, L) if coll.has_edge(f2, u(t), w2))
@@ -876,24 +890,7 @@ def ham_path_k_path(
     subcase records that hand-off. Fatal violations carry rainbow cycles
     that contradict the cycle-freeness assumptions.
     """
-    n, m = coll.n, coll.m
-    if m != n - 1:
-        raise ValueError(f"expected {n - 1} graphs, got {m}")
-    _validate_pair(coll, x, y)
-    if len({x, y, z}) != 3:
-        raise ValueError("x, y, z must be three distinct vertices")
-    if ham_path.k != n - 3:
-        raise ValueError(f"path must cover {n - 3} vertices, has {ham_path.k}")
-    if set(range(n)) - set(ham_path.vertices) != {x, y, z}:
-        raise ValueError("path vertices must be exactly the view minus {x,y,z}")
-    if not 4 <= k <= n - 1:
-        raise ValueError(f"k={k} outside [4, {n - 1}]")
-    problem = check_colored_path(coll, ham_path)
-    if problem is not None:
-        raise ValueError(f"input path invalid: {problem}")
-    free = _missing_colors(coll, ham_path.colors)
-    if len(free) != 3:
-        raise ValueError(f"path must miss exactly three colors, misses {free}")
+    free = _check_inputs(coll, (x, y, z), k, ham_path, cover=coll.n - 3, free=3)
     star_cands = [c for c in free if not coll.has_edge(c, x, z)]
     if not star_cands:
         raise HypothesisViolation(
@@ -901,68 +898,47 @@ def ham_path_k_path(
             "free-color",
             f"every unused color {free} joins x={x} to z={z}",
         )
-    collected: list[HypothesisViolation] = []
-    for c_star in star_cands:
-        pair = sorted(c for c in free if c != c_star)
-        try:
-            return _hp_combos(coll, ham_path, x, y, z, k, c_star, pair, 0)
-        except HypothesisViolation as hv:
-            if hv.fatal:
-                raise
-            collected.append(hv)
-    raise collected[0]
+    roles = [(c, sorted(c0 for c0 in free if c0 != c)) for c in star_cands]
+    return _hp_combos(coll, ham_path, x, y, z, k, roles, 0)
 
 
-def _hp_combos(coll, path, x, y, z, k, c_star, pair, depth):
-    collected: list[HypothesisViolation] = []
-    for orient, oname in ((path, "fwd"), (path.reversed(), "rev")):
-        for f_a, f_b in ((pair[0], pair[1]), (pair[1], pair[0])):
-            frame = _Frame(
-                orient.vertices,
-                orient.colors,
-                f_a,
-                f_b,
-                c_star,
-                f"{oname}, f_a={f_a}, f_b={f_b}, c_star={c_star}",
-            )
-            try:
-                return _hp_dispatch(coll, frame, x, y, z, k, depth)
-            except HypothesisViolation as hv:
-                if hv.fatal:
-                    raise
-                collected.append(hv)
-    raise collected[0]
+def _hp_combos(coll, path, x, y, z, k, roles, depth):
+    """Dispatch both orientations of path and both orders of the free pair,
+    for each (c_star, free pair) in roles, until one frame succeeds."""
+    frames = (
+        _Frame(
+            o.vertices, o.colors, f_a, f_b, c_star,
+            f"{oname}, f_a={f_a}, f_b={f_b}, c_star={c_star}",
+        )
+        for c_star, pair in roles
+        for o, oname in ((path, "fwd"), (path.reversed(), "rev"))
+        for f_a, f_b in (pair, pair[::-1])
+    )
+    return _retry(partial(_hp_dispatch, coll, frame, x, y, z, k, depth) for frame in frames)
 
 
 def _hp_dispatch(coll, frame, x, y, z, k, depth):
     stage = "ham_path"
     n = coll.n
     L = n - 3
-    u, sig = frame.u, frame.sig
+    u = frame.u
     f_a, f_b = frame.f_a, frame.f_b
     if depth > 3:
         raise HypothesisViolation(
             stage, "relabel-depth", f"relabeling recursion exceeded bound ({frame.tag})"
         )
-    # terminal edges in the free colors would close forbidden cycles
-    if coll.has_edge(f_a, u(1), u(L - 1)):
-        cyc = ColoredCycle(
-            tuple(u(i) for i in range(1, L)),
-            tuple(sig(i) for i in range(1, L - 1)) + (f_a,),
-        )
-        _fatal_cycle(coll, stage, "near-spanning-cycle", cyc, frame.tag)
-    for c in (f_a, f_b):
-        if coll.has_edge(c, u(1), u(L)):
-            cyc = ColoredCycle(
-                frame.verts, tuple(sig(i) for i in range(1, L)) + (c,)
+    # terminal edges in the free colors would close forbidden cycles: the
+    # path run from position lo to hi plus the edge u_lo u_hi in color c
+    for c, lo, hi in ((f_a, 1, L - 1), (f_a, 1, L), (f_b, 1, L), (f_b, 2, L)):
+        if coll.has_edge(c, u(lo), u(hi)):
+            _fatal_cycle(
+                coll,
+                stage,
+                "spanning-cycle" if hi - lo == L - 1 else "near-spanning-cycle",
+                ColoredCycle(frame.verts[lo - 1 : hi], frame.sigma[lo - 1 : hi - 1] + (c,)),
+                f"a terminal attachment closes a rainbow cycle the hypotheses "
+                f"forbid ({frame.tag})",
             )
-            _fatal_cycle(coll, stage, "spanning-cycle", cyc, frame.tag)
-    if coll.has_edge(f_b, u(2), u(L)):
-        cyc = ColoredCycle(
-            tuple(u(i) for i in range(2, L + 1)),
-            tuple(sig(i) for i in range(2, L)) + (f_b,),
-        )
-        _fatal_cycle(coll, stage, "near-spanning-cycle", cyc, frame.tag)
     a1 = tuple(i for i in range(2, n - 4) if coll.has_edge(f_a, u(1), u(i)))
     half = (n - 5) // 2
     _req(
@@ -1020,150 +996,81 @@ def _hp_dispatch(coll, frame, x, y, z, k, depth):
     )
 
 
-def _fatal_cycle(coll, stage, claim, cyc, tag):
-    problem = check_colored_cycle(coll, cyc)
-    if problem is not None:
-        raise AssertionError(f"implied cycle failed verification: {problem}")
+def _hp_close(coll, frame, x, y, chain, inner, head, tail, claim):
+    """The row x, chain, y colored (head, inner..., tail), or else the row
+    x, reversed chain, y colored (tail, reversed inner..., head): whichever
+    the end colors close at both ends. Each site orients its chain so that
+    the first row is the one to prefer."""
+    if coll.has_edge(head, x, chain[0]) and coll.has_edge(tail, chain[-1], y):
+        return _emit(coll, "ham_path", (x,) + chain + (y,), (head,) + inner + (tail,))
+    if coll.has_edge(tail, x, chain[-1]) and coll.has_edge(head, chain[0], y):
+        return _emit(
+            coll, "ham_path", (x,) + chain[::-1] + (y,), (tail,) + inner[::-1] + (head,)
+        )
     raise HypothesisViolation(
-        stage,
+        "ham_path",
         claim,
-        f"a terminal attachment closes a rainbow cycle the hypotheses forbid "
-        f"({tag})",
-        evidence={"cycle": cyc.to_json_dict()},
-        fatal=True,
+        f"end colors {head} and {tail} join the row to x and y in neither "
+        f"orientation ({frame.tag})",
     )
 
 
-def _hp_claim5(coll, frame, x, y, k, sets, stage="ham_path"):
+def _hp_claim5(coll, frame, x, y, k):
     """Straight prefix row: x, the first k-2 path vertices, then y."""
-    u, sig = frame.u, frame.sig
-    c_mid = sig(k - 2)
-    verts_f = (x,) + tuple(u(i) for i in range(1, k - 1)) + (y,)
-    cols_f = (frame.f_a,) + tuple(sig(i) for i in range(1, k - 2)) + (c_mid,)
-    if coll.has_edge(c_mid, u(k - 2), y):
-        return _emit(coll, stage, verts_f, cols_f)
-    if coll.has_edge(c_mid, u(k - 2), x):
-        verts_r = (x,) + tuple(u(i) for i in range(k - 2, 0, -1)) + (y,)
-        cols_r = (c_mid,) + tuple(sig(i) for i in range(k - 3, 0, -1)) + (frame.f_a,)
-        return _emit(coll, stage, verts_r, cols_r)
-    raise HypothesisViolation(
-        stage,
+    return _hp_close(
+        coll,
+        frame,
+        x,
+        y,
+        frame.verts[: k - 2],
+        frame.sigma[: k - 3],
+        frame.f_a,
+        frame.sig(k - 2),
         "claim5",
-        f"prefix pivot color {c_mid} reaches neither endpoint from position "
-        f"{k - 2} ({frame.tag})",
     )
 
 
-def _hp_u2_row(coll, frame, x, y, k, sets, claim_prefix):
-    """Row skipping the first vertex: x, u_2..u_{k-2}, closing vertex, y."""
-    n = coll.n
-    L = n - 3
-    u, sig = frame.u, frame.sig
-    sn4 = sig(n - 4)
-    _req(
-        coll.has_edge(frame.f_b, u(k - 2), u(L)),
-        "ham_path",
-        f"{claim_prefix}-hook",
-        f"position {k - 2} misses the closing f_b attachment ({frame.tag})",
-    )
-    if coll.has_edge(frame.f_a, u(2), x):
-        _req(
-            coll.has_edge(sn4, u(L), y),
-            "ham_path",
-            f"{claim_prefix}-final-edge",
-            f"closing vertex misses y in the recolored terminal color "
-            f"{sn4} ({frame.tag})",
-        )
-        verts = (x,) + tuple(u(i) for i in range(2, k - 1)) + (u(L), y)
-        cols = (
-            (frame.f_a,)
-            + tuple(sig(i) for i in range(2, k - 2))
-            + (frame.f_b, sn4)
-        )
-        return _emit(coll, "ham_path", verts, cols)
-    if coll.has_edge(frame.f_a, u(2), y):
-        _req(
-            coll.has_edge(sn4, u(L), x),
-            "ham_path",
-            f"{claim_prefix}-final-edge",
-            f"closing vertex misses x in the recolored terminal color "
-            f"{sn4} ({frame.tag})",
-        )
-        verts = (x, u(L)) + tuple(u(i) for i in range(k - 2, 1, -1)) + (y,)
-        cols = (
-            (sn4, frame.f_b)
-            + tuple(sig(i) for i in range(k - 3, 1, -1))
-            + (frame.f_a,)
-        )
-        return _emit(coll, "ham_path", verts, cols)
-    raise HypothesisViolation(
-        "ham_path",
-        f"{claim_prefix}-skip-attach",
-        f"second position attaches to neither endpoint through f_a "
-        f"({frame.tag})",
-    )
-
-
-def _hp_long_row(coll, frame, x, y, k, claim_prefix):
-    """Row bridging into the closing vertex: x, u_1..u_{k-3}, u_L, y."""
-    n = coll.n
-    L = n - 3
-    u, sig = frame.u, frame.sig
-    sn4 = sig(n - 4)
-    _req(
-        coll.has_edge(frame.f_b, u(k - 3), u(L)),
-        "ham_path",
-        f"{claim_prefix}-hook",
-        f"position {k - 3} misses the closing f_b attachment ({frame.tag})",
-    )
-    if coll.has_edge(sn4, u(L), y):
-        verts = (x,) + tuple(u(i) for i in range(1, k - 2)) + (u(L), y)
-        cols = (
-            (frame.f_a,)
-            + tuple(sig(i) for i in range(1, k - 3))
-            + (frame.f_b, sn4)
-        )
-        return _emit(coll, "ham_path", verts, cols)
-    if coll.has_edge(sn4, u(L), x):
-        verts = (x, u(L)) + tuple(u(i) for i in range(k - 3, 0, -1)) + (y,)
-        cols = (
-            (sn4, frame.f_b)
-            + tuple(sig(i) for i in range(k - 4, 0, -1))
-            + (frame.f_a,)
-        )
-        return _emit(coll, "ham_path", verts, cols)
-    raise HypothesisViolation(
-        "ham_path",
-        f"{claim_prefix}-final-edge",
-        f"closing vertex reaches neither endpoint in the recolored terminal "
-        f"color {sn4} ({frame.tag})",
-    )
-
-
-def _hp_full_row(coll, frame, x, y, claim):
-    """Spanning row: x, the whole path, y."""
+def _hp_tail_row(coll, frame, x, y, lo, hi, hook_claim, claim, skip=False):
+    """Row x, u_lo..u_hi, closing vertex u_L, y: u_hi reaches u_L through
+    its closing f_b attachment, and u_L leaves in the recolored terminal
+    color. With skip, u_1 opens the row and reaches u_lo in the color of its
+    first path edge."""
     L = coll.n - 3
-    u, sig = frame.u, frame.sig
-    if coll.has_edge(frame.f_b, u(L), y):
-        verts = (x,) + frame.verts + (y,)
-        cols = (frame.f_a,) + frame.sigma + (frame.f_b,)
-        return _emit(coll, "ham_path", verts, cols)
-    if coll.has_edge(frame.f_b, u(L), x):
-        verts = (x,) + frame.verts[::-1] + (y,)
-        cols = (frame.f_b,) + frame.sigma[::-1] + (frame.f_a,)
-        return _emit(coll, "ham_path", verts, cols)
-    raise HypothesisViolation(
+    _req(
+        coll.has_edge(frame.f_b, frame.u(hi), frame.u(L)),
         "ham_path",
-        claim,
-        f"closing endpoint attaches to neither x nor y through f_b "
-        f"({frame.tag})",
+        hook_claim,
+        f"position {hi} misses the closing f_b attachment ({frame.tag})",
     )
+    lead, lead_cols = ((frame.u(1),), (frame.sig(1),)) if skip else ((), ())
+    return _hp_close(
+        coll,
+        frame,
+        x,
+        y,
+        lead + frame.verts[lo - 1 : hi] + (frame.u(L),),
+        lead_cols + frame.sigma[lo - 1 : hi - 1] + (frame.f_b,),
+        frame.f_a,
+        frame.sig(L - 1),
+        claim,
+    )
+
+
+def _hp_closing_attach(coll, frame, vertices, claim):
+    u_last = frame.verts[-1]
+    for v0 in vertices:
+        _req(
+            coll.has_edge(frame.f_b, u_last, v0),
+            "ham_path",
+            claim,
+            f"vertex {v0} misses the forced f_b attachment at the closing "
+            f"endpoint ({frame.tag})",
+        )
 
 
 def _hp_case_a(coll, frame, x, y, z, k, sets):
     stage = "ham_path"
     n = coll.n
-    L = n - 3
     u = frame.u
     sets.case = "a"
     expect_b = set(range((n - 1) // 2, n - 3))
@@ -1174,20 +1081,16 @@ def _hp_case_a(coll, frame, x, y, z, k, sets):
         f"closing set {sorted(sets.b1)} differs from the forced run "
         f"{sorted(expect_b)} ({frame.tag})",
     )
-    for v0 in (x, y, z):
-        _req(
-            coll.has_edge(frame.f_b, u(L), v0),
-            stage,
-            "case-a-attach",
-            f"vertex {v0} misses the forced f_b attachment at the closing "
-            f"endpoint ({frame.tag})",
-        )
+    _hp_closing_attach(coll, frame, (x, y, z), "case-a-attach")
     if k == n - 1:
         sets.subcase = "full"
-        return _hp_full_row(coll, frame, x, y, "case-a-full"), sets
+        row = _hp_close(
+            coll, frame, x, y, frame.verts, frame.sigma, frame.f_a, frame.f_b, "case-a-full"
+        )
+        return row, sets
     if 4 <= k <= (n + 1) // 2:
         sets.subcase = "claim5"
-        return _hp_claim5(coll, frame, x, y, k, sets), sets
+        return _hp_claim5(coll, frame, x, y, k), sets
     sets.subcase = "u2"
     _req(
         coll.has_edge(frame.f_a, u(2), x) or coll.has_edge(frame.f_a, u(2), y),
@@ -1196,7 +1099,10 @@ def _hp_case_a(coll, frame, x, y, z, k, sets):
         f"second position attaches to neither endpoint through f_a "
         f"({frame.tag})",
     )
-    return _hp_u2_row(coll, frame, x, y, k, sets, "case-a"), sets
+    # u_2 reaches an endpoint, so a row that closes in neither orientation
+    # fails at the closing vertex's terminal edge
+    row = _hp_tail_row(coll, frame, x, y, 2, k - 2, "case-a-hook", "case-a-final-edge")
+    return row, sets
 
 
 def _hp_case_b(coll, frame, x, y, z, k, sets, depth):
@@ -1214,23 +1120,16 @@ def _hp_case_b(coll, frame, x, y, z, k, sets, depth):
         f"closing set {sorted(sets.b1)} differs from the forced pair of runs "
         f"{sorted(expect_b)} ({frame.tag})",
     )
-    for v0 in (x, y, z):
-        _req(
-            coll.has_edge(frame.f_b, u(L), v0),
-            stage,
-            "case-b-attach",
-            f"vertex {v0} misses the forced f_b attachment at the closing "
-            f"endpoint ({frame.tag})",
-        )
+    _hp_closing_attach(coll, frame, (x, y, z), "case-b-attach")
     if 4 <= k <= a_1 + 1 or b_1 + 1 <= k <= t + 1:
         sets.subcase = "claim5"
-        return _hp_claim5(coll, frame, x, y, k, sets), sets
+        return _hp_claim5(coll, frame, x, y, k), sets
     if a_1 + 3 <= k <= b_1 or t + 3 <= k <= n - 1:
         sets.subcase = "long"
-        return _hp_long_row(coll, frame, x, y, k, "case-b"), sets
+        return _hp_tail_row(coll, frame, x, y, 1, k - 3, "case-b-hook", "case-b-final-edge"), sets
     if k == t + 2 or (k == a_1 + 2 and b_1 > a_1 + 2):
         sets.subcase = "u2"
-        return _hp_u2_row(coll, frame, x, y, k, sets, "case-b"), sets
+        return _hp_tail_row(coll, frame, x, y, 2, k - 2, "case-b-hook", "case-b-skip-attach"), sets
     # k == a_1 + 2 with touching blocks: thread through the reversed tail
     sets.subcase = "bridge"
     _req(
@@ -1248,51 +1147,24 @@ def _hp_case_b(coll, frame, x, y, z, k, sets, depth):
         f"pivot position {pivot} misses the closing f_b attachment "
         f"({frame.tag})",
     )
-    cq = sig(pivot)
-    if coll.has_edge(cq, u(pivot + 1), x):
-        _req(
-            coll.has_edge(frame.f_b, u(L), y),
-            stage,
-            "case-b-bridge-final",
-            f"closing vertex misses y through f_b ({frame.tag})",
-        )
-        verts = (x,) + tuple(u(i) for i in range(pivot + 1, L + 1)) + (y,)
-        cols = (
-            (cq,)
-            + tuple(sig(i) for i in range(pivot + 1, L))
-            + (frame.f_b,)
-        )
-        return _emit(coll, stage, verts, cols), sets
-    if coll.has_edge(cq, u(pivot + 1), y):
-        _req(
-            coll.has_edge(frame.f_b, u(L), x),
-            stage,
-            "case-b-bridge-final",
-            f"closing vertex misses x through f_b ({frame.tag})",
-        )
-        verts = (x,) + tuple(u(i) for i in range(L, pivot, -1)) + (y,)
-        cols = (
-            (frame.f_b,)
-            + tuple(sig(i) for i in range(L - 1, pivot, -1))
-            + (cq,)
-        )
-        return _emit(coll, stage, verts, cols), sets
-    raise HypothesisViolation(
-        stage,
+    row = _hp_close(
+        coll,
+        frame,
+        x,
+        y,
+        frame.verts[pivot:],
+        frame.sigma[pivot:],
+        sig(pivot),
+        frame.f_b,
         "case-b-bridge",
-        f"pivot color {cq} reaches neither endpoint from position "
-        f"{pivot + 1} ({frame.tag})",
     )
+    return row, sets
 
 
 def _hp_case_c(coll, frame, x, y, z, k, sets, depth):
     stage = "ham_path"
     n = coll.n
-    L = n - 3
-    u, sig = frame.u, frame.sig
-    f_a, f_b = frame.f_a, frame.f_b
     sets.case = "c"
-    half = (n - 5) // 2
     lo = (n - 3) // 2
     _req(
         not sets.b1 or min(sets.b1) >= lo,
@@ -1313,21 +1185,14 @@ def _hp_case_c(coll, frame, x, y, z, k, sets, depth):
         f"one gap ({frame.tag})",
     )
     q = missing[0]
-    for v0 in (x, y, z):
-        _req(
-            coll.has_edge(f_b, u(L), v0),
-            stage,
-            "case-c-attach",
-            f"vertex {v0} misses the forced f_b attachment at the closing "
-            f"endpoint ({frame.tag})",
-        )
+    _hp_closing_attach(coll, frame, (x, y, z), "case-c-attach")
     if q != lo:
         # reversal lands the dispatch in one of the earlier cases
         rframe = _Frame(
             frame.verts[::-1],
             frame.sigma[::-1],
-            f_b,
-            f_a,
+            frame.f_b,
+            frame.f_a,
             frame.c_star,
             frame.tag + " (reversed)",
         )
@@ -1341,9 +1206,7 @@ def _hp_case_c(coll, frame, x, y, z, k, sets, depth):
 def _hp_case_c_full(coll, frame, x, y, z, k, sets):
     stage = "ham_path"
     n = coll.n
-    L = n - 3
     u, sig = frame.u, frame.sig
-    f_a, f_b = frame.f_a, frame.f_b
     _req(
         n >= 9,
         stage,
@@ -1360,41 +1223,19 @@ def _hp_case_c_full(coll, frame, x, y, z, k, sets):
     )
     if k == n - 1:
         sets.subcase = "3.1:full"
-        return _hp_full_row(coll, frame, x, y, "case-c-full"), sets
+        row = _hp_close(
+            coll, frame, x, y, frame.verts, frame.sigma, frame.f_a, frame.f_b, "case-c-full"
+        )
+        return row, sets
     if 4 <= k <= (n - 1) // 2:
         sets.subcase = "3.1:claim5"
-        return _hp_claim5(coll, frame, x, y, k, sets), sets
+        return _hp_claim5(coll, frame, x, y, k), sets
     # (n+1)/2 <= k <= n-2: ride the skip edge past position 2
     sets.subcase = "3.1:skip"
-    sn4 = sig(n - 4)
-    _req(
-        coll.has_edge(f_b, u(k - 2), u(L)),
-        stage,
-        "case-c-skip-hook",
-        f"position {k - 2} misses the closing f_b attachment ({frame.tag})",
+    row = _hp_tail_row(
+        coll, frame, x, y, 3, k - 2, "case-c-skip-hook", "case-c-final-edge", skip=True
     )
-    if coll.has_edge(sn4, u(L), y):
-        verts = (x, u(1)) + tuple(u(i) for i in range(3, k - 1)) + (u(L), y)
-        cols = (
-            (f_a, c1)
-            + tuple(sig(i) for i in range(3, k - 2))
-            + (f_b, sn4)
-        )
-        return _emit(coll, stage, verts, cols), sets
-    if coll.has_edge(sn4, u(L), x):
-        verts = (x, u(L)) + tuple(u(i) for i in range(k - 2, 2, -1)) + (u(1), y)
-        cols = (
-            (sn4, f_b)
-            + tuple(sig(i) for i in range(k - 3, 2, -1))
-            + (c1, f_a)
-        )
-        return _emit(coll, stage, verts, cols), sets
-    raise HypothesisViolation(
-        stage,
-        "case-c-final-edge",
-        f"closing vertex reaches neither endpoint in the recolored terminal "
-        f"color {sn4} ({frame.tag})",
-    )
+    return row, sets
 
 
 def _hp_case_c_gap_low(coll, frame, x, y, z, k, sets, depth):
@@ -1424,9 +1265,8 @@ def _hp_case_c_gap_low(coll, frame, x, y, z, k, sets, depth):
         # recolor the last edge and restart with the swapped free pair
         new_sigma = frame.sigma[: n - 5] + (f_b,)
         new_path = ColoredPath(frame.verts, new_sigma)
-        path, inner = _hp_combos(
-            coll, new_path, x, y, z, k, frame.c_star, sorted((sn4, f_a)), depth + 1
-        )
+        roles = [(frame.c_star, sorted((sn4, f_a)))]
+        path, inner = _hp_combos(coll, new_path, x, y, z, k, roles, depth + 1)
         inner.subcase = f"3.2->rec:{inner.case}:{inner.subcase}"
         inner.case = "c"
         return path, inner
@@ -1440,10 +1280,10 @@ def _hp_case_c_gap_low(coll, frame, x, y, z, k, sets, depth):
         )
     if 4 <= k <= (n - 1) // 2:
         sets.subcase = "3.2:claim5"
-        return _hp_claim5(coll, frame, x, y, k, sets), sets
+        return _hp_claim5(coll, frame, x, y, k), sets
     if k >= (n + 5) // 2:
         sets.subcase = "3.2:long"
-        return _hp_long_row(coll, frame, x, y, k, "case-c"), sets
+        return _hp_tail_row(coll, frame, x, y, 1, k - 3, "case-c-hook", "case-c-final-edge"), sets
     # the two middle lengths
     if n == 7 and k == 4:
         sets.subcase = "3.2:u2"
@@ -1454,9 +1294,8 @@ def _hp_case_c_gap_low(coll, frame, x, y, z, k, sets, depth):
             f"second position attaches to neither endpoint through f_b "
             f"({frame.tag})",
         )
-        if coll.has_edge(f_b, u(2), x):
-            return _emit(coll, stage, (x, u(2), u(1), y), (f_b, sig(1), f_a)), sets
-        return _emit(coll, stage, (x, u(1), u(2), y), (f_a, sig(1), f_b)), sets
+        row = _hp_close(coll, frame, x, y, (u(2), u(1)), (sig(1),), f_b, f_a, "case-c-u2")
+        return row, sets
     c1 = sig(1)
     _req(
         coll.has_edge(c1, u(1), x) or coll.has_edge(c1, u(1), y),
@@ -1465,41 +1304,28 @@ def _hp_case_c_gap_low(coll, frame, x, y, z, k, sets, depth):
         f"opening vertex attaches to neither endpoint through its first path "
         f"color {c1} ({frame.tag})",
     )
-    swap = not coll.has_edge(c1, u(1), x)
-    lead, tail = (y, x) if swap else (x, y)
-    if k == (n + 1) // 2 and n >= 11:
+    if (k == (n + 1) // 2 and n >= 11) or (k == (n + 3) // 2 and n >= 9):
+        # detour through the top of the opening set: u_1, then the run from
+        # position (n-3)/2 to the hook, then the closing vertex
         sets.subcase = "3.2:mid"
-        verts, cols = _hp_mid_row(frame, lead, tail, n - 6, n)
-    elif k == (n + 3) // 2 and n >= 9:
-        sets.subcase = "3.2:mid"
-        verts, cols = _hp_mid_row(frame, lead, tail, n - 5, n)
+        top, hook = (n - 3) // 2, (n - 6 if k == (n + 1) // 2 else n - 5)
+        run, run_cols = frame.verts[top - 1 : hook], frame.sigma[top - 1 : hook - 1]
     else:
         # n=7 k=5, or n=9 k=5: detour through the removed vertex z
         sets.subcase = "3.2:z"
-        verts = (lead, u(1), z, u(L), tail)
-        cols = (c1, f_a, f_b, sn4)
-    if swap:
-        verts, cols = tuple(reversed(verts)), tuple(reversed(cols))
-    return _emit(coll, stage, verts, cols), sets
-
-
-def _hp_mid_row(frame, lead, tail, hook: int, n: int):
-    """Detour rows through the top of the opening set: lead, u_1, then the
-    run from position (n-3)/2 to `hook`, the closing vertex, tail."""
-    u, sig = frame.u, frame.sig
-    L = n - 3
-    top = (n - 3) // 2
-    verts = (
-        (lead, u(1))
-        + tuple(u(i) for i in range(top, hook + 1))
-        + (u(L), tail)
+        run, run_cols = (z,), ()
+    row = _hp_close(
+        coll,
+        frame,
+        x,
+        y,
+        (u(1),) + run + (u(L),),
+        (f_a,) + run_cols + (f_b,),
+        c1,
+        sn4,
+        "case-c-g1",
     )
-    cols = (
-        (sig(1), frame.f_a)
-        + tuple(sig(i) for i in range(top, hook))
-        + (frame.f_b, sig(n - 4))
-    )
-    return verts, cols
+    return row, sets
 
 
 # ---------------------------------------------------------------------------
@@ -1525,23 +1351,12 @@ def two_clique_k_path(
     everywhere in color j. Returns the path and the row tag.
     """
     n, m = coll.n, coll.m
-    if m != n - 1:
-        raise ValueError(f"expected {n - 1} graphs, got {m}")
-    _validate_pair(coll, x, y)
-    if len({x, y, z}) != 3:
-        raise ValueError("x, y, z must be three distinct vertices")
+    _check_inputs(coll, (x, y, z), k)
     if not 0 <= j < m:
         raise ValueError(f"j={j} outside color range")
-    if not 4 <= k <= n - 1:
-        raise ValueError(f"k={k} outside [4, {n - 1}]")
-    side1 = tuple(sorted(u1_part))
-    side2 = tuple(sorted(u2_part))
-    keep = set(range(n)) - {x, y, z}
-    if set(side1) | set(side2) != keep or set(side1) & set(side2):
-        raise ValueError("u1_part and u2_part must partition the view vertices")
     half = (n - 3) // 2
-    if len(side1) != half or len(side2) != half:
-        raise ValueError(f"each side must hold {half} vertices")
+    side1, side2 = _check_sides(coll, (x, y, z), (u1_part, u2_part), (half, half))
+    keep = set(range(n)) - {x, y, z}
     stage = "two_clique"
     # the sides have equal size, so clique_split orders them as tuples
     pair = tuple(sorted((side1, side2)))
@@ -1641,22 +1456,11 @@ def join_partition_k_path(
     instead of a path (tag "family").
     """
     n, m = coll.n, coll.m
-    if m != n - 1:
-        raise ValueError(f"expected {n - 1} graphs, got {m}")
-    _validate_pair(coll, x, y)
-    if len({x, y, z}) != 3:
-        raise ValueError("x, y, z must be three distinct vertices")
-    if not 4 <= k <= n - 1:
-        raise ValueError(f"k={k} outside [4, {n - 1}]")
-    eye = tuple(sorted(i_part))
-    eff = tuple(sorted(f_part))
+    _check_inputs(coll, (x, y, z), k)
+    eye, eff = _check_sides(
+        coll, (x, y, z), (i_part, f_part), ((n - 1) // 2, (n - 5) // 2)
+    )
     keep = set(range(n)) - {x, y, z}
-    if set(eye) | set(eff) != keep or set(eye) & set(eff):
-        raise ValueError("f_part and i_part must partition the view vertices")
-    if len(eye) != (n - 1) // 2 or len(eff) != (n - 5) // 2:
-        raise ValueError(
-            f"expected sides of {(n - 1) // 2} and {(n - 5) // 2} vertices"
-        )
     stage = "join_partition"
     keep_mask, eff_mask = mask_of(keep), mask_of(eff)
     shape_ok = [
@@ -1750,13 +1554,9 @@ def join_partition_k_path(
         mids += [z, eye[(n - 3) // 2 - 1]]
         verts = (start,) + tuple(mids) + (end,)
     cols = _fill_colors(k - 1, {0: i0}, h_colors)
-    path = ColoredPath(tuple(verts), tuple(cols))
-    if path.vertices[0] != x:
-        path = path.reversed()
-    problem = check_colored_path(coll, path)
-    if problem is not None:
-        raise HypothesisViolation(stage, "emitted-path", problem, path.to_json_dict())
-    return path, "2.1"
+    if start != x:
+        verts, cols = verts[::-1], cols[::-1]
+    return _emit(coll, stage, verts, cols), "2.1"
 
 
 def _alt_row(x, y, ws, vs, k):
@@ -1806,7 +1606,7 @@ def five_vertex_4path(
     n, m = coll.n, coll.m
     if n != 5 or m != 4:
         raise ValueError("five-vertex builder needs n=5 and four graphs")
-    _validate_pair(coll, x, y)
+    _check_vertices(coll, (x, y))
     stage = "five_vertex"
     rest = [v for v in range(n) if v not in (x, y)]
     pick = None
@@ -1925,8 +1725,7 @@ def constructive_panconnect(
     (the exceptional family misses exactly length 4).
     """
     n, m = coll.n, coll.m
-    if m != n - 1:
-        raise ValueError(f"expected {n - 1} graphs, got {m}")
+    _check_inputs(coll, (x, y))
     if n % 2 == 0 or n < 5:
         raise ValueError("constructive route needs odd n >= 5")
     delta = collection_min_degree(coll)
@@ -1934,8 +1733,7 @@ def constructive_panconnect(
         raise ValueError(
             f"minimum degree {delta} below threshold {(n + 1) // 2}"
         )
-    _validate_pair(coll, x, y)
-    rows = union_adjacency(coll)
+    rows = coll.union_rows
     adjacent = bool((rows[x] >> y) & 1)
     if not adjacent and not rows[x] & rows[y]:
         raise RuntimeError(

@@ -20,6 +20,7 @@ from rainbowpan.core import (
     build_graph,
     clique_split,
     collection_min_degree,
+    distances,
     restrict,
     verify_colored_path,
 )
@@ -31,7 +32,12 @@ from rainbowpan.generate import (
 from rainbowpan import kernels
 from rainbowpan.search import SearchBudget, find_rainbow_path
 
-from .oracles import clique_splits, join_partitions, rainbow_path_exists
+from .oracles import (
+    clique_splits,
+    join_partitions,
+    rainbow_path_exists,
+    single_graph_path_exists,
+)
 from .strategies import shaped_collections, shaped_views
 
 
@@ -145,6 +151,34 @@ def test_single_graph_path_not_panconnected():
 def test_single_graph_rejects_trivial():
     with pytest.raises(ValueError):
         is_panconnected_single(build_graph(1, []))
+
+
+def plain_panconnected(g) -> bool:
+    for x in range(g.n):
+        dist = distances(g.adj, x)
+        for y in range(x + 1, g.n):
+            if dist[y] is None or not all(
+                single_graph_path_exists(g, x, y, k) for k in range(dist[y] + 1, g.n + 1)
+            ):
+                return False
+    return True
+
+
+def test_single_graph_verdict_is_the_certificates():
+    verdicts = []
+    for seed in range(4):
+        for target in (2, 3):
+            g = gen_random_collection(7, 1, target, seed=seed)[0]
+            cert = is_rainbow_panconnected(GraphCollection(7, (g,) * 6))
+            verdicts.append(plain_panconnected(g))
+            assert is_panconnected_single(g) is cert.verdict is verdicts[-1]
+    assert set(verdicts) == {True, False}
+
+
+def test_single_graph_budget_is_unknown():
+    g = gen_random_collection(7, 1, 4, seed=0)[0]
+    assert is_panconnected_single(g) is True
+    assert is_panconnected_single(g, budget=SearchBudget(node_limit=1)) is None
 
 
 # -- Hamiltonian connectivity -------------------------------------------------

@@ -293,6 +293,17 @@ def test_failing_campaign_embeds_reproducer(monkeypatch):
     assert entry["spec"]["n"] == 5
 
 
+def test_t1_1_budget_stop_is_inconclusive_with_its_spec():
+    status, detail, spec = cli._trial_t1_1(5, 0, cli.SearchBudget(node_limit=1))
+    assert (status, detail) == ("inconclusive", "budget")
+    assert (spec.n, spec.m, spec.family) == (5, 1, "random")
+    trial = cli._campaign_trial(("t1_1", 5, 0, 1))
+    assert trial["status"] == "inconclusive"
+    assert trial["spec"] == spec.to_json_dict()
+    report = run_campaign("t1_1", [5], trials=2, base_seed=0, node_limit=1)
+    assert (report.passes, report.fails, report.inconclusive) == (0, 0, 2)
+
+
 # -- replay -----------------------------------------------------------------------
 
 

@@ -7,10 +7,15 @@ it emits is still valid.
 """
 import pytest
 
+from rainbowpan import constructions
 from rainbowpan.analysis import ExtremalWitness, join_partition
 from rainbowpan.constructions import (
     HypothesisViolation,
+    _endpoint_bounds_with,
+    _Frame,
+    _hp_close,
     _pan_route,
+    _retry,
     construct_short_paths,
     constructive_panconnect,
     endpoint_bound_report,
@@ -22,8 +27,11 @@ from rainbowpan.constructions import (
     two_clique_k_path,
 )
 from rainbowpan.core import (
+    ColoredCycle,
+    ColoredPath,
     GraphCollection,
     build_graph,
+    check_colored_cycle,
     clique_split,
     restrict,
     verify_colored_path,
@@ -439,3 +447,177 @@ def test_constructive_deterministic():
     a = constructive_panconnect(coll, 0, 3).to_json_dict()
     b = constructive_panconnect(coll, 0, 3).to_json_dict()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+# -- the shared row closer, role retries and fatal cycles ---------------------------
+
+
+def with_edges(coll, *edges):
+    graphs = list(coll.graphs)
+    for c, u, v in edges:
+        graphs[c] = graphs[c].with_edge(u, v)
+    return GraphCollection(coll.n, tuple(graphs))
+
+
+def four_vertex_row(*edges):
+    """x=0, y=1 and the chain (2, 3) in three colors: head 0, inner 1, tail 2."""
+    empty = GraphCollection(4, tuple(build_graph(4, []) for _ in range(3)))
+    return with_edges(empty, (1, 2, 3), *edges)
+
+
+ROW_FRAME = _Frame((2, 3), (1,), 0, 2, 3, "test row")
+
+
+def close_row(coll):
+    return _hp_close(coll, ROW_FRAME, 0, 1, (2, 3), (1,), 0, 2, "test-claim")
+
+
+def test_row_closer_forward():
+    coll = four_vertex_row((0, 0, 2), (2, 3, 1))
+    path = close_row(coll)
+    assert (path.vertices, path.colors) == ((0, 2, 3, 1), (0, 1, 2))
+
+
+def test_row_closer_prefers_forward_when_both_close():
+    coll = four_vertex_row((0, 0, 2), (2, 3, 1), (2, 0, 3), (0, 2, 1))
+    assert close_row(coll).vertices == (0, 2, 3, 1)
+
+
+def test_row_closer_reversed():
+    coll = four_vertex_row((2, 0, 3), (0, 2, 1))
+    path = close_row(coll)
+    assert (path.vertices, path.colors) == ((0, 3, 2, 1), (2, 1, 0))
+    verify_colored_path(coll, path)
+
+
+def test_row_closer_reversed_after_half_forward():
+    # the head color reaches x, but the tail color misses y: only the
+    # reversed row closes at both ends
+    coll = four_vertex_row((0, 0, 2), (2, 0, 3), (0, 2, 1))
+    assert close_row(coll).vertices == (0, 3, 2, 1)
+
+
+def test_row_closer_neither_endpoint():
+    coll = four_vertex_row((0, 0, 2), (0, 2, 1), (2, 2, 1))
+    with pytest.raises(HypothesisViolation) as exc:
+        close_row(coll)
+    assert exc.value.claim == "test-claim" and not exc.value.fatal
+    assert "test row" in exc.value.details
+
+
+def violation(claim, fatal=False):
+    def attempt():
+        raise HypothesisViolation("stage", claim, "details", fatal=fatal)
+
+    return attempt
+
+
+def test_retry_returns_first_success_after_non_fatal_violations():
+    assert _retry([violation("a"), lambda: "ok", violation("f", True)]) == "ok"
+    with pytest.raises(HypothesisViolation) as exc:
+        _retry([violation("a"), violation("f", True), lambda: "ok"])
+    assert exc.value.claim == "f"
+    with pytest.raises(HypothesisViolation) as exc:
+        _retry([violation("a"), violation("b")])
+    assert exc.value.claim == "a"
+
+
+def test_ham_path_retries_roles_after_non_fatal_violations(monkeypatch):
+    # handed the planted path backwards, the first two role assignments fail
+    # their opening count; the third, the planted frame, succeeds
+    coll, h = gen_lemma_shape("lem6", 9, seed=0, variant="c1")
+    args = (h["x"], h["y"], h["z"])
+    want = ham_path_k_path(coll, h["path"], *args, 6)
+    outcomes = []
+    dispatch = constructions._hp_dispatch
+
+    def spy(coll, frame, *rest):
+        try:
+            result = dispatch(coll, frame, *rest)
+        except HypothesisViolation as hv:
+            outcomes.append(hv.claim)
+            raise
+        outcomes.append("ok")
+        return result
+
+    monkeypatch.setattr(constructions, "_hp_dispatch", spy)
+    got = ham_path_k_path(coll, h["path"].reversed(), *args, 6)
+    assert outcomes == ["opening-count", "opening-count", "ok"]
+    assert got[0] == want[0]
+    assert got[1].to_json_dict() == want[1].to_json_dict()
+
+
+def assert_fatal_cycle(hv, claim, length):
+    assert hv.fatal and hv.claim == claim
+    data = hv.evidence["cycle"]
+    cycle = ColoredCycle(tuple(data["vertices"]), tuple(data["colors"]))
+    assert cycle.length == length
+    return cycle
+
+
+def test_ham_path_terminal_edge_is_a_fatal_spanning_cycle():
+    coll, h = gen_lemma_shape("lem6", 9, seed=0, variant="a")
+    path = h["path"]
+    # f_a = 6 joins the path's ends: path plus that edge is a spanning cycle
+    coll = with_edges(coll, (6, path.vertices[0], path.vertices[-1]))
+    with pytest.raises(HypothesisViolation) as exc:
+        ham_path_k_path(coll, path, h["x"], h["y"], h["z"], 5)
+    cycle = assert_fatal_cycle(exc.value, "spanning-cycle", 6)
+    assert check_colored_cycle(coll, cycle) is None
+    assert set(cycle.vertices) == set(path.vertices)
+
+
+def test_near_cycle_detached_vertex_is_a_fatal_spanning_cycle():
+    coll, h = gen_lemma_shape("lem3", 9, seed=0, variant="main")
+    ring, w = h["cycle"].vertices, h["w"]
+    # w meets ring position 3 in f_a; meeting position 2 in f_b as well
+    # threads w between positions 2 and 3 of the ring
+    coll = with_edges(coll, (h["f_b"], w, ring[1]))
+    with pytest.raises(HypothesisViolation) as exc:
+        near_cycle_k_path(coll, h["cycle"], h["x"], h["y"], h["z"], w, 6)
+    cycle = assert_fatal_cycle(exc.value, "detached-vertex", len(ring) + 1)
+    assert check_colored_cycle(coll, cycle) is None
+    assert set(cycle.vertices) == set(ring) | {w}
+
+
+def test_endpoint_splice_overlap_is_a_fatal_cycle():
+    coll, h = gen_lemma_shape("lem5", 9, seed=0, variant="overlap")
+    path = h["path"]
+    free = [c for c in range(coll.m) if c not in path.colors]
+    with pytest.raises(HypothesisViolation) as exc:
+        _endpoint_bounds_with(coll, path, h["excluded_color"], free)
+    cycle = assert_fatal_cycle(exc.value, "splice-overlap", path.k)
+    assert check_colored_cycle(coll, cycle) is None
+    # the public entry finds the same obstruction by search first
+    with pytest.raises(HypothesisViolation) as exc:
+        endpoint_bound_report(coll, path, excluded_color=h["excluded_color"])
+    assert check_colored_cycle(coll, assert_fatal_cycle(exc.value, "cycle-free", path.k)) is None
+
+
+def test_builders_reject_malformed_inputs():
+    coll, h = gen_lemma_shape("lem6", 9, seed=0, variant="a")
+    path, x, y, z = h["path"], h["x"], h["y"], h["z"]
+    recolored = ColoredPath(path.vertices, (h["c_star"],) + path.colors[1:])
+    bad_calls = [
+        lambda: ham_path_k_path(GraphCollection(9, coll.graphs[:-1]), path, x, y, z, 5),
+        lambda: ham_path_k_path(coll, path, x, x, z, 5),
+        lambda: ham_path_k_path(coll, path, x, y, 9, 5),
+        lambda: ham_path_k_path(coll, path, x, y, z, 3),
+        lambda: ham_path_k_path(coll, path, x, y, z, 9),
+        lambda: ham_path_k_path(coll, path, x, y, path.vertices[0], 5),
+        lambda: ham_path_k_path(coll, ColoredPath(path.vertices[1:], path.colors[1:]), x, y, z, 5),
+        lambda: ham_path_k_path(coll, recolored, x, y, z, 5),  # not an edge in c_star
+        lambda: endpoint_bound_report(coll, path.reversed(), excluded_color=path.colors[0]),
+    ]
+    for call in bad_calls:
+        with pytest.raises(ValueError):
+            call()
+    coll, h = gen_lemma_shape("lem7", 7, seed=3, variant="z")
+    args = (h["x"], h["y"], h["z"], h["j"], 5)
+    with pytest.raises(ValueError):
+        two_clique_k_path(coll, h["u1"], h["u2"][1:], *args)
+    with pytest.raises(ValueError):
+        two_clique_k_path(coll, h["u1"], h["u1"], *args)
+    coll, h = gen_lemma_shape("lem8", 9, seed=4, variant="witness")
+    with pytest.raises(ValueError):
+        join_partition_k_path(coll, h["i"], h["f"], h["x"], h["y"], h["z"], 5)

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,3 +51,29 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_generated_kernel_quotes_current_pyx():
+    """Cython quotes the `.pyx` line behind each block of `_kernel.c`, marked
+    `# <<<<<<<<<<<<<<`; every quote must still equal that line of
+    `_kernel.pyx`, or the committed `.c` is stale and must be regenerated."""
+    pyx = (PACKAGE / "_kernel.pyx").read_text().splitlines()
+    c_lines = (PACKAGE / "_kernel.c").read_text().splitlines()
+    head = re.compile(r'/\* "rainbowpan/_kernel\.pyx":(\d+)$')
+    marker = "# <<<<<<<<<<<<<<"
+    quotes, stale = 0, []
+    for i, line in enumerate(c_lines):
+        found = head.search(line.strip())
+        if found is None:
+            continue
+        j = i + 1
+        while marker not in c_lines[j]:
+            assert c_lines[j].startswith(" *"), f"_kernel.c:{i + 1}: quote without marker"
+            j += 1
+        quoted = c_lines[j][3:].rsplit(marker, 1)[0].rstrip()
+        number = int(found.group(1))
+        quotes += 1
+        if quoted != pyx[number - 1].rstrip():
+            stale.append((number, quoted, pyx[number - 1].rstrip()))
+    assert quotes > 200
+    assert not stale, f"_kernel.c quotes lines _kernel.pyx no longer has: {stale[:5]}"
