@@ -27,12 +27,13 @@ class _Budget(Exception):
     pass
 
 
-def _union_rows(n: int, m: int, adj: list[int]) -> list[int]:
-    rows = [0] * n
-    for c in range(m):
-        base = c * n
-        for v in range(n):
-            rows[v] |= adj[base + v]
+def _union_rows(n: int, adj: list[int]) -> list[int]:
+    rows = []
+    for v in range(n):
+        row = 0
+        for r in adj[v::n]:  # v's row in each color
+            row |= r
+        rows.append(row)
     return rows
 
 
@@ -46,33 +47,28 @@ def _bfs(n: int, rows: list[int], src: int, vmask: int) -> list[int]:
     while frontier:
         d += 1
         nxt = 0
-        for v in _bit_list(frontier):
-            nxt |= rows[v]
+        rest = frontier
+        while rest:
+            low = rest & -rest
+            nxt |= rows[low.bit_length() - 1]
+            rest ^= low
         nxt &= vmask & ~seen
-        for v in _bit_list(nxt):
-            dist[v] = d
+        rest = nxt
+        while rest:
+            low = rest & -rest
+            dist[low.bit_length() - 1] = d
+            rest ^= low
         seen |= nxt
         frontier = nxt
     return dist
 
 
-def _bit_list(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 class _Search:
     """Shared DFS state for one kernel call."""
 
-    def __init__(self, n, m, adj, vmask, node_limit):
+    def __init__(self, n, m, adj, node_limit):
         self.n = n
-        self.m = m
         self.adj = adj
-        self.vmask = vmask
         self.node_limit = node_limit
         self.nodes = 0
         self.color_edge = [-1] * m  # color -> edge index
@@ -130,19 +126,22 @@ class _Search:
     # -- candidate enumeration --
 
     def ordered_candidates(self, last: int, cand_mask: int) -> list[tuple[int, int, int]]:
-        """(option count, vertex, option mask) sorted fail-first."""
-        if not cand_mask:
-            return []
-        om = {}
-        n = self.n
-        adj = self.adj
-        for c in range(self.m):
-            row = adj[c * n + last] & cand_mask
-            if row:
-                bit = 1 << c
-                for v in _bit_list(row):
-                    om[v] = om.get(v, 0) | bit
-        out = [(mask.bit_count(), v, mask) for v, mask in om.items()]
+        """(option count, vertex, option mask) sorted fail-first. As in
+        `_order_candidates` of `_kernel.pyx`, each candidate vertex tests
+        every color; vertices are distinct, so the sort is by (count, vertex)."""
+        out = []
+        col = self.adj[last::self.n]  # last's row in each color
+        while cand_mask:
+            low = cand_mask & -cand_mask
+            cand_mask ^= low
+            om = 0
+            bit = 1
+            for row in col:
+                if row & low:
+                    om |= bit
+                bit <<= 1
+            if om:
+                out.append((om.bit_count(), low.bit_length() - 1, om))
         out.sort()
         return out
 
@@ -150,11 +149,11 @@ class _Search:
 def find_path(n, m, adj, x, y, k, vmask, node_limit):
     """Exact k-vertex rainbow path from x to y. Returns (status, vertices,
     colors, nodes); vertices/colors are None unless status == FOUND."""
-    rows = _union_rows(n, m, adj)
+    rows = _union_rows(n, adj)
     dist = _bfs(n, rows, y, vmask)
     if dist[x] > k - 1:
         return (NONE, None, None, 0)
-    st = _Search(n, m, adj, vmask, node_limit)
+    st = _Search(n, m, adj, node_limit)
     path = [x]
     ybit = 1 << y
 
@@ -198,11 +197,15 @@ def find_path(n, m, adj, x, y, k, vmask, node_limit):
 def find_cycle(n, m, adj, length, vmask, node_limit):
     """Rainbow cycle on exactly `length` vertices. Start vertex is the cycle
     minimum; reflections are broken by second < last vertex id."""
-    rows = _union_rows(n, m, adj)
-    st = _Search(n, m, adj, vmask, node_limit)
+    rows = _union_rows(n, adj)
+    st = _Search(n, m, adj, node_limit)
     result = None
 
-    for s in _bit_list(vmask):
+    rest = vmask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        s = low.bit_length() - 1
         higher = vmask & ~((1 << (s + 1)) - 1)
         if higher.bit_count() + 1 < length:
             break
@@ -221,9 +224,11 @@ def find_cycle(n, m, adj, length, vmask, node_limit):
                 if not (rows[last] >> s) & 1:
                     return False
                 om = 0
-                for c in range(st.m):
-                    if (st.adj[c * st.n + last] >> s) & 1:
-                        om |= 1 << c
+                bit = 1
+                for row in st.adj[last::st.n]:
+                    if row & sbit:
+                        om |= bit
+                    bit <<= 1
                 snap = st.snapshot()
                 if st.push_edge(om):
                     return True
@@ -252,8 +257,8 @@ def find_cycle(n, m, adj, length, vmask, node_limit):
             return (BUDGET, None, None, st.nodes)
         finally:
             extend = None  # as in find_path: no self-referencing closure left
-        # matching is fully unwound between start vertices
-        assert not st.edge_color
+        if st.edge_color:
+            raise RuntimeError("matching not unwound between start vertices")
 
     if result is None:
         return (NONE, None, None, st.nodes)

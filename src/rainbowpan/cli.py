@@ -344,6 +344,8 @@ def _trial_lem5(n: int, seed: int, budget: SearchBudget):
         )
     except HypothesisViolation as exc:
         return "fail", f"hypothesis check rejected the fixture: {exc}", spec
+    except BudgetExceeded:
+        return "inconclusive", "budget", spec
     allowed = {(n - 5) // 2, (n - 3) // 2}
     ok = (
         rep.d1 in allowed
@@ -361,10 +363,13 @@ def _trial_cor2_3(n: int, seed: int, budget: SearchBudget):
     cls = classify_ham_path_obstruction(coll, budget=budget)
     if cls.case != case:
         return "fail", f"classified as {cls.case}, built {case}", spec
-    for x in range(n):
-        for y in range(x + 1, n):
-            if find_rainbow_ham_path(coll, x, y, budget=budget) is not None:
-                return "fail", f"unexpected spanning path for ({x}, {y})", spec
+    try:
+        for x in range(n):
+            for y in range(x + 1, n):
+                if find_rainbow_ham_path(coll, x, y, budget=budget) is not None:
+                    return "fail", f"unexpected spanning path for ({x}, {y})", spec
+    except BudgetExceeded:
+        return "inconclusive", "budget", spec
     return "pass", None, spec
 
 
@@ -389,12 +394,7 @@ _N_CONSTRAINT = {
 
 def _campaign_trial(task) -> dict:
     theorem, n, seed, node_limit = task
-    budget = SearchBudget(node_limit=node_limit)
-    try:
-        status, detail, spec = _TRIALS[theorem](n, seed, budget)
-    except BudgetExceeded:
-        status, detail = "inconclusive", "budget"
-        spec = GenSpec(n, 0, seed, "unknown")
+    status, detail, spec = _TRIALS[theorem](n, seed, SearchBudget(node_limit=node_limit))
     return {
         "n": n,
         "seed": seed,

@@ -442,26 +442,33 @@ def restrict(
 
 def check_colored_path(coll: CollectionLike, path: ColoredPath) -> str | None:
     """First violation making path invalid in coll, or None if valid."""
-    return _check_items(coll, path.vertices, path.edge_items(), len(path.colors))
+    vs = path.vertices
+    return _check_edges(coll, vs, zip(vs, vs[1:], path.colors), len(path.colors))
 
 
 def check_colored_cycle(coll: CollectionLike, cycle: ColoredCycle) -> str | None:
-    return _check_items(coll, cycle.vertices, cycle.edge_items(), len(cycle.colors))
+    vs = cycle.vertices
+    return _check_edges(coll, vs, zip(vs, vs[1:] + vs[:1], cycle.colors), len(cycle.colors))
 
 
-def _check_items(view, vertices, edge_items, n_edges) -> str | None:
-    vmask = view.vertex_mask
+def _check_edges(view, vertices, edges, n_edges) -> str | None:
+    """First violation among the edge count, the vertices in order and then
+    the (u, v, color) edges in order."""
     n_alive = view.m_surviving
     if n_edges > n_alive:
         return f"{n_edges} edges exceed {n_alive} available colors"
+    n = view.n
+    vmask = view.vertex_mask
     for v in vertices:
-        if not 0 <= v < view.n:
+        if not 0 <= v < n:
             return f"vertex {v} outside range"
         if not (vmask >> v) & 1:
             return f"vertex {v} removed by view"
     rows = view.color_rows
-    for u, v, c in edge_items:
-        if not 0 <= c < view.base.m or c in view.removed_colors:
+    m = view.base.m
+    removed = view.removed_colors
+    for u, v, c in edges:
+        if not 0 <= c < m or c in removed:
             return f"color {c} unavailable"
         if not (rows[c][u] >> v) & 1:
             return f"edge ({u}, {v}) missing from graph {c}"

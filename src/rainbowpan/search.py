@@ -205,7 +205,7 @@ def find_rainbow_path(
         raise BudgetExceeded(f"path x={x} y={y} k={k}", nodes)
     if status == kernels.NONE:
         return None
-    path = ColoredPath(tuple(verts), tuple(active[c] for c in cols))
+    path = ColoredPath(tuple(verts), tuple(map(active.__getitem__, cols)))
     problem = check_colored_path(view, path)
     if problem is not None:
         raise AssertionError(f"kernel returned invalid path: {problem}")
@@ -291,7 +291,7 @@ def find_rainbow_cycle(
         raise BudgetExceeded(f"cycle length={length}", nodes)
     if status == kernels.NONE:
         return None
-    cycle = ColoredCycle(tuple(verts), tuple(active[c] for c in cols))
+    cycle = ColoredCycle(tuple(verts), tuple(map(active.__getitem__, cols)))
     problem = check_colored_cycle(view, cycle)
     if problem is not None:
         raise AssertionError(f"kernel returned invalid cycle: {problem}")

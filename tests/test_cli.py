@@ -304,6 +304,28 @@ def test_t1_1_budget_stop_is_inconclusive_with_its_spec():
     assert (report.passes, report.fails, report.inconclusive) == (0, 0, 2)
 
 
+@pytest.mark.parametrize("seed, variant", [(0, "lo-lo"), (1, "lo-hi")])
+def test_lem5_budget_stop_keeps_its_spec(seed, variant):
+    trial = cli._campaign_trial(("lem5-bounds", 9, seed, 1))
+    assert (trial["status"], trial["detail"]) == ("inconclusive", "budget")
+    assert trial["spec"]["family"] == "lemma_shape:lem5"
+    assert trial["spec"]["params"] == {"variant": variant}
+    assert (trial["spec"]["n"], trial["spec"]["m"], trial["spec"]["seed"]) == (9, 8, seed)
+
+
+def test_cor2_3_budget_stop_keeps_its_spec(monkeypatch):
+    # the spanning refutation answers both obstruction families without the
+    # kernel, so the budget stop is simulated in the spanning-path loop
+    def stopped(*args, **kwargs):
+        raise cli.BudgetExceeded("path", 1)
+
+    monkeypatch.setattr(cli, "find_rainbow_ham_path", stopped)
+    for seed, family in ((0, "two_cliques_cor23"), (1, "join_partition_cor23")):
+        trial = cli._campaign_trial(("cor2_3", 8, seed, 1))
+        assert (trial["status"], trial["detail"]) == ("inconclusive", "budget")
+        assert (trial["spec"]["family"], trial["spec"]["seed"]) == (family, seed)
+
+
 # -- replay -----------------------------------------------------------------------
 
 

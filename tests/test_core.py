@@ -240,6 +240,39 @@ class TestPathChecks:
         msg = check_colored_cycle(coll, ColoredCycle((0, 1, 2), (0, 1, 2)))
         assert msg is not None and "(2, 0)" in msg
 
+    @pytest.mark.parametrize("removed, vertices, colors, message", [
+        ({}, (3, 4, 0, 1), (1, 2, 0), None),
+        ({"remove_colors": [1, 2]}, (0, 1, 2), (0, 5), "2 edges exceed 1 available colors"),
+        ({"remove_vertices": [1]}, (3, 9, 1), (0, 1), "vertex 9 outside range"),
+        ({}, (0, -1), (0,), "vertex -1 outside range"),
+        ({"remove_vertices": [2]}, (0, 1, 2, 3), (0, 1, 2), "vertex 2 removed by view"),
+        ({"remove_colors": [1]}, (0, 1, 2), (0, 1), "color 1 unavailable"),
+        ({}, (0, 1, 2), (0, 7), "color 7 unavailable"),
+        ({}, (0, 1, 2), (0, -1), "color -1 unavailable"),
+        ({}, (0, 1, 2, 3), (2, 7, 0), "edge (0, 1) missing from graph 2"),
+        ({}, (4, 2, 3), (2, 1), "edge (2, 3) missing from graph 1"),
+    ])
+    def test_first_path_violation(self, removed, vertices, colors, message):
+        view = restrict(_demo_collection(), **removed)
+        assert check_colored_path(view, ColoredPath(vertices, colors)) == message
+
+    @pytest.mark.parametrize("removed, vertices, colors, message", [
+        ({}, (0, 1, 2), (0, 1, 2), None),
+        ({}, (1, 2, 3, 0), (0, 1, 3, 2), None),
+        ({"remove_colors": [2, 3]}, (0, 1, 2), (0, 1, 2), "3 edges exceed 2 available colors"),
+        ({}, (0, 1, 5), (0, 1, 2), "vertex 5 outside range"),
+        ({"remove_vertices": [2]}, (0, 1, 2), (0, 1, 2), "vertex 2 removed by view"),
+        ({"remove_colors": [1]}, (0, 1, 2), (0, 1, 2), "color 1 unavailable"),
+        ({}, (0, 1, 2), (0, 1, 9), "color 9 unavailable"),
+        ({}, (0, 1, 3), (0, 1, 2), "edge (1, 3) missing from graph 1"),
+        ({}, (0, 2, 3), (0, 1, 2), "edge (3, 0) missing from graph 2"),
+    ])
+    def test_first_cycle_violation(self, removed, vertices, colors, message):
+        tri = build_graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+        coll = GraphCollection(4, (tri, tri, tri, build_graph(4, [(0, 3)])))
+        view = restrict(coll, **removed)
+        assert check_colored_cycle(view, ColoredCycle(vertices, colors)) == message
+
     @given(collections())
     def test_verify_accepts_known_good_two_paths(self, coll):
         for c in range(coll.m):

@@ -154,3 +154,127 @@ class TestWideMasks:
         b = kernel.find_cycle(n, m, adj, 3, vmask, 10**6)
         assert a == b
         assert a[0] == _kernel_py.FOUND and a[1] == [61, 62, 63]
+
+
+WORD_BITS = (31, 32, 63)
+
+
+def random_sparse(seed: str):
+    """Sparse input at n in [10, 64] and m in [2, 63]: holes in the vertex
+    mask, bits 31, 32 and 63 alive when n has them, hubs joined to many
+    vertices in one color each and repeated graphs, so that many candidates
+    tie on their option count."""
+    rng = random.Random(seed)
+    n = rng.choice((rng.randint(10, 63), 33, 64))
+    m = rng.randint(2, 63)
+    vmask = (1 << n) - 1
+    for v in rng.sample(range(n), rng.randint(1, n // 4)):
+        vmask &= ~(1 << v)
+    for b in WORD_BITS:
+        if b < n:
+            vmask |= 1 << b
+    alive = survivors(vmask)
+    adj = [0] * (m * n)
+
+    def add(c, u, v):
+        adj[c * n + u] |= 1 << v
+        adj[c * n + v] |= 1 << u
+
+    graphs = []
+    for c in range(m):
+        if graphs and rng.random() < 0.3:
+            edges = rng.choice(graphs)
+        else:
+            edges = [rng.sample(alive, 2) for _ in range(rng.randint(len(alive) // 3, len(alive)))]
+        graphs.append(edges)
+        for u, v in edges:
+            add(c, u, v)
+    hubs = [b for b in WORD_BITS if b < n] or rng.sample(alive, 2)
+    for hub in hubs:
+        for v in rng.sample(alive, len(alive) // 3):
+            if v != hub:
+                add(rng.randrange(m), hub, v)
+    return n, m, adj, vmask, hubs
+
+
+class TestWideParity:
+    """Sparse inputs up to 64 vertices and 63 colors, under node limits of a
+    few thousand, so that BUDGET results are compared as well."""
+
+    LIMIT = 3000
+
+    @pytest.fixture
+    def tied_lists(self, monkeypatch):
+        """Counts the candidate lists in which two vertices tie on their
+        option count."""
+        seen = [0]
+        original = _kernel_py._Search.ordered_candidates
+
+        def spy(self, last, cand_mask):
+            out = original(self, last, cand_mask)
+            seen[0] += any(a[0] == b[0] for a, b in zip(out, out[1:]))
+            return out
+
+        monkeypatch.setattr(_kernel_py._Search, "ordered_candidates", spy)
+        return seen
+
+    def test_paths_agree(self, kernel, tied_lists):
+        statuses = []
+        for seed in range(30):
+            n, m, adj, vmask, hubs = random_sparse(f"wp:{seed}")
+            alive = survivors(vmask)
+            rng = random.Random(f"wp:q:{seed}")
+            for _ in range(4):
+                x = rng.choice(hubs)
+                y = rng.choice([v for v in alive if v != x])
+                k = rng.randint(2, min(len(alive), m + 1))
+                a = _kernel_py.find_path(n, m, adj, x, y, k, vmask, self.LIMIT)
+                b = kernel.find_path(n, m, adj, x, y, k, vmask, self.LIMIT)
+                assert a == b, (seed, x, y, k)
+                statuses.append(a[0])
+        assert {_kernel_py.FOUND, _kernel_py.NONE, _kernel_py.BUDGET} <= set(statuses)
+        assert tied_lists[0] > 100
+
+    def test_cycles_agree(self, kernel, tied_lists):
+        statuses = []
+        for seed in range(20):
+            n, m, adj, vmask, _ = random_sparse(f"wc:{seed}")
+            rng = random.Random(f"wc:q:{seed}")
+            # the whole input, and the same input cut down to about ten
+            # vertices, where exhaustive refutations end in NONE
+            alive = survivors(vmask)
+            keep = sum(1 << v for v in rng.sample(alive, min(10, len(alive))))
+            for b in WORD_BITS:
+                keep |= vmask & (1 << b)
+            cut = [row & keep if (keep >> (i % n)) & 1 else 0 for i, row in enumerate(adj)]
+            for mask, rows in ((vmask, adj), (keep, cut)):
+                top = min(len(survivors(mask)), m)
+                if top < 3:
+                    continue
+                for length in sorted({3, rng.randint(3, top), top}):
+                    a = _kernel_py.find_cycle(n, m, rows, length, mask, self.LIMIT)
+                    b = kernel.find_cycle(n, m, rows, length, mask, self.LIMIT)
+                    assert a == b, (seed, mask == keep, length)
+                    statuses.append(a[0])
+        assert {_kernel_py.FOUND, _kernel_py.NONE, _kernel_py.BUDGET} <= set(statuses)
+        assert tied_lists[0] > 100
+
+
+def test_ordered_candidates_skip_vertices_without_options():
+    """Candidates come sorted by (option count, vertex); a vertex that no
+    color joins to `last` is left out even when the mask offers it."""
+    rng = random.Random("oc")
+    for _ in range(200):
+        n = rng.choice((12, 40, 64))
+        m = rng.randint(2, 63)
+        adj = [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(m * n)]
+        last = rng.randrange(n)
+        cand = rng.getrandbits(n)
+        expect = []
+        for v in range(n):
+            om = sum(1 << c for c in range(m) if (adj[c * n + last] >> v) & 1)
+            if (cand >> v) & 1 and om:
+                expect.append((om.bit_count(), v, om))
+        expect.sort(key=lambda t: (t[0], t[1]))
+        got = _kernel_py._Search(n, m, adj, 10).ordered_candidates(last, cand)
+        assert got == expect

@@ -9,10 +9,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rainbowpan"
-# the pure-Python kernel stays an operation-for-operation twin of _kernel.pyx,
-# so it changes only together with the compiled kernel
-EXEMPT = {"_kernel_py.py"}
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name not in EXEMPT)
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def test_modules_found():

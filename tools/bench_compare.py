@@ -1,7 +1,7 @@
 """Benchmark a base revision against the working tree into BENCH_<label>.json.
 
     python3 tools/bench_compare.py --label L --before REV \
-        --workloads certificate,replay --seeds 0,1,2,3
+        --workloads certificate,replay --seeds 0-9
 
 For every workload and seed it runs
 `python3 perfbench/run.py --workload W --seed S --seconds 20 --trace 0` once
@@ -66,6 +66,26 @@ def _run(tree: Path, workload: str, seed: int) -> dict:
         ) from None
 
 
+def parse_seeds(text: str) -> list[int]:
+    """Comma-separated seeds and inclusive ranges, each seed once in the
+    order given: "0-3,7,2" is [0, 1, 2, 3, 7]."""
+    seeds = []
+    for part in text.split(","):
+        if not part:
+            continue
+        lo, sep, hi = part.partition("-")
+        try:
+            first, last = int(lo), int(hi if sep else lo)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad seed {part!r}: use S or A-B") from None
+        if last < first:
+            raise argparse.ArgumentTypeError(f"empty seed range {part!r}")
+        seeds.extend(range(first, last + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError("no seeds given")
+    return list(dict.fromkeys(seeds))
+
+
 def summary(doc: dict) -> list[str]:
     """One line per workload and metric: medians before -> after, and how
     many seeds moved in the metric's better direction."""
@@ -89,16 +109,20 @@ def summary(doc: dict) -> list[str]:
     return lines
 
 
-def main(argv=None) -> int:
+def parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json at the repo root")
     ap.add_argument("--before", required=True, help="base revision")
     ap.add_argument("--workloads", required=True, help="comma-separated workload names")
-    ap.add_argument("--seeds", default="0,1,2,3", help="comma-separated seeds")
-    args = ap.parse_args(argv)
+    ap.add_argument("--seeds", type=parse_seeds, default="0-3",
+                    help="comma-separated seeds and A-B ranges, e.g. 0-9 or 0,2,5-7")
+    return ap
+
+
+def main(argv=None) -> int:
+    args = parser().parse_args(argv)
 
     workloads = [w for w in args.workloads.split(",") if w]
-    seeds = [int(s) for s in args.seeds.split(",") if s]
     before_commit = _git("rev-parse", "--short", args.before).strip()
     out = ROOT / f"BENCH_{args.label}.json"
     doc = {
@@ -121,7 +145,7 @@ def main(argv=None) -> int:
         _export(before_commit, base)
         trees = {"before": base, "after": ROOT}
         for workload in workloads:
-            for seed in seeds:
+            for seed in args.seeds:
                 order = ("before", "after") if seed % 2 == 0 else ("after", "before")
                 pair = {}
                 for side in order:
