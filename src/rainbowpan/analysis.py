@@ -10,6 +10,7 @@ into False.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .core import (
     CollectionLike,
@@ -148,6 +149,25 @@ def is_panconnected_single(
     return is_rainbow_panconnected(coll, budget=budget).verdict
 
 
+def k_paths(
+    view: CollectionLike,
+    x: int,
+    y: int,
+    k_cap: int,
+    budget: SearchBudget | None = None,
+) -> Iterator[tuple[int, ColoredPath | None]]:
+    """The k-sweep of one pair: yields (d + 1, a shortest rainbow path), then
+    (k, a rainbow k-path or None) for each k from d + 2 to k_cap, asking the
+    queries in that order; yields nothing when no rainbow path joins x and y.
+    A budget stop raises BudgetExceeded from the query that ran out."""
+    shortest = shortest_rainbow_path(view, x, y, budget=budget)
+    if shortest is None:
+        return
+    yield shortest.k, shortest
+    for k in range(shortest.k + 1, k_cap + 1):
+        yield k, find_rainbow_path(view, x, y, k, budget=budget)
+
+
 def is_rainbow_panconnected(
     view: CollectionLike, budget: SearchBudget | None = None
 ) -> PanconnectivityCertificate:
@@ -158,49 +178,37 @@ def is_rainbow_panconnected(
     stops at the first failure; budget exhaustion anywhere yields verdict
     None ("unknown"), never False.
     """
-    alive = view.vertices
     k_cap = min(view.n_surviving, view.m_surviving + 1)
     pairs: list[PairReport] = []
     try:
-        for i, x in enumerate(alive):
-            for y in alive[i + 1 :]:
-                shortest = shortest_rainbow_path(view, x, y, budget=budget)
-                d = None if shortest is None else shortest.k - 1
-                report = PairReport(x, y, d)
-                pairs.append(report)
-                if shortest is None:
-                    # no rainbow path at any length: fails wholesale
-                    return PanconnectivityCertificate(
-                        view.n_surviving,
-                        view.m_surviving,
-                        False,
-                        pairs,
-                        (x, y, None),
-                        None,
-                        k_cap,
-                    )
-                # the shortest path is the k = d + 1 witness
-                report.witnesses[d + 1] = shortest
-                for k in range(d + 2, k_cap + 1):
-                    path = find_rainbow_path(view, x, y, k, budget=budget)
-                    if path is None:
-                        return PanconnectivityCertificate(
-                            view.n_surviving,
-                            view.m_surviving,
-                            False,
-                            pairs,
-                            (x, y, k),
-                            None,
-                            k_cap,
-                        )
-                    report.witnesses[k] = path
+        failure = _first_failure(view, k_cap, budget, pairs)
+        verdict = failure is None
     except BudgetExceeded:
-        return PanconnectivityCertificate(
-            view.n_surviving, view.m_surviving, None, pairs, None, None, k_cap
-        )
+        failure, verdict = None, None
     return PanconnectivityCertificate(
-        view.n_surviving, view.m_surviving, True, pairs, None, None, k_cap
+        view.n_surviving, view.m_surviving, verdict, pairs, failure, None, k_cap
     )
+
+
+def _first_failure(view, k_cap, budget, pairs):
+    """Sweep the pairs, appending each pair's report to `pairs` once its
+    distance is known; the first failing (x, y, k) triple, k None when no
+    rainbow path joins x and y, or None when every pair passes."""
+    alive = view.vertices
+    for i, x in enumerate(alive):
+        for y in alive[i + 1 :]:
+            report = None
+            for k, path in k_paths(view, x, y, k_cap, budget):
+                if report is None:  # the shortest path comes first
+                    report = PairReport(x, y, k - 1)
+                    pairs.append(report)
+                if path is None:
+                    return x, y, k
+                report.witnesses[k] = path
+            if report is None:
+                pairs.append(PairReport(x, y, None))
+                return x, y, None
+    return None
 
 
 def is_rainbow_ham_connected(
@@ -294,16 +302,32 @@ def recognize_clique_split(g: SimpleGraph) -> ExtremalWitness | None:
     return ExtremalWitness("single_graph_split", {"half1": a, "half2": b})
 
 
-def recognize_two_cliques(coll: GraphCollection) -> ExtremalWitness | None:
-    """All graphs identical and equal to two cliques of exactly half size."""
-    n = coll.n
+def two_clique_partition(
+    view: CollectionLike,
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The split of the surviving vertices into two cliques of equal size
+    that every surviving color is exactly, or None.
+
+    The colors must share one restricted row per vertex, so their rows are
+    compared before the first color's graph is split.
+    """
+    n = view.n_surviving
     if n % 2 != 0:
         return None
-    g0 = coll.graphs[0]
-    if any(g != g0 for g in coll.graphs[1:]):
+    rows = view.color_rows
+    first = rows[view.colors[0]]
+    if any(rows[c] != first for c in view.colors[1:]):
         return None
-    split = clique_split(g0.adj, (1 << n) - 1)
+    split = clique_split(first, view.vertex_mask)
     if split is None or len(split[0]) != n // 2:
+        return None
+    return split
+
+
+def recognize_two_cliques(coll: GraphCollection) -> ExtremalWitness | None:
+    """All graphs identical and equal to two cliques of exactly half size."""
+    split = two_clique_partition(coll)
+    if split is None:
         return None
     h1, h2 = split
     return ExtremalWitness("two_cliques", {"half1": h1, "half2": h2})

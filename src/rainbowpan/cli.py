@@ -14,11 +14,14 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import combinations
 
 from .analysis import (
     classify_ham_path_obstruction,
     is_panconnected_single,
+    is_rainbow_ham_connected,
     is_rainbow_panconnected,
+    k_paths,
     recognize_F_family,
     recognize_join_partition,
     recognize_two_cliques,
@@ -26,14 +29,7 @@ from .analysis import (
 )
 from .constructions import HypothesisViolation, constructive_panconnect, endpoint_bound_report
 from .core import GraphCollection, collection_min_degree
-from .generate import (
-    GenSpec,
-    gen_cor23_obstruction,
-    gen_extremal_F,
-    gen_lemma_shape,
-    gen_random_collection,
-    generate,
-)
+from .generate import GenSpec, gen_lemma_shape, generate
 from .io import InstanceFormatError, format_instance, format_json, read_instance
 from .search import (
     BudgetExceeded,
@@ -41,15 +37,12 @@ from .search import (
     default_budget,
     find_rainbow_ham_path,
     find_rainbow_path,
-    shortest_rainbow_path,
 )
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
-
-THEOREM_IDS = ("t1_1", "t1_5", "t2_1", "lem1", "lem5-bounds", "cor2_3")
 
 
 def _emit_json(obj, path: str | None) -> None:
@@ -65,10 +58,28 @@ def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _exit_for(verdict: bool | None) -> int:
+    """The exit code of a three-valued verdict; None is inconclusive."""
+    if verdict is None:
+        return EXIT_INCONCLUSIVE
+    return EXIT_PASS if verdict else EXIT_FAIL
+
+
 def _budget_from(args) -> SearchBudget:
-    if getattr(args, "budget", None):
+    if args.budget is not None:
         return SearchBudget(node_limit=args.budget)
     return default_budget()
+
+
+def _positive_int(text: str) -> int:
+    """The argparse type of --budget: a node limit of at least one."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -140,76 +151,67 @@ def _usage_exit(msg: str) -> int:
     return EXIT_USAGE
 
 
+def _pair_of(args, n: int) -> tuple[int, int] | None:
+    """The --pair endpoints, checked against the instance's n."""
+    if args.pair is None:
+        return None
+    x, y = args.pair
+    if not (0 <= x < n and 0 <= y < n and x != y):
+        raise SystemExit(_usage_exit(f"bad pair ({x}, {y}) for n={n}"))
+    return x, y
+
+
 def cmd_check(args) -> int:
     coll = _load(args.infile)
     budget = _budget_from(args)
     if args.k is not None and args.pair is None:
         return _usage_exit("--k needs --pair")
-    if args.pair is not None:
-        x, y = args.pair
-        if not (0 <= x < coll.n and 0 <= y < coll.n and x != y):
-            return _usage_exit(f"bad pair ({x}, {y}) for n={coll.n}")
-        return _check_pair(coll, x, y, args.k, budget, args.cert)
-    try:
-        cert = is_rainbow_panconnected(coll, budget=budget)
-    except BudgetExceeded as exc:
-        _say(f"inconclusive: {exc}")
-        return EXIT_INCONCLUSIVE
+    pair = _pair_of(args, coll.n)
+    if pair is not None:
+        return _check_pair(coll, *pair, args.k, budget, args.cert)
+    cert = is_rainbow_panconnected(coll, budget=budget)
     if args.cert:
         _emit_json(cert.to_json_dict(), args.cert)
     if cert.verdict is True:
         print(f"panconnected: yes (k capped at {cert.k_cap})")
-        return EXIT_PASS
-    if cert.verdict is False:
+    elif cert.verdict is False:
         x, y, k = cert.failure
         print(f"panconnected: no, failing triple ({x}, {y}, {k})")
-        return EXIT_FAIL
-    print("panconnected: unknown (budget exhausted)")
-    return EXIT_INCONCLUSIVE
+    else:
+        print("panconnected: unknown (budget exhausted)")
+    return _exit_for(cert.verdict)
 
 
 def _check_pair(coll, x, y, k, budget, cert_path) -> int:
-    try:
-        if k is not None:
-            path = find_rainbow_path(coll, x, y, k, budget=budget)
-            result = {
-                "pair": [x, y],
-                "k": k,
-                "found": path is not None,
-                "path": None if path is None else path.to_json_dict(),
-            }
-            _emit_json(result, cert_path)
-            if cert_path:
-                print("found" if path is not None else "absent")
-            return EXIT_PASS if path is not None else EXIT_FAIL
-        shortest = shortest_rainbow_path(coll, x, y, budget=budget)
-        dist = None if shortest is None else shortest.k - 1
-        k_cap = min(coll.n, coll.m + 1)
-        witnesses = {}
-        missing = []
-        if shortest is not None:
-            # the shortest path is the k = dist + 1 witness
-            witnesses[dist + 1] = shortest.to_json_dict()
-            for kk in range(dist + 2, k_cap + 1):
-                p = find_rainbow_path(coll, x, y, kk, budget=budget)
-                if p is None:
-                    missing.append(kk)
-                else:
-                    witnesses[kk] = p.to_json_dict()
+    k_cap = min(coll.n, coll.m + 1)
+    if k is not None:
+        if not 2 <= k <= k_cap:
+            return _usage_exit(f"--k {k} outside [2, {k_cap}] for n={coll.n}, m={coll.m}")
+        path = find_rainbow_path(coll, x, y, k, budget=budget)
         result = {
             "pair": [x, y],
-            "distance": dist,
-            "k_cap": k_cap,
-            "missing": missing,
-            "witnesses": {str(kk): w for kk, w in sorted(witnesses.items())},
+            "k": k,
+            "found": path is not None,
+            "path": None if path is None else path.to_json_dict(),
         }
         _emit_json(result, cert_path)
         if cert_path:
-            print("complete" if dist is not None and not missing else "incomplete")
-        return EXIT_PASS if dist is not None and not missing else EXIT_FAIL
-    except BudgetExceeded as exc:
-        _say(f"inconclusive: {exc}")
-        return EXIT_INCONCLUSIVE
+            print("found" if path is not None else "absent")
+        return _exit_for(path is not None)
+    found = dict(k_paths(coll, x, y, k_cap, budget))
+    missing = [kk for kk, p in found.items() if p is None]
+    result = {
+        "pair": [x, y],
+        "distance": min(found) - 1 if found else None,
+        "k_cap": k_cap,
+        "missing": missing,
+        "witnesses": {str(kk): p.to_json_dict() for kk, p in found.items() if p is not None},
+    }
+    _emit_json(result, cert_path)
+    complete = bool(found) and not missing
+    if cert_path:
+        print("complete" if complete else "incomplete")
+    return _exit_for(complete)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +269,15 @@ class CampaignReport:
     wall_time_s: float = 0.0
 
     @property
+    def verdict(self) -> bool | None:
+        """False on any fail, else None on any inconclusive trial, else True."""
+        if self.fails:
+            return False
+        return None if self.inconclusive else True
+
+    @property
     def passed(self) -> bool:
-        return self.fails == 0 and self.inconclusive == 0
+        return self.verdict is True
 
     def to_json_dict(self) -> dict:
         return {
@@ -288,113 +297,101 @@ class CampaignReport:
         }
 
 
-def _trial_t1_5(n: int, seed: int, budget: SearchBudget):
-    spec = GenSpec(n, n - 1, seed, "random", min_degree=(n + 1) // 2)
-    coll = generate(spec)
-    res = verify_theorem_1_5(coll, budget=budget)
-    if res.outcome == "holds":
-        return "pass", res.via, spec
-    if res.outcome == "inconclusive":
-        return "inconclusive", "budget", spec
-    return "fail", f"failure={res.certificate.failure} {res.rejection_reason}", spec
+# Each campaign statement: the spec of trial (n, seed), a decision on that
+# spec returning (verdict, detail of a failure), and the vertex counts it
+# applies to. A decision answers None, or raises BudgetExceeded, when the
+# budget stops it.
 
 
-def _trial_t2_1(n: int, seed: int, budget: SearchBudget):
-    from .analysis import is_rainbow_ham_connected
-
-    spec = GenSpec(n, n - 1, seed, "random", min_degree=(n + 1) // 2)
-    coll = generate(spec)
-    rep = is_rainbow_ham_connected(coll, budget=budget)
-    if rep.holds is True:
-        return "pass", None, spec
-    if rep.holds is None:
-        return "inconclusive", "budget", spec
-    return "fail", f"pair {rep.failing_pair} has no spanning path", spec
+def _threshold_spec(n: int, seed: int) -> GenSpec:
+    return GenSpec(n, n - 1, seed, "random", min_degree=(n + 1) // 2)
 
 
-def _trial_t1_1(n: int, seed: int, budget: SearchBudget):
-    target = (n + 3) // 2
-    spec = GenSpec(n, 1, seed, "random", min_degree=target)
-    coll = generate(spec)
-    ok = is_panconnected_single(coll[0], budget=budget)
-    if ok is None:
-        return "inconclusive", "budget", spec
-    return ("pass" if ok else "fail"), (None if ok else "k-path missing"), spec
+def _decide_t1_1(spec: GenSpec, budget: SearchBudget):
+    return is_panconnected_single(generate(spec)[0], budget=budget), "k-path missing"
 
 
-def _trial_lem1(n: int, seed: int, budget: SearchBudget):
-    spec = GenSpec(n, n - 1, seed, "random", min_degree=(n + 1) // 2)
-    coll = generate(spec)
-    cert = is_rainbow_panconnected(coll, budget=budget)
-    if cert.verdict is True:
-        return "pass", None, spec
-    if cert.verdict is None:
-        return "inconclusive", "budget", spec
-    return "fail", f"failing triple {cert.failure}", spec
+def _decide_t1_5(spec: GenSpec, budget: SearchBudget):
+    res = verify_theorem_1_5(generate(spec), budget=budget)
+    verdict = {"holds": True, "violated": False}.get(res.outcome)
+    return verdict, f"failure={res.certificate.failure} {res.rejection_reason}"
 
 
-def _trial_lem5(n: int, seed: int, budget: SearchBudget):
+def _decide_t2_1(spec: GenSpec, budget: SearchBudget):
+    rep = is_rainbow_ham_connected(generate(spec), budget=budget)
+    return rep.holds, f"pair {rep.failing_pair} has no spanning path"
+
+
+def _decide_lem1(spec: GenSpec, budget: SearchBudget):
+    cert = is_rainbow_panconnected(generate(spec), budget=budget)
+    return cert.verdict, f"failing triple {cert.failure}"
+
+
+def _lem5_spec(n: int, seed: int) -> GenSpec:
     variants = ("lo-lo",) if n == 7 else ("lo-lo", "lo-hi")
     variant = variants[seed % len(variants)]
-    spec = GenSpec(n, n - 1, seed, "lemma_shape:lem5", params={"variant": variant})
-    coll, handles = gen_lemma_shape("lem5", n, seed, variant)
+    return GenSpec(n, n - 1, seed, "lemma_shape:lem5", params={"variant": variant})
+
+
+def _decide_lem5(spec: GenSpec, budget: SearchBudget):
+    n = spec.n
+    coll, handles = gen_lemma_shape("lem5", n, spec.seed, spec.params["variant"])
     try:
         rep = endpoint_bound_report(
             coll, handles["path"], excluded_color=handles["excluded_color"], budget=budget
         )
     except HypothesisViolation as exc:
-        return "fail", f"hypothesis check rejected the fixture: {exc}", spec
-    except BudgetExceeded:
-        return "inconclusive", "budget", spec
+        return False, f"hypothesis check rejected the fixture: {exc}"
     allowed = {(n - 5) // 2, (n - 3) // 2}
-    ok = (
-        rep.d1 in allowed
-        and rep.d2 in allowed
-        and n - 5 <= rep.d1 + rep.d2 <= n - 4
-    )
-    return ("pass" if ok else "fail"), (None if ok else f"degrees ({rep.d1}, {rep.d2})"), spec
+    ok = rep.d1 in allowed and rep.d2 in allowed and n - 5 <= rep.d1 + rep.d2 <= n - 4
+    return ok, f"degrees ({rep.d1}, {rep.d2})"
 
 
-def _trial_cor2_3(n: int, seed: int, budget: SearchBudget):
-    case = "ii" if seed % 2 == 0 else "iii"
-    family = "two_cliques_cor23" if case == "ii" else "join_partition_cor23"
-    spec = GenSpec(n, n, seed, family)
+def _cor2_3_spec(n: int, seed: int) -> GenSpec:
+    family = "two_cliques_cor23" if seed % 2 == 0 else "join_partition_cor23"
+    return GenSpec(n, n, seed, family)
+
+
+def _decide_cor2_3(spec: GenSpec, budget: SearchBudget):
+    case = "ii" if spec.family == "two_cliques_cor23" else "iii"
     coll = generate(spec)
     cls = classify_ham_path_obstruction(coll, budget=budget)
     if cls.case != case:
-        return "fail", f"classified as {cls.case}, built {case}", spec
-    try:
-        for x in range(n):
-            for y in range(x + 1, n):
-                if find_rainbow_ham_path(coll, x, y, budget=budget) is not None:
-                    return "fail", f"unexpected spanning path for ({x}, {y})", spec
-    except BudgetExceeded:
-        return "inconclusive", "budget", spec
-    return "pass", None, spec
+        return False, f"classified as {cls.case}, built {case}"
+    for x, y in combinations(range(spec.n), 2):
+        if find_rainbow_ham_path(coll, x, y, budget=budget) is not None:
+            return False, f"unexpected spanning path for ({x}, {y})"
+    return True, None
 
 
-_TRIALS = {
-    "t1_1": _trial_t1_1,
-    "t1_5": _trial_t1_5,
-    "t2_1": _trial_t2_1,
-    "lem1": _trial_lem1,
-    "lem5-bounds": _trial_lem5,
-    "cor2_3": _trial_cor2_3,
-}
-
-_N_CONSTRAINT = {
-    "t1_1": lambda n: 4 <= n,
-    "t1_5": lambda n: n % 2 == 1 and n >= 5,
-    "t2_1": lambda n: n % 2 == 1 and n >= 5,
-    "lem1": lambda n: n == 5,
-    "lem5-bounds": lambda n: n in (7, 9),
-    "cor2_3": lambda n: n % 2 == 0 and n >= 4,
+_THEOREMS = {
+    "t1_1": (
+        lambda n, seed: GenSpec(n, 1, seed, "random", min_degree=(n + 3) // 2),
+        _decide_t1_1,
+        lambda n: 4 <= n,
+    ),
+    "t1_5": (_threshold_spec, _decide_t1_5, lambda n: n % 2 == 1 and n >= 5),
+    "t2_1": (_threshold_spec, _decide_t2_1, lambda n: n % 2 == 1 and n >= 5),
+    "lem1": (_threshold_spec, _decide_lem1, lambda n: n == 5),
+    "lem5-bounds": (_lem5_spec, _decide_lem5, lambda n: n in (7, 9)),
+    "cor2_3": (_cor2_3_spec, _decide_cor2_3, lambda n: n % 2 == 0 and n >= 4),
 }
 
 
 def _campaign_trial(task) -> dict:
     theorem, n, seed, node_limit = task
-    status, detail, spec = _TRIALS[theorem](n, seed, SearchBudget(node_limit=node_limit))
+    spec_of, decide, _ = _THEOREMS[theorem]
+    spec = spec_of(n, seed)
+    try:
+        verdict, detail = decide(spec, SearchBudget(node_limit=node_limit))
+    except BudgetExceeded:
+        verdict = None
+    if verdict is None:
+        status, detail = "inconclusive", "budget"
+    elif verdict:
+        status, detail = "pass", None
+    else:
+        status = "fail"
     return {
         "n": n,
         "seed": seed,
@@ -413,9 +410,10 @@ def run_campaign(
     jobs: int = 1,
 ) -> CampaignReport:
     """Seeded verification campaign; deterministic given identical flags."""
-    if theorem not in _TRIALS:
+    if theorem not in _THEOREMS:
         raise ValueError(f"unknown theorem id {theorem!r}")
-    bad = [n for n in n_values if not _N_CONSTRAINT[theorem](n)]
+    applies_to = _THEOREMS[theorem][2]
+    bad = [n for n in n_values if not applies_to(n)]
     if bad:
         raise ValueError(f"theorem {theorem} does not apply to n={bad}")
     tasks = [
@@ -479,11 +477,7 @@ def cmd_verify(args) -> int:
         f"{args.theorem}: {report.passes}/{total} pass, {report.fails} fail, "
         f"{report.inconclusive} inconclusive ({report.wall_time_s:.1f}s)"
     )
-    if report.fails:
-        return EXIT_FAIL
-    if report.inconclusive:
-        return EXIT_INCONCLUSIVE
-    return EXIT_PASS
+    return _exit_for(report.verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +487,7 @@ def cmd_verify(args) -> int:
 def cmd_replay(args) -> int:
     coll = _load(args.infile)
     budget = _budget_from(args)
+    pair = _pair_of(args, coll.n)
     n, m = coll.n, coll.m
     hypothesis = n % 2 == 1 and n >= 5 and m == n - 1 and 2 * collection_min_degree(coll) >= n + 1
     if not hypothesis:
@@ -500,36 +495,23 @@ def cmd_replay(args) -> int:
             "constructive replay needs odd n >= 5, m = n-1 and min degree >= "
             "(n+1)/2; emitting a search certificate only"
         )
-        try:
-            cert = is_rainbow_panconnected(coll, budget=budget)
-        except BudgetExceeded as exc:
-            _say(f"inconclusive: {exc}")
-            return EXIT_INCONCLUSIVE
+        cert = is_rainbow_panconnected(coll, budget=budget)
         _emit_json({"mode": "search", "note": note, "certificate": cert.to_json_dict()}, args.out)
         _say(note)
-        if cert.verdict is True:
-            return EXIT_PASS
-        return EXIT_FAIL if cert.verdict is False else EXIT_INCONCLUSIVE
-    if args.pair is not None:
-        pairs = [tuple(args.pair)]
-    else:
-        pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+        return _exit_for(cert.verdict)
+    pairs = [pair] if pair is not None else [(x, y) for x in range(n) for y in range(x + 1, n)]
     reports = []
     clean = True
     verdict = None
-    try:
-        for x, y in pairs:
-            rep = constructive_panconnect(coll, x, y, budget=budget)
-            reports.append(rep)
-            if rep.discrepancies:
-                clean = False
-            if rep.verdict is not None:
-                verdict = rep.verdict
-            elif rep.missing_k:
-                clean = False
-    except BudgetExceeded as exc:
-        _say(f"inconclusive: {exc}")
-        return EXIT_INCONCLUSIVE
+    for x, y in pairs:
+        rep = constructive_panconnect(coll, x, y, budget=budget)
+        reports.append(rep)
+        if rep.discrepancies:
+            clean = False
+        if rep.verdict is not None:
+            verdict = rep.verdict
+        elif rep.missing_k:
+            clean = False
     out = {
         "mode": "constructive",
         "n": n,
@@ -544,7 +526,7 @@ def cmd_replay(args) -> int:
         f"replayed {len(reports)} pair(s); branches: {', '.join(branches)}; "
         + ("no discrepancies" if clean else "DISCREPANCIES FOUND")
     )
-    return EXIT_PASS if clean else EXIT_FAIL
+    return _exit_for(clean)
 
 
 # ---------------------------------------------------------------------------
@@ -572,19 +554,19 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--pair", type=int, nargs=2, metavar=("U", "V"))
     c.add_argument("--k", type=int)
     c.add_argument("--cert", help="write certificate JSON here")
-    c.add_argument("--budget", type=int)
+    c.add_argument("--budget", type=_positive_int)
 
     cl = sub.add_parser("classify", help="recognize extremal structure")
     cl.add_argument("--in", dest="infile", required=True)
     cl.add_argument("--out")
-    cl.add_argument("--budget", type=int)
+    cl.add_argument("--budget", type=_positive_int)
 
     v = sub.add_parser("verify", help="seeded campaign for one statement")
-    v.add_argument("--theorem", required=True, choices=THEOREM_IDS)
+    v.add_argument("--theorem", required=True, choices=tuple(_THEOREMS))
     v.add_argument("--n", required=True, help="comma-separated vertex counts")
     v.add_argument("--trials", type=int, default=100)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--budget", type=int)
+    v.add_argument("--budget", type=_positive_int)
     v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--report", help="write campaign JSON here")
 
@@ -592,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--in", dest="infile", required=True)
     r.add_argument("--pair", type=int, nargs=2, metavar=("U", "V"))
     r.add_argument("--out")
-    r.add_argument("--budget", type=int)
+    r.add_argument("--budget", type=_positive_int)
     return ap
 
 
@@ -614,6 +596,10 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return command(args)
+    except BudgetExceeded as exc:
+        # a query ran out of budget, so the verdict is unknown
+        _say(f"inconclusive: {exc}")
+        return EXIT_INCONCLUSIVE
     except SystemExit as done:
         code = done.code
         return code if isinstance(code, int) else EXIT_USAGE

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Sequence
 
-from .analysis import ExtremalWitness, join_partition
+from .analysis import ExtremalWitness, join_partition, two_clique_partition
 from .core import (
     ColoredCycle,
     ColoredPath,
@@ -756,8 +756,8 @@ def endpoint_bound_report(
     one, of its vertices; both facts are checked by exhaustive search and a
     found cycle rejects the candidate. The two remaining free colors measure
     the endpoints, and the disjointness of the two index sets pins the degree
-    sum; an overlap would splice a spanning cycle, which is returned as
-    fatal evidence.
+    sum. They are disjoint once the searches found no cycle: an index in both
+    would splice the path, f1 and f2 into a rainbow (n-3)-cycle of that view.
     """
     n = coll.n
     free = _check_inputs(coll, (), None, ham_path, cover=n - 3, free=3)
@@ -788,7 +788,6 @@ def _endpoint_bounds_with(coll, ham_path, c_star, free):
     stage = "endpoint_bounds"
     n = coll.n
     verts = ham_path.vertices
-    sig = ham_path.colors
     L = n - 3
 
     def u(i: int) -> int:
@@ -800,26 +799,6 @@ def _endpoint_bounds_with(coll, ham_path, c_star, free):
         i for i in range(1, n - 5) if coll.has_edge(f1, w1, u(i + 1))
     )
     i_f2 = tuple(i for i in range(3, n - 3) if coll.has_edge(f2, u(i), w2))
-    overlap = sorted(set(i_f1) & set(i_f2))
-    if overlap:
-        i = overlap[0]
-        cv = tuple(u(t) for t in range(1, i + 1)) + tuple(
-            u(t) for t in range(L, i, -1)
-        )
-        cc = (
-            tuple(sig[t - 1] for t in range(1, i))
-            + (f2,)
-            + tuple(sig[t - 1] for t in range(L - 1, i, -1))
-            + (f1,)
-        )
-        _fatal_cycle(
-            coll,
-            stage,
-            "splice-overlap",
-            ColoredCycle(cv, cc),
-            f"index {i} lies in both endpoint sets, splicing a spanning "
-            "rainbow cycle of the view",
-        )
     d1 = sum(1 for t in range(2, L + 1) if coll.has_edge(f1, w1, u(t)))
     d2 = sum(1 for t in range(1, L) if coll.has_edge(f2, u(t), w2))
     _req(
@@ -1866,15 +1845,9 @@ def _pan_route(coll, view, x, y, z, budget):
                 found = find_rainbow_path(sub, a, b, n - 3, budget=budget)
                 if found is not None:
                     return ("ham_path", found)
-    splits = {
-        c: clique_split(view.color_rows[c], view.vertex_mask) for c in view.colors
-    }
     for j in view.colors:
-        ref = min(c for c in view.colors if c != j)
-        split = splits[ref]
-        if split is None or len(split[0]) != (n - 3) // 2:
-            continue
-        if all(splits[i] == split for i in view.colors if i != j):
+        split = two_clique_partition(restrict(view, remove_colors=(j,)))
+        if split is not None:
             return ("two_clique", split + (j,))
     return None
 

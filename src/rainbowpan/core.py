@@ -257,15 +257,8 @@ class _Snapshot:
         the row of v in the pos-th color of `colors`."""
         return tuple(row for c in self.colors for row in self.color_rows[c])
 
-    def adj_mask(self, color: int, v: int) -> int:
-        """Restricted adjacency row; zero for removed vertices/colors."""
-        return self.color_rows[color][v]
-
     def has_edge(self, color: int, u: int, v: int) -> bool:
         return bool((self.color_rows[color][u] >> v) & 1)
-
-    def degree(self, color: int, v: int) -> int:
-        return self.color_rows[color][v].bit_count()
 
 
 @dataclass(frozen=True)
@@ -329,11 +322,6 @@ class ColoredPath:
         """Vertex count (the k in 'k-path')."""
         return len(self.vertices)
 
-    def edge_items(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (u, v, color) per edge in path order."""
-        for i, c in enumerate(self.colors):
-            yield (self.vertices[i], self.vertices[i + 1], c)
-
     def reversed(self) -> "ColoredPath":
         return ColoredPath(self.vertices[::-1], self.colors[::-1])
 
@@ -361,11 +349,6 @@ class ColoredCycle:
     @property
     def length(self) -> int:
         return len(self.vertices)
-
-    def edge_items(self) -> Iterator[tuple[int, int, int]]:
-        k = len(self.vertices)
-        for i, c in enumerate(self.colors):
-            yield (self.vertices[i], self.vertices[(i + 1) % k], c)
 
     def to_json_dict(self) -> dict:
         return {"vertices": list(self.vertices), "colors": list(self.colors)}
@@ -417,13 +400,6 @@ class SubCollectionView(_Snapshot):
 
 
 CollectionLike = Union[GraphCollection, SubCollectionView]
-
-
-def as_view(coll: CollectionLike) -> CollectionLike:
-    """The view a query reads: every view and every collection is one (a
-    collection is its own full view), so this returns its argument; the
-    package's functions take either directly."""
-    return coll
 
 
 def restrict(

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from rainbowpan.core import CollectionLike, as_view
+from rainbowpan.core import CollectionLike
 
 
 def neighbor_sets(coll: CollectionLike) -> list[set[int]]:
     """Union-graph neighbor sets over surviving vertices."""
-    view = as_view(coll)
+    view = coll
     alive = set(range(view.n)) - view.removed_vertices
     out: list[set[int]] = [set() for _ in range(view.n)]
     for c, g in enumerate(view.base.graphs):
@@ -41,7 +41,7 @@ def _edge_colors(view, u: int, v: int, banned=()) -> list[int]:
 def restricted_rows(coll: CollectionLike, c: int) -> list[int]:
     """Adjacency rows of color c restricted to the view, built by hand from
     the base graph; all zero for a removed color, zero at removed vertices."""
-    view = as_view(coll)
+    view = coll
     if c in view.removed_colors:
         return [0] * view.n
     alive = [v for v in range(view.n) if v not in view.removed_vertices]
@@ -78,7 +78,7 @@ def all_simple_paths(coll: CollectionLike, x: int, y: int, max_edges: int):
 
 def edge_color_options(coll: CollectionLike, vertices, forbidden=()) -> list[list[int]]:
     """For each edge of the vertex sequence, the colors containing it."""
-    view = as_view(coll)
+    view = coll
     banned = set(forbidden)
     out = []
     for u, v in zip(vertices, vertices[1:]):
@@ -124,7 +124,7 @@ def rainbow_path_exists(coll: CollectionLike, x: int, y: int, k: int, forbidden=
 
 def rainbow_cycle_exists(coll: CollectionLike, length: int, forbidden=()) -> bool:
     """True iff some cycle on `length` vertices is rainbow-colorable."""
-    view = as_view(coll)
+    view = coll
     verts = sorted(set(range(view.n)) - view.removed_vertices)
     banned = set(forbidden)
 
@@ -189,7 +189,7 @@ def single_graph_path_exists(g, x: int, y: int, k: int) -> bool:
 
 def _surviving(coll: CollectionLike):
     """Surviving vertices and graphs of a view, from its base and removal sets."""
-    view = as_view(coll)
+    view = coll
     alive = [v for v in range(view.n) if v not in view.removed_vertices]
     graphs = [
         g for c, g in enumerate(view.base.graphs) if c not in view.removed_colors
@@ -218,7 +218,7 @@ def clique_splits(coll: CollectionLike, color: int) -> list[tuple[tuple, tuple]]
     edge between them in graph `color`, smaller side first (ties by vertex
     tuple). Enumerates every side holding the first surviving vertex."""
     alive, _ = _surviving(coll)
-    g = as_view(coll).base.graphs[color]
+    g = coll.base.graphs[color]
     found = []
     for r in range(1, len(alive)):
         for a in combinations(alive[1:], r - 1):

@@ -9,10 +9,12 @@ from rainbowpan.analysis import (
     is_rainbow_ham_connected,
     is_rainbow_panconnected,
     join_partition,
+    k_paths,
     recognize_clique_split,
     recognize_F_family,
     recognize_join_partition,
     recognize_two_cliques,
+    two_clique_partition,
     verify_theorem_1_5,
 )
 from rainbowpan.core import (
@@ -104,6 +106,24 @@ def test_certificate_asks_each_query_once(monkeypatch):
     for pair in cert.pairs:
         k = pair.distance + 1
         assert pair.witnesses[k] == find_rainbow_path(coll, pair.x, pair.y, k)
+
+
+def test_budget_stopped_certificate_keeps_the_pairs_it_measured():
+    # a pair enters the certificate once its rainbow distance is known and
+    # keeps the witnesses found before the stop
+    coll = gen_random_collection(7, 6, 4, seed=11)
+    full = is_rainbow_panconnected(coll)
+    stopped = 0
+    for limit in range(1, 30):
+        cert = is_rainbow_panconnected(coll, budget=SearchBudget(node_limit=limit))
+        if cert.verdict is not None:
+            continue
+        stopped += 1
+        assert cert.failure is None and len(cert.pairs) <= len(full.pairs)
+        for got, want in zip(cert.pairs, full.pairs):
+            assert (got.x, got.y, got.distance) == (want.x, want.y, want.distance)
+            assert all(want.witnesses[k] == path for k, path in got.witnesses.items())
+    assert stopped
 
 
 def test_certificate_json_shape():
@@ -315,9 +335,18 @@ def _first(found):
 @given(shaped_views())
 def test_view_recognizers_match_bruteforce(view):
     assert join_partition(view) == _first(join_partitions(view))
+    splits = {c: _first(clique_splits(view, c)) for c in view.colors}
     for c in view.colors:
         got = clique_split(view.color_rows[c], view.vertex_mask)
-        assert got == _first(clique_splits(view, c))
+        assert got == splits[c]
+    # two equal cliques that every surviving color splits the view into
+    halves = splits[view.colors[0]]
+    shared = (
+        halves is not None
+        and 2 * len(halves[0]) == view.n_surviving
+        and all(splits[c] == halves for c in view.colors)
+    )
+    assert two_clique_partition(view) == (halves if shared else None)
 
 
 @settings(max_examples=150, deadline=None)
@@ -345,6 +374,27 @@ def test_recognizers_match_bruteforce(coll):
         assert (w.partition["half1"], w.partition["half2"]) == halves
     else:
         assert w is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(shaped_views(max_n=7))
+def test_k_paths_sweep_matches_bruteforce(view):
+    k_cap = min(view.n_surviving, view.m_surviving + 1)
+    alive = view.vertices
+    for x, y in list(zip(alive, alive[1:]))[:3]:
+        lengths = [
+            k for k in range(2, k_cap + 1) if rainbow_path_exists(view, x, y, k)
+        ]
+        got = list(k_paths(view, x, y, k_cap))
+        if not lengths:
+            assert got == []
+            continue
+        assert [k for k, _ in got] == list(range(lengths[0], k_cap + 1))
+        for k, path in got:
+            assert (path is not None) == (k in lengths)
+            if path is not None:
+                assert (path.k, path.vertices[0], path.vertices[-1]) == (k, x, y)
+                assert verify_colored_path(view, path)
 
 
 @pytest.mark.parametrize("n", [7, 9])

@@ -1,6 +1,10 @@
 """Exit codes, JSON outputs and determinism of the command line front end."""
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +120,64 @@ def test_check_k_without_pair_is_usage(rand7):
 
 def test_check_bad_pair(rand7):
     assert main(["check", "--in", str(rand7), "--pair", "0", "9"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("k", ["99", "8", "1", "0", "-3"])
+def test_check_k_out_of_range_is_usage(rand7, capsys, k):
+    code = main(["check", "--in", str(rand7), "--pair", "0", "1", "--k", k])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "--k" in captured.err and "outside [2, 7]" in captured.err
+    assert not captured.out
+
+
+def test_check_k_beyond_the_colors_is_usage(tmp_path, capsys):
+    # n = 7 with 3 colors: no rainbow path has more than 4 vertices
+    sparse = write_instance_via_gen(tmp_path, "--family", "random", "--n", "7",
+                                    "--m", "3", "--min-degree", "4", "--seed", "0")
+    code = main(["check", "--in", str(sparse), "--pair", "0", "1", "--k", "6"])
+    assert code == EXIT_USAGE
+    assert "outside [2, 4]" in capsys.readouterr().err
+    assert main(["check", "--in", str(sparse), "--pair", "0", "1", "--k", "4"]) in (
+        EXIT_PASS, EXIT_FAIL
+    )
+
+
+@pytest.mark.parametrize("pair", [("0", "0"), ("0", "42"), ("-1", "2")])
+def test_replay_bad_pair_is_usage(rand7, capsys, pair):
+    code = main(["replay", "--in", str(rand7), "--pair", *pair])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "bad pair" in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("budget", ["-5", "0"])
+@pytest.mark.parametrize("command", ["check", "classify", "verify", "replay"])
+def test_nonpositive_budget_is_usage(rand7, capsys, command, budget):
+    if command == "verify":
+        args = ["verify", "--theorem", "t1_5", "--n", "5", "--trials", "1"]
+    else:
+        args = [command, "--in", str(rand7)]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--budget", budget])
+    assert exc.value.code == EXIT_USAGE
+    assert f"'{budget}' is not a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "--pair", "0", "1", "--k", "99"],
+    ["check", "--pair", "0", "1", "--k", "1"],
+    ["replay", "--pair", "0", "0"],
+    ["replay", "--pair", "0", "42"],
+    ["check", "--budget", "-5"],
+])
+def test_bad_input_exits_2_without_traceback(rand7, args):
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cmd = [sys.executable, "-m", "rainbowpan.cli", *args[:1], "--in", str(rand7), *args[1:]]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    assert done.returncode == EXIT_USAGE
+    assert "Traceback" not in done.stderr and not done.stdout
 
 
 def test_check_missing_file(tmp_path):
@@ -279,12 +341,15 @@ def test_verify_jobs_merge_matches_serial(tmp_path, capsys):
 
 def test_failing_campaign_embeds_reproducer(monkeypatch):
     # wiring check: a failed trial must carry a one-command reproducer
-    def always_fail(n, seed, budget):
-        from rainbowpan.generate import GenSpec
+    from rainbowpan.generate import GenSpec
 
-        return "fail", "synthetic", GenSpec(n, 1, seed, "random", min_degree=4)
+    def spec_of(n, seed):
+        return GenSpec(n, 1, seed, "random", min_degree=4)
 
-    monkeypatch.setitem(cli._TRIALS, "t1_1", always_fail)
+    def always_fail(spec, budget):
+        return False, "synthetic"
+
+    monkeypatch.setitem(cli._THEOREMS, "t1_1", (spec_of, always_fail, lambda n: True))
     report = run_campaign("t1_1", [5], trials=2, base_seed=9, node_limit=1000)
     assert report.fails == 2 and not report.passed
     entry = report.failing[0]
@@ -294,10 +359,14 @@ def test_failing_campaign_embeds_reproducer(monkeypatch):
 
 
 def test_t1_1_budget_stop_is_inconclusive_with_its_spec():
-    status, detail, spec = cli._trial_t1_1(5, 0, cli.SearchBudget(node_limit=1))
+    spec_of, decide, _ = cli._THEOREMS["t1_1"]
+    spec = spec_of(5, 0)
+    verdict, _ = decide(spec, cli.SearchBudget(node_limit=1))
+    assert verdict is None
+    trial = cli._campaign_trial(("t1_1", 5, 0, 1))
+    status, detail = trial["status"], trial["detail"]
     assert (status, detail) == ("inconclusive", "budget")
     assert (spec.n, spec.m, spec.family) == (5, 1, "random")
-    trial = cli._campaign_trial(("t1_1", 5, 0, 1))
     assert trial["status"] == "inconclusive"
     assert trial["spec"] == spec.to_json_dict()
     report = run_campaign("t1_1", [5], trials=2, base_seed=0, node_limit=1)

@@ -11,7 +11,6 @@ from rainbowpan import constructions
 from rainbowpan.analysis import ExtremalWitness, join_partition
 from rainbowpan.constructions import (
     HypothesisViolation,
-    _endpoint_bounds_with,
     _Frame,
     _hp_close,
     _pan_route,
@@ -196,6 +195,9 @@ def test_endpoint_bounds_overlap_is_fatal():
     assert exc.value.fatal
     assert exc.value.claim == "cycle-free"
     assert "cycle" in exc.value.evidence
+    # the spliced cycle is an (n-3)-cycle of the view, found by search first
+    cycle = assert_fatal_cycle(exc.value, "cycle-free", h["path"].k)
+    assert check_colored_cycle(coll, cycle) is None
 
 
 # -- spanning path of the reduced view --------------------------------------------
@@ -578,20 +580,6 @@ def test_near_cycle_detached_vertex_is_a_fatal_spanning_cycle():
     cycle = assert_fatal_cycle(exc.value, "detached-vertex", len(ring) + 1)
     assert check_colored_cycle(coll, cycle) is None
     assert set(cycle.vertices) == set(ring) | {w}
-
-
-def test_endpoint_splice_overlap_is_a_fatal_cycle():
-    coll, h = gen_lemma_shape("lem5", 9, seed=0, variant="overlap")
-    path = h["path"]
-    free = [c for c in range(coll.m) if c not in path.colors]
-    with pytest.raises(HypothesisViolation) as exc:
-        _endpoint_bounds_with(coll, path, h["excluded_color"], free)
-    cycle = assert_fatal_cycle(exc.value, "splice-overlap", path.k)
-    assert check_colored_cycle(coll, cycle) is None
-    # the public entry finds the same obstruction by search first
-    with pytest.raises(HypothesisViolation) as exc:
-        endpoint_bound_report(coll, path, excluded_color=h["excluded_color"])
-    assert check_colored_cycle(coll, assert_fatal_cycle(exc.value, "cycle-free", path.k)) is None
 
 
 def test_builders_reject_malformed_inputs():

@@ -11,7 +11,6 @@ from rainbowpan.core import (
     GraphCollection,
     SimpleGraph,
     SubCollectionView,
-    as_view,
     bits,
     build_graph,
     check_colored_cycle,
@@ -108,8 +107,13 @@ class TestColoredPath:
         assert p.k == 3
 
     def test_edge_items(self):
-        p = ColoredPath((3, 1, 2), (5, 0))
-        assert list(p.edge_items()) == [(3, 1, 5), (1, 2, 0)]
+        # edge i joins vertices i and i + 1 in colors[i]
+        g31, g12 = build_graph(4, [(3, 1)]), build_graph(4, [(1, 2)])
+        coll = GraphCollection(4, (g12,) + (build_graph(4, []),) * 4 + (g31,))
+        assert check_colored_path(coll, ColoredPath((3, 1, 2), (5, 0))) is None
+        assert check_colored_path(coll, ColoredPath((3, 1, 2), (0, 5))) == (
+            "edge (3, 1) missing from graph 0"
+        )
 
     def test_reversed(self):
         p = ColoredPath((0, 1, 2), (4, 7))
@@ -132,7 +136,14 @@ class TestColoredPath:
 class TestColoredCycle:
     def test_closing_edge_included(self):
         c = ColoredCycle((0, 1, 2), (5, 6, 7))
-        assert list(c.edge_items()) == [(0, 1, 5), (1, 2, 6), (2, 0, 7)]
+        empty = build_graph(3, [])
+        graphs = [empty] * 8
+        graphs[5], graphs[6] = build_graph(3, [(0, 1)]), build_graph(3, [(1, 2)])
+        assert check_colored_cycle(GraphCollection(3, tuple(graphs)), c) == (
+            "edge (2, 0) missing from graph 7"
+        )
+        graphs[7] = build_graph(3, [(2, 0)])
+        assert check_colored_cycle(GraphCollection(3, tuple(graphs)), c) is None
         assert c.length == 3
 
     def test_rejects_short_cycle(self):
@@ -153,27 +164,29 @@ def _demo_collection() -> GraphCollection:
 
 class TestSubCollectionView:
     def test_as_view_identity(self):
-        view = as_view(_demo_collection())
-        assert as_view(view) is view
+        # a collection and each of its views are read as views directly
+        coll = _demo_collection()
+        view = restrict(coll, remove_vertices=[4])
+        assert coll.base is coll and view.base is coll
+        assert restrict(coll) == coll and restrict(view) == view
 
     def test_full_view_surfaces_everything(self):
-        coll = _demo_collection()
-        view = as_view(coll)
+        view = _demo_collection()
         assert view.vertices == (0, 1, 2, 3, 4)
         assert view.colors == (0, 1, 2)
         assert view.n_surviving == 5 and view.m_surviving == 3
 
     def test_removed_vertex_disappears_from_rows(self):
         view = restrict(_demo_collection(), remove_vertices=[2])
-        assert view.adj_mask(1, 2) == 0
+        assert view.color_rows[1][2] == 0
         assert not view.has_edge(0, 1, 2)
         assert view.has_edge(0, 0, 1)
-        assert view.degree(0, 1) == 1  # edge (1,2) gone, (0,1) stays
+        assert view.color_rows[0][1].bit_count() == 1  # edge (1,2) gone, (0,1) stays
 
     def test_removed_color_disappears(self):
         view = restrict(_demo_collection(), remove_colors=[1])
         assert view.colors == (0, 2)
-        assert view.adj_mask(1, 0) == 0
+        assert view.color_rows[1][0] == 0
 
     def test_restrict_composes_against_base(self):
         coll = _demo_collection()
@@ -205,7 +218,7 @@ class TestSubCollectionView:
                     for u in view.vertices
                     if u != v and coll.has_edge(c, u, v)
                 )
-                assert view.degree(c, v) == manual
+                assert view.color_rows[c][v].bit_count() == manual
 
 
 class TestPathChecks:
@@ -296,7 +309,6 @@ class TestViewSnapshot:
         for c in range(view.base.m):
             ref = oracles.restricted_rows(view, c)
             assert list(view.color_rows[c]) == ref
-            assert [view.adj_mask(c, v) for v in range(view.n)] == ref
 
     @given(views())
     def test_union_rows_match_reference(self, view):
@@ -326,14 +338,15 @@ class TestViewSnapshot:
             assert list(sub.color_rows[c]) == oracles.restricted_rows(sub, c)
 
     def test_collection_shares_one_full_view(self):
+        # every query on the collection reads the collection's own snapshot
         coll = _demo_collection()
-        assert as_view(coll) is as_view(coll)
-        assert as_view(coll) == SubCollectionView(coll)
+        assert coll.base.color_rows is coll.color_rows
+        assert coll == SubCollectionView(coll)
 
     def test_collection_is_its_own_full_view(self):
         coll = _demo_collection()
         full = SubCollectionView(coll)
-        assert as_view(coll) is coll and coll.base is coll
+        assert coll.base is coll
         assert not coll.removed_vertices and not coll.removed_colors
         assert full == coll and hash(full) == hash(coll)
         assert restrict(coll, [1]) != coll and restrict(coll, [1]) == restrict(full, [1])

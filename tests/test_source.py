@@ -1,5 +1,7 @@
 """Checks on the package source itself."""
 import ast
+import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -74,3 +76,37 @@ def test_generated_kernel_quotes_current_pyx():
             stale.append((number, quoted, pyx[number - 1].rstrip()))
     assert quotes > 200
     assert not stale, f"_kernel.c quotes lines _kernel.pyx no longer has: {stale[:5]}"
+
+
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
+
+
+def test_benchmark_tracer_entry_points_resolve():
+    """The benchmark's tracer `getattr`s every entry point it lists, so a
+    renamed or removed function breaks traced benchmark runs."""
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{module}.{name}"
+        for module, names in tracing.LAYERS.values()
+        for name in names
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    kernels = importlib.import_module("rainbowpan.kernels")
+    missing += [f"rainbowpan.kernels.{name}" for name in ("find_path", "find_cycle")
+                if not hasattr(kernels, name)]
+    assert len(tracing.LAYERS) >= 8
+    assert not missing, f"perfbench/tracing.py names missing entry points: {missing}"
+
+
+def test_benchmark_workload_names_resolve():
+    """Every `rp.<module>.<name>` the benchmark's workloads read exists."""
+    used = set(re.findall(r"\brp\.(\w+)\.(\w+)", (PERFBENCH / "workloads.py").read_text()))
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(used)
+        if not hasattr(importlib.import_module(f"rainbowpan.{module}"), name)
+    ]
+    assert len(used) >= 15
+    assert not missing, f"perfbench/workloads.py reads missing names: {missing}"
