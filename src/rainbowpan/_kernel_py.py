@@ -1,18 +1,31 @@
 """Pure-Python search kernel: exact k-path / k-cycle search with an
 injective edge->color assignment maintained incrementally.
 
-This is the reference implementation. rainbowpan._kernel (Cython) mirrors it
-operation for operation; both must return byte-identical witnesses and node
-counts, which the parity tests pin down.
+This is the reference implementation. rainbowpan._kernel (Cython) mirrors
+its search operation for operation: both kernels make the same choices (the
+same candidates in the same order, the same augmenting steps) and return
+identical witnesses and node counts, which the parity tests pin down.
 
 Interface contract (shared by both kernels):
-  adj is a flat list of m*n ints, adj[c*n + v] = bitmask of v's neighbors in
-  color c, already restricted to surviving vertices and colors. Color values
-  in results are positions 0..m-1 into that array; the caller re-maps them to
-  base collection ids.
+  adj is a flat sequence of m*n ints, adj[c*n + v] = bitmask of v's neighbors
+  in color c, already restricted to surviving vertices and colors. Color
+  values in results are positions 0..m-1 into that array; the caller re-maps
+  them to base collection ids.
 
 Determinism: candidates are tried by (fewest colors carrying the new edge,
 then smallest vertex id); augmenting steps scan colors in ascending order.
+
+Tables: the search reads its input through tables that depend on the input
+alone: the union rows, the BFS distances by (source, scope), and for each
+vertex `last` an option row whose entry v is the mask of colors joining last
+and v. This kernel caches them (`_Tables`) where the compiled kernel
+recomputes them in C (rows and distances per call, option masks per
+search node). A one-slot cache keeps the tables of the last tuple `adj`
+together with that tuple: a tuple cannot change, and holding it keeps its
+id from being reused, so the same object means the same input. The search
+layer passes each view's cached kernel input, one tuple, so every query on
+one view reuses its tables. A list, which may change between calls, gets
+tables for one call only.
 """
 from __future__ import annotations
 
@@ -27,7 +40,7 @@ class _Budget(Exception):
     pass
 
 
-def _union_rows(n: int, adj: list[int]) -> list[int]:
+def _union_rows(n: int, adj) -> list[int]:
     rows = []
     for v in range(n):
         row = 0
@@ -63,15 +76,69 @@ def _bfs(n: int, rows: list[int], src: int, vmask: int) -> list[int]:
     return dist
 
 
+class _Tables:
+    """The tables of one input: union rows built at once, BFS distances and
+    option rows built on first use. Each entry depends on the input alone,
+    so two calls that share the tables and fill one entry build the same
+    value."""
+
+    __slots__ = ("n", "m", "adj", "rows", "dists", "options")
+
+    def __init__(self, n, m, adj):
+        self.n = n
+        self.m = m
+        self.adj = adj
+        self.rows = _union_rows(n, adj)
+        self.dists: dict[tuple[int, int], list[int]] = {}
+        self.options: list[list[int] | None] = [None] * n
+
+    def dist(self, src: int, scope: int) -> list[int]:
+        key = (src, scope)
+        dist = self.dists.get(key)
+        if dist is None:
+            dist = self.dists[key] = _bfs(self.n, self.rows, src, scope)
+        return dist
+
+    def option_row(self, last: int) -> list[int]:
+        """Entry v is the mask of colors joining last and v."""
+        row = self.options[last]
+        if row is None:
+            row = [0] * self.n
+            bit = 1
+            for rest in self.adj[last::self.n]:  # last's row in each color
+                while rest:
+                    low = rest & -rest
+                    row[low.bit_length() - 1] |= bit
+                    rest ^= low
+                bit <<= 1
+            self.options[last] = row
+        return row
+
+
+_cached: _Tables | None = None  # the tables of the last tuple input
+
+
+def _tables(n: int, m: int, adj) -> _Tables:
+    """The cached tables when adj is the tuple the slot holds, else new ones,
+    which take the slot when adj is a tuple."""
+    global _cached
+    tables = _cached
+    if tables is not None and tables.adj is adj and tables.n == n and tables.m == m:
+        return tables
+    tables = _Tables(n, m, adj)
+    if type(adj) is tuple:
+        _cached = tables
+    return tables
+
+
 class _Search:
     """Shared DFS state for one kernel call."""
 
-    def __init__(self, n, m, adj, node_limit):
-        self.n = n
-        self.adj = adj
+    def __init__(self, tables: _Tables, node_limit):
+        self.tables = tables
         self.node_limit = node_limit
         self.nodes = 0
-        self.color_edge = [-1] * m  # color -> edge index
+        self.color_edge = [-1] * tables.m  # color -> edge index
         self.edge_color: list[int] = []  # edge index -> color
         self.opts: list[int] = []  # edge index -> option mask at assignment time
 
@@ -126,22 +193,19 @@ class _Search:
     # -- candidate enumeration --
 
     def ordered_candidates(self, last: int, cand_mask: int) -> list[tuple[int, int, int]]:
-        """(option count, vertex, option mask) sorted fail-first. As in
-        `_order_candidates` of `_kernel.pyx`, each candidate vertex tests
-        every color; vertices are distinct, so the sort is by (count, vertex)."""
+        """(option count, vertex, option mask) sorted fail-first, one lookup
+        in last's option row per candidate vertex. `_order_candidates` of
+        `_kernel.pyx` makes the same list by testing every color for every
+        candidate; vertices are distinct, so the sort is by (count, vertex)."""
         out = []
-        col = self.adj[last::self.n]  # last's row in each color
+        row = self.tables.option_row(last)
         while cand_mask:
             low = cand_mask & -cand_mask
             cand_mask ^= low
-            om = 0
-            bit = 1
-            for row in col:
-                if row & low:
-                    om |= bit
-                bit <<= 1
+            v = low.bit_length() - 1
+            om = row[v]
             if om:
-                out.append((om.bit_count(), low.bit_length() - 1, om))
+                out.append((om.bit_count(), v, om))
         out.sort()
         return out
 
@@ -149,11 +213,12 @@ class _Search:
 def find_path(n, m, adj, x, y, k, vmask, node_limit):
     """Exact k-vertex rainbow path from x to y. Returns (status, vertices,
     colors, nodes); vertices/colors are None unless status == FOUND."""
-    rows = _union_rows(n, adj)
-    dist = _bfs(n, rows, y, vmask)
+    tables = _tables(n, m, adj)
+    rows = tables.rows
+    dist = tables.dist(y, vmask)
     if dist[x] > k - 1:
         return (NONE, None, None, 0)
-    st = _Search(n, m, adj, node_limit)
+    st = _Search(tables, node_limit)
     path = [x]
     ybit = 1 << y
 
@@ -197,8 +262,9 @@ def find_path(n, m, adj, x, y, k, vmask, node_limit):
 def find_cycle(n, m, adj, length, vmask, node_limit):
     """Rainbow cycle on exactly `length` vertices. Start vertex is the cycle
     minimum; reflections are broken by second < last vertex id."""
-    rows = _union_rows(n, adj)
-    st = _Search(n, m, adj, node_limit)
+    tables = _tables(n, m, adj)
+    rows = tables.rows
+    st = _Search(tables, node_limit)
     result = None
 
     rest = vmask
@@ -210,7 +276,7 @@ def find_cycle(n, m, adj, length, vmask, node_limit):
         if higher.bit_count() + 1 < length:
             break
         scope = higher | (1 << s)
-        dist = _bfs(n, rows, s, scope)
+        dist = tables.dist(s, scope)
         path = [s]
         sbit = 1 << s
 
@@ -223,14 +289,8 @@ def find_cycle(n, m, adj, length, vmask, node_limit):
                     return False
                 if not (rows[last] >> s) & 1:
                     return False
-                om = 0
-                bit = 1
-                for row in st.adj[last::st.n]:
-                    if row & sbit:
-                        om |= bit
-                    bit <<= 1
                 snap = st.snapshot()
-                if st.push_edge(om):
+                if st.push_edge(tables.option_row(last)[s]):
                     return True
                 st.restore(snap)
                 return False

@@ -68,7 +68,10 @@ def _exit_for(verdict: bool | None) -> int:
 def _budget_from(args) -> SearchBudget:
     if args.budget is not None:
         return SearchBudget(node_limit=args.budget)
-    return default_budget()
+    try:
+        return default_budget()
+    except ValueError as exc:
+        raise SystemExit(_usage_exit(str(exc)))
 
 
 def _positive_int(text: str) -> int:
@@ -223,19 +226,20 @@ def cmd_classify(args) -> int:
     budget = _budget_from(args)
     report: dict = {"n": coll.n, "m": coll.m, "min_degree": collection_min_degree(coll)}
     witness = recognize_F_family(coll)
+    stopped = False
     if coll.m == coll.n:
         # the classification runs the two-clique and join recognizers itself
         # (before any search), so its witness stands in for theirs
-        try:
-            cls = classify_ham_path_obstruction(coll, budget=budget)
-            report["case"] = cls.case
-            report["within_hypothesis"] = cls.within_hypothesis
-            if cls.ham_report is not None:
-                report["ham_connected"] = cls.ham_report.holds
-            if witness is None:
-                witness = cls.witness
-        except BudgetExceeded:
-            report["case"] = "unknown"
+        cls = classify_ham_path_obstruction(coll, budget=budget)
+        ham = cls.ham_report
+        # case i is a search verdict; a budget stop leaves it unknown
+        stopped = ham is not None and ham.holds is None
+        report["case"] = "unknown" if stopped else cls.case
+        report["within_hypothesis"] = cls.within_hypothesis
+        if ham is not None:
+            report["ham_connected"] = ham.holds
+        if witness is None:
+            witness = cls.witness
     else:
         if witness is None:
             witness = recognize_two_cliques(coll)
@@ -246,7 +250,7 @@ def cmd_classify(args) -> int:
     _emit_json(report, args.out)
     if args.out:
         print(report["kind"])
-    return EXIT_PASS
+    return _exit_for(None) if stopped else EXIT_PASS
 
 
 # ---------------------------------------------------------------------------

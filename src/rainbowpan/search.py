@@ -10,8 +10,10 @@ The kernel input comes from the view's snapshot (`_Snapshot` in core):
 the flat adjacency over every surviving color is built once per view
 and reused by every query on it; a query with forbidden colors concatenates
 the view's cached per-color rows instead. A collection is its own full view,
-so callers that pass the collection share its snapshot. Every witness a
-kernel returns is re-checked against the view.
+so callers that pass the collection share its snapshot. The pure-Python
+kernel keeps the tables it derives from that tuple (union rows, distances,
+option rows) until it is given another tuple, so queries on one view share
+those too. Every witness a kernel returns is re-checked against the view.
 
 A query for a path or cycle through every surviving vertex is refuted at the
 root, without a kernel call, when the view's union graph is disconnected or
@@ -57,11 +59,21 @@ class SearchBudget:
 
 
 def default_budget() -> SearchBudget:
-    """Budget from the RAINBOW_BUDGET env var, or the 50M-node default."""
+    """Budget from the RAINBOW_BUDGET env var, or the 50M-node default.
+
+    Raises ValueError, naming the variable, when it is set to anything but a
+    positive integer.
+    """
     raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw:
-        return SearchBudget(node_limit=int(raw))
-    return SearchBudget()
+    if not raw:
+        return SearchBudget()
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0
+    if limit <= 0:
+        raise ValueError(f"{BUDGET_ENV_VAR}={raw!r} is not a positive integer")
+    return SearchBudget(node_limit=limit)
 
 
 class BudgetExceeded(Exception):

@@ -193,6 +193,20 @@ def test_check_env_budget(rand7, monkeypatch):
     assert main(["check", "--in", str(rand7)]) == EXIT_INCONCLUSIVE
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+@pytest.mark.parametrize("command", ["check", "classify", "verify", "replay"])
+def test_bad_env_budget_is_usage(rand7, capsys, monkeypatch, command, value):
+    monkeypatch.setenv("RAINBOW_BUDGET", value)
+    if command == "verify":
+        args = ["verify", "--theorem", "t1_5", "--n", "5", "--trials", "1"]
+    else:
+        args = [command, "--in", str(rand7)]
+    assert main(args) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"RAINBOW_BUDGET='{value}' is not a positive integer\n"
+    assert not captured.out
+
+
 # -- classify ----------------------------------------------------------------
 
 
@@ -229,6 +243,17 @@ def test_classify_join_at_size_limit(tmp_path, capsys):
     partition = payload["witness"]["partition"]
     assert partition["h"] == sorted(perm[:30])
     assert partition["i"] == sorted(perm[30:])
+
+
+def test_classify_stopped_by_the_budget_is_unknown(tmp_path, capsys):
+    inst = write_instance_via_gen(tmp_path, "--family", "random", "--n", "8", "--m", "8",
+                                  "--min-degree", "4", "--seed", "0")
+    assert main(["classify", "--in", str(inst), "--budget", "2"]) == EXIT_INCONCLUSIVE
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["case"] == "unknown" and payload["ham_connected"] is None
+    assert main(["classify", "--in", str(inst)]) == EXIT_PASS
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["case"] == "i" and payload["ham_connected"] is True
 
 
 def test_classify_dense_random(rand7, capsys):

@@ -261,8 +261,9 @@ class TestWideParity:
 
 
 def test_ordered_candidates_skip_vertices_without_options():
-    """Candidates come sorted by (option count, vertex); a vertex that no
-    color joins to `last` is left out even when the mask offers it."""
+    """Candidates come sorted by (option count, vertex), each read from
+    last's option row; a vertex that no color joins to `last` is left out
+    even when the mask offers it."""
     rng = random.Random("oc")
     for _ in range(200):
         n = rng.choice((12, 40, 64))
@@ -276,5 +277,98 @@ def test_ordered_candidates_skip_vertices_without_options():
             if (cand >> v) & 1 and om:
                 expect.append((om.bit_count(), v, om))
         expect.sort(key=lambda t: (t[0], t[1]))
-        got = _kernel_py._Search(n, m, adj, 10).ordered_candidates(last, cand)
+        tables = _kernel_py._tables(n, m, tuple(adj))
+        got = _kernel_py._Search(tables, 10).ordered_candidates(last, cand)
         assert got == expect
+
+
+def queries(seed: str, n: int, m: int, vmask: int):
+    """Path and cycle queries on one input, in a seeded order: (kind, args
+    after adj)."""
+    rng = random.Random(seed)
+    alive = survivors(vmask)
+    asked = []
+    for _ in range(8):
+        x, y = rng.sample(alive, 2)
+        asked.append(("find_path", (x, y, rng.randint(2, min(len(alive), m + 1)), vmask, 10**9)))
+    for length in range(3, min(len(alive), m) + 1):
+        asked.append(("find_cycle", (length, vmask, 10**9)))
+    asked.append(("find_path", (alive[0], alive[-1], min(len(alive), m + 1), vmask, 5)))
+    rng.shuffle(asked)
+    return asked
+
+
+class TestCachedParity:
+    """The pure kernel keeps the tables of the last tuple input. Queries that
+    hit, miss or evict that cache give what the compiled kernel gives and
+    what a cold call (a list, whose tables last one call) gives."""
+
+    def ask(self, kernel, kind, n, m, adj, args):
+        got = getattr(_kernel_py, kind)(n, m, adj, *args)
+        assert got == getattr(kernel, kind)(n, m, adj, *args), (kind, args)
+        assert got == getattr(_kernel_py, kind)(n, m, list(adj), *args), (kind, args)
+        return got
+
+    def test_queries_on_one_tuple_hit_the_cache(self, kernel):
+        for seed in range(30):
+            n, m, adj, vmask = random_dense(f"tc:{seed}")
+            adj = tuple(adj)
+            for kind, args in queries(f"tc:q:{seed}", n, m, vmask):
+                self.ask(kernel, kind, n, m, adj, args)
+                tables = _kernel_py._cached
+                assert tables is not None and tables.adj is adj
+            assert any(row is not None for row in tables.options) and tables.dists
+
+    def test_distances_are_kept_per_source_and_scope(self, kernel):
+        """Cycle searches cache distances over the vertices above each start;
+        a later path query to that start needs them over the whole mask."""
+        for seed in range(30):
+            n, m, adj, vmask = random_dense(f"ts:{seed}")
+            adj = tuple(adj)
+            alive = survivors(vmask)
+            for length in range(min(len(alive), m), 2, -1):
+                self.ask(kernel, "find_cycle", n, m, adj, (length, vmask, 10**9))
+            for y in alive[1:]:
+                for k in range(2, min(len(alive), m + 1) + 1):
+                    self.ask(kernel, "find_path", n, m, adj, (alive[0], y, k, vmask, 10**9))
+
+    def test_interleaved_inputs_evict_each_other(self, kernel):
+        for seed in range(20):
+            inputs = []
+            for side in "ab":
+                n, m, adj, vmask = random_dense(f"ti:{side}:{seed}")
+                inputs.append((n, m, tuple(adj), queries(f"ti:q:{side}:{seed}", n, m, vmask)))
+            (na, ma, a, qa), (nb, mb, b, qb) = inputs
+            for (ka, args_a), (kb, args_b) in zip(qa, qb):
+                self.ask(kernel, ka, na, ma, a, args_a)
+                assert _kernel_py._cached.adj is a
+                self.ask(kernel, kb, nb, mb, b, args_b)
+                assert _kernel_py._cached.adj is b
+
+    def test_equal_distinct_tuple_gets_its_own_tables(self, kernel):
+        for seed in range(20):
+            n, m, adj, vmask = random_dense(f"te:{seed}")
+            first, second = tuple(adj), tuple(list(adj))
+            assert first == second and first is not second
+            for kind, args in queries(f"te:q:{seed}", n, m, vmask):
+                a = self.ask(kernel, kind, n, m, first, args)
+                assert self.ask(kernel, kind, n, m, second, args) == a
+                assert _kernel_py._cached.adj is second
+
+    def test_list_mutated_between_calls_is_never_served_stale(self, kernel):
+        for seed in range(20):
+            n, m, adj, vmask = random_dense(f"tm:{seed}")
+            alive = survivors(vmask)
+            rng = random.Random(f"tm:e:{seed}")
+            answered = []
+            for kind, args in queries(f"tm:q:{seed}", n, m, vmask):
+                got = getattr(_kernel_py, kind)(n, m, adj, *args)
+                answered.append((kind, args, list(adj), got))
+                for _ in range(3):  # toggle edges in place before the next call
+                    c = rng.randrange(m)
+                    u, v = rng.sample(alive, 2)
+                    adj[c * n + u] ^= 1 << v
+                    adj[c * n + v] ^= 1 << u
+            for kind, args, state, got in answered:
+                assert got == getattr(kernel, kind)(n, m, state, *args), (seed, kind, args)
+                assert got == getattr(_kernel_py, kind)(n, m, state, *args), (seed, kind, args)

@@ -443,28 +443,32 @@ class TestShortestPath:
 
 def test_pure_kernel_calls_leave_no_reference_cycles():
     """The pure kernel's recursive search closure must not outlive its call
-    in a reference cycle, whatever the call ends in."""
+    in a reference cycle, whatever the call ends in, on a list input (tables
+    for one call) and on a tuple input (cached tables, hit by every call
+    after the first)."""
     import gc
 
     from rainbowpan import _kernel_py as kp
 
     n = m = 6
     ring = [(1 << (v + 1) % n) | (1 << (v - 1) % n) for v in range(n)]  # C6
-    adj = ring * m
     full = (1 << n) - 1
-    calls = [
-        (kp.FOUND, lambda: kp.find_path(n, m, adj, 0, 3, 4, full, 10**6)),
-        (kp.NONE, lambda: kp.find_path(n, m, adj, 0, 1, 3, full, 10**6)),
-        (kp.BUDGET, lambda: kp.find_path(n, m, adj, 0, 1, 6, full, 1)),
-        (kp.FOUND, lambda: kp.find_cycle(n, m, adj, 6, full, 10**6)),
-        (kp.NONE, lambda: kp.find_cycle(n, m, adj, 4, full, 10**6)),
-        (kp.BUDGET, lambda: kp.find_cycle(n, m, adj, 6, full, 1)),
-    ]
-    gc.collect()
-    gc.disable()
-    try:
-        for status, call in calls:
-            assert call()[0] == status
-            assert gc.collect() == 0
-    finally:
-        gc.enable()
+    for adj in (ring * m, tuple(ring * m)):
+        calls = [
+            (kp.FOUND, lambda: kp.find_path(n, m, adj, 0, 3, 4, full, 10**6)),
+            (kp.NONE, lambda: kp.find_path(n, m, adj, 0, 1, 3, full, 10**6)),
+            (kp.BUDGET, lambda: kp.find_path(n, m, adj, 0, 1, 6, full, 1)),
+            (kp.FOUND, lambda: kp.find_cycle(n, m, adj, 6, full, 10**6)),
+            (kp.NONE, lambda: kp.find_cycle(n, m, adj, 4, full, 10**6)),
+            (kp.BUDGET, lambda: kp.find_cycle(n, m, adj, 6, full, 1)),
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(2):
+                for status, call in calls:
+                    assert call()[0] == status
+                    assert gc.collect() == 0
+        finally:
+            gc.enable()
+    assert kp._cached.adj is adj
