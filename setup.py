@@ -1,22 +1,14 @@
 """Build script for the optional compiled search kernel.
 
-The package works without the extension: rainbowpan.kernels falls back to
-the pure-Python twin when the compiled module is absent.
+The extension is built from the committed C source, so no Cython is needed.
+The package works without it: rainbowpan.kernels falls back to the
+pure-Python twin when the compiled module is absent, and a failed compile
+is not an error.
 """
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [Extension("rainbowpan._kernel", ["src/rainbowpan/_kernel.pyx"])],
-        compiler_directives={
-            "language_level": "3",
-            "boundscheck": False,
-            "wraparound": False,
-        },
-    )
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension("rainbowpan._kernel", ["src/rainbowpan/_kernel.c"], optional=True)
+    ]
+)

@@ -75,7 +75,7 @@ def _budget_from(args) -> SearchBudget:
 
 
 def _positive_int(text: str) -> int:
-    """The argparse type of --budget: a node limit of at least one."""
+    """The argparse type of --budget, --trials and --jobs: at least one."""
     try:
         value = int(text)
     except ValueError:
@@ -416,6 +416,10 @@ def run_campaign(
     """Seeded verification campaign; deterministic given identical flags."""
     if theorem not in _THEOREMS:
         raise ValueError(f"unknown theorem id {theorem!r}")
+    if not n_values or len(set(n_values)) < len(n_values):
+        raise ValueError(f"a campaign needs distinct vertex counts, got n={n_values}")
+    if trials < 1:
+        raise ValueError(f"a campaign needs at least one trial, got trials={trials}")
     applies_to = _THEOREMS[theorem][2]
     bad = [n for n in n_values if not applies_to(n)]
     if bad:
@@ -568,10 +572,10 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="seeded campaign for one statement")
     v.add_argument("--theorem", required=True, choices=tuple(_THEOREMS))
     v.add_argument("--n", required=True, help="comma-separated vertex counts")
-    v.add_argument("--trials", type=int, default=100)
+    v.add_argument("--trials", type=_positive_int, default=100)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--budget", type=_positive_int)
-    v.add_argument("--jobs", type=int, default=1)
+    v.add_argument("--jobs", type=_positive_int, default=1)
     v.add_argument("--report", help="write campaign JSON here")
 
     r = sub.add_parser("replay", help="constructive certificate with traces")

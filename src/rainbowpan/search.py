@@ -8,8 +8,8 @@ are pruned as soon as the partial edge set stops being assignable.
 
 The kernel input comes from the view's snapshot (`_Snapshot` in core):
 the flat adjacency over every surviving color is built once per view
-and reused by every query on it; a query with forbidden colors concatenates
-the view's cached per-color rows instead. A collection is its own full view,
+and reused by every query on it. A query over fewer colors runs on a view
+that removes the others (`restrict`). A collection is its own full view,
 so callers that pass the collection share its snapshot. The pure-Python
 kernel keeps the tables it derives from that tuple (union rows, distances,
 option rows) until it is given another tuple, so queries on one view share
@@ -19,14 +19,14 @@ A query for a path or cycle through every surviving vertex is refuted at the
 root, without a kernel call, when the view's union graph is disconnected or
 one of its twin classes (vertices with one shared union row, an independent
 set) is too large to alternate with the other vertices; see
-`_spanning_refuted`. Both checks are sound under forbidden colors. The
-collections of Corollary 2.3's cases (ii) and (iii) are refuted this way.
+`_spanning_refuted`. The collections of Corollary 2.3's cases (ii) and
+(iii) are refuted this way.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import kernels
 from .core import (
@@ -85,21 +85,6 @@ class BudgetExceeded(Exception):
         self.nodes = nodes
 
 
-def _dense(view, forbidden: frozenset[int]):
-    """Flat kernel adjacency for surviving colors minus forbidden ones.
-
-    Without a forbidden surviving color this is the view's cached kernel
-    input; otherwise the view's cached per-color rows are concatenated.
-    """
-    active = view.colors
-    adj = view.kernel_adj
-    if not forbidden.isdisjoint(active):
-        rows = view.color_rows
-        active = tuple(c for c in active if c not in forbidden)
-        adj = tuple(row for c in active for row in rows[c])
-    return view.n, active, adj, view.vertex_mask
-
-
 def _spanning_refuted(view, ends: tuple[int, ...]) -> bool:
     """Whether the union graph alone rules out every rainbow path through all
     surviving vertices joining the two `ends`, or every spanning rainbow
@@ -109,10 +94,7 @@ def _spanning_refuted(view, ends: tuple[int, ...]) -> bool:
     none. A twin class I is independent, so its members are pairwise
     non-consecutive: a path needs one vertex outside I in each of the
     |I| - 1 gaps between them and at each end outside I, and a cycle needs
-    |I| vertices outside I. Both checks read the union over every surviving
-    color, and stay sound whatever colors a query forbids: the union over the
-    allowed colors is a subgraph of it, so it is disconnected whenever this
-    one is, and I is independent in it too.
+    |I| vertices outside I.
     """
     if len(view.union_components) > 1:
         return True
@@ -138,18 +120,16 @@ def _require_vertex(view, v: int, name: str) -> None:
 def assign_colors(
     view: CollectionLike,
     vertices: Sequence[int],
-    forbidden_colors: Iterable[int] = (),
 ) -> tuple[int, ...] | None:
     """Injective color assignment for the edges of a vertex path.
 
     None means the options admit no injective assignment (matching
-    deficiency). A consecutive pair absent from every allowed graph violates
+    deficiency). A consecutive pair absent from every surviving graph violates
     the precondition and is rejected instead.
 
     Deterministic: edges are matched in path order, colors scanned ascending,
     via augmenting steps.
     """
-    forbidden = frozenset(forbidden_colors)
     if len(set(vertices)) != len(vertices):
         raise ValueError("repeated vertex in path")
     for v in vertices:
@@ -158,10 +138,10 @@ def assign_colors(
     for u, v in zip(vertices, vertices[1:]):
         om = 0
         for c in view.colors:
-            if c not in forbidden and view.has_edge(c, u, v):
+            if view.has_edge(c, u, v):
                 om |= 1 << c
         if not om:
-            raise ValueError(f"({u}, {v}) is not an edge of any allowed graph")
+            raise ValueError(f"({u}, {v}) is not an edge of any surviving graph")
         options.append(om)
 
     color_edge: dict[int, int] = {}
@@ -189,21 +169,19 @@ def find_rainbow_path(
     x: int,
     y: int,
     k: int,
-    forbidden_colors: Iterable[int] = (),
     budget: SearchBudget | None = None,
 ) -> ColoredPath | None:
     """Rainbow path on exactly k vertices joining x and y, or None.
 
     Raises BudgetExceeded when the node budget runs out undecided.
     """
-    forbidden = frozenset(forbidden_colors)
     _require_vertex(view, x, "x")
     _require_vertex(view, y, "y")
     if x == y:
         raise ValueError("endpoints must differ")
     if not 2 <= k <= view.n_surviving:
         raise ValueError(f"k={k} outside [2, {view.n_surviving}]")
-    n, active, adj, vmask = _dense(view, forbidden)
+    active = view.colors
     if k - 1 > len(active):
         raise ValueError(f"k={k} needs {k - 1} colors, only {len(active)} available")
     if k == view.n_surviving and _spanning_refuted(view, (x, y)):
@@ -211,7 +189,8 @@ def find_rainbow_path(
     if budget is None:
         budget = default_budget()
     status, verts, cols, nodes = kernels.find_path(
-        n, len(active), adj, x, y, k, vmask, budget.node_limit
+        view.n, len(active), view.kernel_adj, x, y, k, view.vertex_mask,
+        budget.node_limit,
     )
     if status == kernels.BUDGET:
         raise BudgetExceeded(f"path x={x} y={y} k={k}", nodes)
@@ -228,18 +207,16 @@ def find_rainbow_ham_path(
     view: CollectionLike,
     x: int,
     y: int,
-    forbidden_colors: Iterable[int] = (),
     budget: SearchBudget | None = None,
 ) -> ColoredPath | None:
     """Rainbow path through every surviving vertex, joining x and y."""
-    return find_rainbow_path(view, x, y, view.n_surviving, forbidden_colors, budget)
+    return find_rainbow_path(view, x, y, view.n_surviving, budget=budget)
 
 
 def shortest_rainbow_path(
     view: CollectionLike,
     x: int,
     y: int,
-    forbidden_colors: Iterable[int] = (),
     budget: SearchBudget | None = None,
 ) -> ColoredPath | None:
     """A shortest rainbow path joining x and y, or None if there is none.
@@ -248,7 +225,6 @@ def shortest_rainbow_path(
     the path returned is the one find_rainbow_path gives at that length. For
     x == y it is the one-vertex path.
     """
-    forbidden = frozenset(forbidden_colors)
     _require_vertex(view, x, "x")
     _require_vertex(view, y, "y")
     if x == y:
@@ -256,10 +232,9 @@ def shortest_rainbow_path(
     lower = distances(view.union_rows, x)[y]
     if lower is None:
         return None
-    n_colors = sum(1 for c in view.colors if c not in forbidden)
-    top = min(view.n_surviving - 1, n_colors)
+    top = min(view.n_surviving - 1, view.m_surviving)
     for length in range(lower, top + 1):
-        path = find_rainbow_path(view, x, y, length + 1, forbidden, budget)
+        path = find_rainbow_path(view, x, y, length + 1, budget=budget)
         if path is not None:
             return path
     return None
@@ -269,27 +244,24 @@ def rainbow_distance(
     coll: CollectionLike,
     x: int,
     y: int,
-    forbidden_colors: Iterable[int] = (),
     budget: SearchBudget | None = None,
 ) -> int | None:
     """Length (edge count) of a shortest rainbow path, or None if unreachable."""
-    path = shortest_rainbow_path(coll, x, y, forbidden_colors, budget)
+    path = shortest_rainbow_path(coll, x, y, budget=budget)
     return None if path is None else path.k - 1
 
 
 def find_rainbow_cycle(
     view: CollectionLike,
     length: int,
-    forbidden_colors: Iterable[int] = (),
     budget: SearchBudget | None = None,
 ) -> ColoredCycle | None:
     """Rainbow cycle on exactly `length` vertices, or None."""
-    forbidden = frozenset(forbidden_colors)
     if length < 3:
         raise ValueError("cycle length below 3")
     if length > view.n_surviving:
         return None
-    n, active, adj, vmask = _dense(view, forbidden)
+    active = view.colors
     if length > len(active):
         raise ValueError(f"length={length} exceeds {len(active)} available colors")
     if length == view.n_surviving and _spanning_refuted(view, ()):
@@ -297,7 +269,8 @@ def find_rainbow_cycle(
     if budget is None:
         budget = default_budget()
     status, verts, cols, nodes = kernels.find_cycle(
-        n, len(active), adj, length, vmask, budget.node_limit
+        view.n, len(active), view.kernel_adj, length, view.vertex_mask,
+        budget.node_limit,
     )
     if status == kernels.BUDGET:
         raise BudgetExceeded(f"cycle length={length}", nodes)

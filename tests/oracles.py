@@ -27,14 +27,14 @@ def neighbor_sets(coll: CollectionLike) -> list[set[int]]:
     return out
 
 
-def _edge_colors(view, u: int, v: int, banned=()) -> list[int]:
-    """Surviving, non-banned colors whose graph has edge uv, both ends alive."""
+def _edge_colors(view, u: int, v: int) -> list[int]:
+    """Surviving colors whose graph has edge uv, both ends alive."""
     if u in view.removed_vertices or v in view.removed_vertices:
         return []
     return [
         c
         for c, g in enumerate(view.base.graphs)
-        if c not in view.removed_colors and c not in banned and g.has_edge(u, v)
+        if c not in view.removed_colors and g.has_edge(u, v)
     ]
 
 
@@ -76,23 +76,18 @@ def all_simple_paths(coll: CollectionLike, x: int, y: int, max_edges: int):
     yield from walk([x], {x})
 
 
-def edge_color_options(coll: CollectionLike, vertices, forbidden=()) -> list[list[int]]:
+def edge_color_options(coll: CollectionLike, vertices) -> list[list[int]]:
     """For each edge of the vertex sequence, the colors containing it."""
-    view = coll
-    banned = set(forbidden)
-    out = []
-    for u, v in zip(vertices, vertices[1:]):
-        out.append(_edge_colors(view, u, v, banned))
-    return out
+    return [_edge_colors(coll, u, v) for u, v in zip(vertices, vertices[1:])]
 
 
-def exhaustive_assignment(coll: CollectionLike, vertices, forbidden=()):
+def exhaustive_assignment(coll: CollectionLike, vertices):
     """Some injective edge->color assignment found by trying all orders.
 
     Returns a tuple of colors or None. Tries every permutation-free branch by
     plain backtracking over the option lists.
     """
-    options = edge_color_options(coll, vertices, forbidden)
+    options = edge_color_options(coll, vertices)
     chosen: list[int] = []
     used: set[int] = set()
 
@@ -114,26 +109,25 @@ def exhaustive_assignment(coll: CollectionLike, vertices, forbidden=()):
     return None
 
 
-def rainbow_path_exists(coll: CollectionLike, x: int, y: int, k: int, forbidden=()):
+def rainbow_path_exists(coll: CollectionLike, x: int, y: int, k: int):
     """True iff some k-vertex x..y path admits an injective color assignment."""
     for path in all_simple_paths(coll, x, y, k - 1):
-        if len(path) == k and exhaustive_assignment(coll, path, forbidden) is not None:
+        if len(path) == k and exhaustive_assignment(coll, path) is not None:
             return True
     return False
 
 
-def rainbow_cycle_exists(coll: CollectionLike, length: int, forbidden=()) -> bool:
+def rainbow_cycle_exists(coll: CollectionLike, length: int) -> bool:
     """True iff some cycle on `length` vertices is rainbow-colorable."""
     view = coll
     verts = sorted(set(range(view.n)) - view.removed_vertices)
-    banned = set(forbidden)
 
     def colorable(cyc: tuple[int, ...]) -> bool:
         options = []
         m = len(cyc)
         for i in range(m):
             u, v = cyc[i], cyc[(i + 1) % m]
-            opts = _edge_colors(view, u, v, banned)
+            opts = _edge_colors(view, u, v)
             if not opts:
                 return False
             options.append(opts)
@@ -159,11 +153,7 @@ def rainbow_cycle_exists(coll: CollectionLike, length: int, forbidden=()) -> boo
             # one orientation per cycle
             if length > 2 and cyc[1] > cyc[-1]:
                 continue
-            ok = all(
-                _edge_colors(view, cyc[i], cyc[(i + 1) % length])
-                for i in range(length)
-            )
-            if ok and colorable(cyc):
+            if colorable(cyc):
                 return True
     return False
 

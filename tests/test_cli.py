@@ -331,6 +331,37 @@ def test_verify_rejects_wrong_order(capsys):
         == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--trials", "0"), ("--trials", "-3"), ("--jobs", "0"), ("--jobs", "-2"),
+])
+def test_verify_nonpositive_trials_or_jobs_is_usage(capsys, flag, value):
+    """A campaign that runs no trial must not pass; no worker count below
+    one is accepted."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--theorem", "t1_5", "--n", "7", "--trials", "1", flag, value])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"'{value}' is not a positive integer" in captured.err
+    assert not captured.out
+
+
+@pytest.mark.parametrize("n_list,shown", [
+    (",", "[]"), ("", "[]"), ("7,7", "[7, 7]"), ("5,7,5", "[5, 7, 5]"),
+])
+def test_verify_empty_or_repeated_n_list_is_usage(capsys, n_list, shown):
+    assert main(["verify", "--theorem", "t1_5", "--n", n_list, "--trials", "2"]) \
+        == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"a campaign needs distinct vertex counts, got n={shown}\n"
+    assert not captured.out
+
+
+@pytest.mark.parametrize("n_values,trials", [([], 2), ([5, 5], 2), ([5], 0), ([5], -1)])
+def test_run_campaign_rejects_empty_campaigns(n_values, trials):
+    with pytest.raises(ValueError, match="a campaign needs"):
+        run_campaign("t1_1", n_values, trials=trials, base_seed=0, node_limit=1000)
+
+
 def test_verify_unknown_theorem_is_parse_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--theorem", "t9_9", "--n", "7"])

@@ -12,7 +12,6 @@ from rainbowpan.core import (
 )
 from rainbowpan.generate import gen_cor23_obstruction
 from rainbowpan.search import (
-    _dense,
     _spanning_refuted,
     BudgetExceeded,
     SearchBudget,
@@ -60,15 +59,22 @@ class TestPathAgainstOracle:
                             assert got.k == k
 
     def test_forbidden_colors_respected(self):
+        """A query over fewer colors runs on a view that removes the others,
+        restricted again from a view that already removes a vertex."""
         for seed in range(12):
             coll = random_collection(f"forbid:{seed}")
             banned = {coll.m - 1}
-            k_top = min(coll.n, coll.m)  # one fewer usable color
-            for x in range(coll.n):
-                for y in range(x + 1, coll.n):
+            view = restrict(coll, remove_vertices=[seed % coll.n])
+            sub = restrict(view, remove_colors=banned)
+            assert sub.removed_colors == banned
+            assert sub.removed_vertices == view.removed_vertices
+            alive = sub.vertices
+            k_top = min(sub.n_surviving, sub.m_surviving + 1)
+            for i, x in enumerate(alive):
+                for y in alive[i + 1 :]:
                     for k in range(2, k_top + 1):
-                        got = find_rainbow_path(coll, x, y, k, forbidden_colors=banned)
-                        expect = oracles.rainbow_path_exists(coll, x, y, k, banned)
+                        got = find_rainbow_path(sub, x, y, k)
+                        expect = oracles.rainbow_path_exists(sub, x, y, k)
                         assert (got is not None) == expect
                         if got is not None:
                             assert banned.isdisjoint(got.colors)
@@ -312,15 +318,17 @@ class TestSpanningRefutation:
     @settings(deadline=None)
     @given(shaped_views(), st.data())
     def test_spanning_paths_match_oracle_under_forbidden_colors(self, view, data):
+        """Spanning queries on a view that removes up to two more colors."""
         k = view.n_surviving
         assume(2 <= k <= 7)
         forbidden = data.draw(st.sets(st.sampled_from(view.colors), max_size=2))
         assume(k - 1 <= len(set(view.colors) - forbidden))
-        alive = view.vertices
+        sub = restrict(view, remove_colors=forbidden)
+        alive = sub.vertices
         for i, x in enumerate(alive):
             for y in alive[i + 1 :]:
-                got = find_rainbow_ham_path(view, x, y, forbidden)
-                expect = oracles.rainbow_path_exists(view, x, y, k, forbidden)
+                got = find_rainbow_ham_path(sub, x, y)
+                expect = oracles.rainbow_path_exists(sub, x, y, k)
                 assert (got is not None) == expect, (x, y)
 
     def test_twin_bound_counts_the_ends(self):
@@ -358,7 +366,8 @@ class TestSpanningRefutation:
         one = SearchBudget(node_limit=1)
         for x, y in [(0, 1), (0, 61), (30, 31)]:
             assert find_rainbow_ham_path(coll, x, y, budget=one) is None
-        assert find_rainbow_ham_path(coll, 0, 61, forbidden_colors=[5], budget=one) is None
+        sub = restrict(coll, remove_colors=[5])
+        assert find_rainbow_ham_path(sub, 0, 61, budget=one) is None
         assert find_rainbow_cycle(coll, 62, budget=one) is None
 
 
@@ -406,21 +415,24 @@ class TestViewsAndValidation:
 
 class TestKernelInput:
     @given(views(), st.data())
-    def test_dense_matches_reference(self, view, data):
-        forbidden = frozenset(data.draw(st.sets(st.integers(0, view.base.m - 1))))
-        n, active, adj, vmask = _dense(view, forbidden)
+    def test_kernel_adj_matches_reference(self, view, data):
+        """The kernel input of a view restricted again by colors, checked
+        against rows built by hand from the base graphs."""
+        more = data.draw(st.sets(st.integers(0, view.base.m - 1)))
+        assume(len(view.removed_colors | more) < view.base.m)
+        sub = restrict(view, remove_colors=more)
         expect_active = [
             c
             for c in range(view.base.m)
-            if c not in view.removed_colors and c not in forbidden
+            if c not in view.removed_colors and c not in more
         ]
-        assert n == view.n
-        assert list(active) == expect_active
-        assert list(adj) == [
-            row for c in expect_active for row in oracles.restricted_rows(view, c)
+        assert sub.n == view.n
+        assert list(sub.colors) == expect_active
+        assert list(sub.kernel_adj) == [
+            row for c in expect_active for row in oracles.restricted_rows(sub, c)
         ]
         alive = [v for v in range(view.n) if v not in view.removed_vertices]
-        assert vmask == sum(1 << v for v in alive)
+        assert sub.vertex_mask == sum(1 << v for v in alive)
 
 
 class TestShortestPath:
@@ -435,6 +447,24 @@ class TestShortestPath:
                         assert path is None
                         continue
                     assert path == find_rainbow_path(coll, x, y, d + 1)
+
+    def test_distance_on_color_restricted_views(self):
+        """The deepening stops at the view's surviving color count."""
+        unreachable = 0
+        for seed in range(10):
+            coll = random_collection(f"short:restricted:{seed}", max_n=5, max_m=3)
+            sub = restrict(coll, remove_colors=[seed % coll.m])
+            k_top = min(sub.n_surviving, sub.m_surviving + 1)
+            for x in range(coll.n):
+                for y in range(x + 1, coll.n):
+                    expect = next(
+                        (k - 1 for k in range(2, k_top + 1)
+                         if oracles.rainbow_path_exists(sub, x, y, k)),
+                        None,
+                    )
+                    assert rainbow_distance(sub, x, y) == expect, (seed, x, y)
+                    unreachable += expect is None
+        assert unreachable > 0  # some pair is cut off by the color count
 
     def test_same_vertex_is_one_vertex_path(self):
         coll = random_collection("short:self")

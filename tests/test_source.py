@@ -78,15 +78,21 @@ def test_generated_kernel_quotes_current_pyx():
     assert not stale, f"_kernel.c quotes lines _kernel.pyx no longer has: {stale[:5]}"
 
 
-PERFBENCH = PACKAGE.parents[1] / "perfbench"
+ROOT = PACKAGE.parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
 
 
 def test_benchmark_tracer_entry_points_resolve():
     """The benchmark's tracer `getattr`s every entry point it lists, so a
     renamed or removed function breaks traced benchmark runs."""
-    spec = importlib.util.spec_from_file_location("_perfbench_tracing", PERFBENCH / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load_tracing()
     missing = [
         f"{module}.{name}"
         for module, names in tracing.LAYERS.values()
@@ -110,3 +116,60 @@ def test_benchmark_workload_names_resolve():
     ]
     assert len(used) >= 15
     assert not missing, f"perfbench/workloads.py reads missing names: {missing}"
+
+
+def test_benchmark_tracer_leaves_results_unchanged():
+    """The benchmark's tracer wraps the package's entry points and reads the
+    positional arguments of path and cycle queries to key repeats, so every
+    call the package makes internally must pass what the tracer can read.
+    Traced runs of a certificate, a constructive replay and two spanning
+    queries must return what untraced runs do."""
+    tracing = _load_tracing()
+    importlib.import_module("rainbowpan.cli")  # the tracer patches loaded modules
+    from rainbowpan import analysis, constructions, search
+    from rainbowpan.generate import gen_random_collection
+
+    coll = gen_random_collection(7, 6, 4, seed=0)
+    budget = search.SearchBudget()
+
+    def run():
+        return (
+            analysis.is_rainbow_panconnected(coll, budget=budget).to_json_dict(),
+            constructions.constructive_panconnect(coll, 0, 3, budget=budget).to_json_dict(),
+            search.find_rainbow_ham_path(coll, 0, 3, budget=budget),
+            search.find_rainbow_cycle(coll, 6, budget=budget),
+        )
+
+    plain = run()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = run()
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    assert tracer.count["queries"] > 0 and tracer.count["kernel_calls"] > 0
+    assert run() == plain
+
+
+def test_build_requires_only_setuptools():
+    """The compiled kernel builds from the committed `_kernel.c`, so an
+    isolated build needs nothing beyond setuptools."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    requires = pyproject["build-system"]["requires"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower() for req in requires]
+    assert names == ["setuptools"]
+
+
+def test_setup_extension_sources_exist():
+    """Every source file `setup.py` hands an `Extension` is in the tree."""
+    tree = ast.parse((ROOT / "setup.py").read_text())
+    sources = [
+        elt.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Extension"
+        for elt in node.args[1].elts
+    ]
+    assert sources == ["src/rainbowpan/_kernel.c"]
+    assert all((ROOT / src).is_file() for src in sources)
