@@ -21,7 +21,6 @@ from .core import (
     clique_split,
     collection_min_degree,
     components,
-    mask_of,
     row_groups,
 )
 from .search import (
@@ -236,30 +235,14 @@ def is_rainbow_ham_connected(
 # -- extremal recognizers ---------------------------------------------------
 
 
-def _verify_F_partition(g: SimpleGraph, q1: tuple[int, ...], q2: tuple[int, ...]):
-    """Check one graph against the join-family shape; returns the single-edge
-    component or None."""
-    n = g.n
-    if len(q1) != (n - 1) // 2 or len(q2) != (n + 1) // 2:
-        return None
-    q2_mask = mask_of(q2)
-    # q1 independent inside and joined to all of q2
-    if any(g.adj[u] != q2_mask for u in q1):
-        return None
-    comps = components(g.adj, q2_mask)
-    if any(comp.bit_count() == 1 for comp in comps):
-        return None  # δ(Q2) ≥ 1 fails
-    single = next((comp for comp in comps if comp.bit_count() == 2), None)
-    return None if single is None else tuple(bits(single))
-
-
 def recognize_F_family(coll: GraphCollection) -> ExtremalWitness | None:
     """Identical graphs shaped independent-half joined to a min-degree-1 half
     containing a single-edge component.
 
-    Detection: a vertex of the independent half has neighborhood exactly the
-    other half, so its non-neighborhood (itself included) is the candidate
-    half.
+    Detection: every vertex of the independent half Q1 has row exactly the
+    other half Q2, so Q1 is a group of vertices sharing one row, that row
+    being its complement, and Q1 has (n-1)/2 vertices; one grouping of the
+    rows of graph 0 finds every candidate.
     """
     n = coll.n
     if n % 2 == 0 or n < 5:
@@ -268,13 +251,24 @@ def recognize_F_family(coll: GraphCollection) -> ExtremalWitness | None:
     if any(g is not g0 and g != g0 for g in coll.graphs[1:]):
         return None
     full = (1 << n) - 1
-    for v in range(n):
-        q1 = tuple(bits(full & ~g0.adj[v]))
-        q2 = tuple(bits(g0.adj[v]))
-        single = _verify_F_partition(g0, q1, q2)
+    # At most one candidate passes, so the witness does not depend on the
+    # order the groups are tried in. Two candidates are disjoint groups of
+    # (n-1)/2 vertices each, joined to each other and to the one vertex r
+    # left over; then Q2 of either is the other plus r, a star on
+    # (n+1)/2 >= 3 vertices, with no single-edge component.
+    for row, eye in row_groups(g0.adj, full).items():
+        if eye.bit_count() != (n - 1) // 2 or row != full & ~eye:
+            continue
+        # Q2 needs minimum degree 1 and a single-edge component; the first
+        # such component in order of smallest vertex is the one named
+        comps = components(g0.adj, row)
+        if any(comp.bit_count() == 1 for comp in comps):
+            continue
+        single = next((comp for comp in comps if comp.bit_count() == 2), None)
         if single is not None:
+            q1, q2 = tuple(bits(eye)), tuple(bits(row))
             return ExtremalWitness(
-                "F_family", {"q1": q1, "q2": q2, "single_edge": single}
+                "F_family", {"q1": q1, "q2": q2, "single_edge": tuple(bits(single))}
             )
     return None
 

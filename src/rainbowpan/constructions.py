@@ -9,13 +9,13 @@ is re-checked against the instance, and a failure raises
 :class:`HypothesisViolation` naming the claim, often carrying a concrete
 witness (for example a rainbow cycle whose existence contradicts an
 assumption). Every emitted path is verified edge by edge before it is
-returned.
+returned. Every k-path builder returns the `BranchTrace` of the branch it
+fired.
 
 Index conventions: vertex ids and colors are 0-based as everywhere else in
 the package. Positions along a working path or cycle are 1-based, matching
-the block arithmetic the constructions perform; the sets recorded in the
-result dataclasses (`RotationSets`, `CycleAttachSets`, `PathEndSets`) use
-those 1-based positions.
+the block arithmetic the constructions perform; the position sets a
+`BranchTrace` records use those 1-based positions.
 
 Role vocabulary: the builders reserve one color `c_star` (never used by the
 spanning structure; the x side attaches through it in the rotation branch)
@@ -26,7 +26,7 @@ one attached at the closing end.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Sequence
 
@@ -52,9 +52,6 @@ from .search import (
 __all__ = [
     "HypothesisViolation",
     "BranchTrace",
-    "RotationSets",
-    "CycleAttachSets",
-    "PathEndSets",
     "EndpointBoundReport",
     "ConstructiveReport",
     "construct_short_paths",
@@ -103,7 +100,12 @@ def _req(cond: bool, stage: str, claim: str, details: str, evidence=None, fatal=
 
 @dataclass
 class BranchTrace:
-    """One record of which branch produced (or failed to produce) a k-path."""
+    """The branch that produced (or failed to produce) a k-path.
+
+    lemma, case and subcase name the branch; sets holds the index sets and
+    color roles it chose; path is the verified k-path. path is None only for
+    the join family's verdict, whose `ExtremalWitness` is `sets["verdict"]`.
+    """
 
     lemma: str
     case: str | None
@@ -113,111 +115,16 @@ class BranchTrace:
     path: ColoredPath | None
 
     def to_json_dict(self) -> dict:
+        sets = self.sets
+        if "verdict" in sets:
+            sets = dict(sets, verdict=sets["verdict"].to_json_dict())
         return {
             "lemma": self.lemma,
             "case": self.case,
             "subcase": self.subcase,
-            "sets": self.sets,
+            "sets": sets,
             "k": self.k,
             "path": None if self.path is None else self.path.to_json_dict(),
-        }
-
-
-@dataclass
-class RotationSets:
-    """Attachment index sets behind a rotation-built k-path.
-
-    i_k collects the cycle positions whose (k-3)-shifted vertex attaches to
-    the opening endpoint through c_star; i_0 the positions attaching to the
-    closing endpoint through j. s is the smallest common position, the one
-    the emitted path pivots on. Positions are 1-based along the cycle.
-    """
-
-    i_k: tuple[int, ...]
-    i_0: tuple[int, ...]
-    s: int
-    c_star: int
-    j: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "i_k": list(self.i_k),
-            "i_0": list(self.i_0),
-            "s": self.s,
-            "c_star": self.c_star,
-            "j": self.j,
-        }
-
-
-@dataclass
-class CycleAttachSets:
-    """Attachment structure around a cycle one vertex short of spanning.
-
-    w is the detached vertex; a and b are the 1-based cycle positions whose
-    successor (resp. own) vertex joins w through f_a (resp. f_b); u1/u2 split
-    the cycle vertices into w's neighbors and non-neighbors after the
-    canonical relabeling; excluded is the unique position in neither a nor b.
-    """
-
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    u1: tuple[int, ...]
-    u2: tuple[int, ...]
-    w: int
-    excluded: int
-    c_star: int
-    f_a: int
-    f_b: int
-    case: str | None = None
-    subcase: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "a": list(self.a),
-            "b": list(self.b),
-            "u1": list(self.u1),
-            "u2": list(self.u2),
-            "w": self.w,
-            "excluded": self.excluded,
-            "c_star": self.c_star,
-            "f_a": self.f_a,
-            "f_b": self.f_b,
-        }
-
-
-@dataclass
-class PathEndSets:
-    """End-attachment sets of a spanning path of the thrice-reduced view.
-
-    a1 holds the 1-based interior positions whose vertex joins the opening
-    endpoint through f_a, b1 those joining the closing endpoint through f_b.
-    blocks are the maximal runs of consecutive positions in a1, s and t its
-    extremes, l the run count.
-    """
-
-    a1: tuple[int, ...]
-    b1: tuple[int, ...]
-    blocks: tuple[tuple[int, int], ...]
-    s: int
-    t: int
-    l: int
-    f_a: int
-    f_b: int
-    c_star: int
-    case: str | None = None
-    subcase: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "a1": list(self.a1),
-            "b1": list(self.b1),
-            "blocks": [list(bl) for bl in self.blocks],
-            "s": self.s,
-            "t": self.t,
-            "l": self.l,
-            "f_a": self.f_a,
-            "f_b": self.f_b,
-            "c_star": self.c_star,
         }
 
 
@@ -423,7 +330,7 @@ def construct_short_paths(
 
 def rotation_k_path(
     coll: GraphCollection, cycle: ColoredCycle, x: int, y: int, k: int
-) -> tuple[ColoredPath, RotationSets]:
+) -> BranchTrace:
     """k-path from a rainbow cycle covering all but three vertices.
 
     The cycle must span the view with x, y and one further vertex z removed,
@@ -432,6 +339,10 @@ def rotation_k_path(
     positions by k-3 to collect the x-attachable indices, intersects with the
     y-attachable ones, and walks the cycle backwards between the two pivot
     vertices. The smallest common position is chosen.
+
+    The trace's sets: i_k holds the cycle positions whose (k-3)-shifted
+    vertex attaches to x through c_star, i_0 those attaching to y through
+    j, and s is the smallest common position, the one the path pivots on.
     """
     n = coll.n
     length = n - 3
@@ -474,9 +385,8 @@ def rotation_k_path(
             + tuple(sig(s + k - 4 - t) for t in range(k - 3))
             + (j,)
         )
-        path = _emit(coll, "rotation", verts, cols)
-        sets = RotationSets(i_k=i_k, i_0=i_0, s=s, c_star=c_star, j=j)
-        return path, sets
+        sets = {"i_k": list(i_k), "i_0": list(i_0), "s": s, "c_star": c_star, "j": j}
+        return BranchTrace("rotation", None, None, sets, k, _emit(coll, "rotation", verts, cols))
     raise HypothesisViolation(
         "rotation",
         "pivot-overlap",
@@ -497,7 +407,7 @@ def near_cycle_k_path(
     z: int,
     w: int,
     k: int,
-) -> tuple[ColoredPath, CycleAttachSets]:
+) -> BranchTrace:
     """k-path from a rainbow cycle covering all but one view vertex.
 
     The cycle spans the view minus {x, y, z} except for the single detached
@@ -506,6 +416,11 @@ def near_cycle_k_path(
     reported as a fatal violation with the cycle attached. Otherwise the
     attachment pattern is forced into an alternating normal form and the
     emitted path threads w between cycle vertices chosen by position parity.
+
+    The trace's sets, after that relabeling: a and b are the cycle positions
+    whose successor (resp. own) vertex joins w through f_a (resp. f_b); u1
+    and u2 split the cycle vertices into w's neighbors and non-neighbors;
+    excluded is the one position in neither a nor b.
     """
     missing = _check_inputs(coll, (x, y, z, w), k, cycle, cover=coll.n - 4, free=3)
     star_cands = [c for c in missing if not coll.has_edge(c, x, z)]
@@ -617,23 +532,17 @@ def _near_cycle_attempt(coll, cycle, x, y, z, w, k, c_star, f_a, f_b):
 
     odd = list(range(1, length - 1, 2))
     even = list(range(2, length, 2)) + [length]
-    u1 = tuple(v(i) for i in odd)
-    u2 = tuple(v(i) for i in even)
-    a_set = tuple(sorted(_m1(t - 1, length) for t in odd))
-    b_set = tuple(odd)
-    excluded = length - 1
-    sets = CycleAttachSets(
-        a=a_set,
-        b=b_set,
-        u1=u1,
-        u2=u2,
-        w=w,
-        excluded=excluded,
-        c_star=c_star,
-        f_a=f_a,
-        f_b=f_b,
-    )
-
+    sets = {
+        "a": sorted(_m1(t - 1, length) for t in odd),
+        "b": list(odd),
+        "u1": [v(i) for i in odd],
+        "u2": [v(i) for i in even],
+        "w": w,
+        "excluded": length - 1,
+        "c_star": c_star,
+        "f_a": f_a,
+        "f_b": f_b,
+    }
     if k == 4:
         return _near_cycle_case1(
             coll, x, y, z, w, c_star, f_a, f_b, v, vsig, odd, even, length, sets
@@ -648,12 +557,14 @@ def _near_cycle_case1(
 ):
     stage = "near_cycle"
     n = coll.n
+
+    def fired(subcase, verts, cols):
+        return BranchTrace(stage, "1", subcase, sets, 4, _emit(coll, stage, verts, cols))
+
     direct = [p for p in odd if coll.has_edge(c_star, x, v(p))]
     if direct:
         p = direct[0]
-        path = _emit(coll, stage, (x, v(p), w, y), (c_star, f_a, f_b))
-        sets.case, sets.subcase = "1", "main"
-        return path, sets
+        return fired("main", (x, v(p), w, y), (c_star, f_a, f_b))
     forced = set(v(p) for p in even) | {y, w}
     actual = {t for t in range(n) if t != x and coll.has_edge(c_star, x, t)}
     _req(
@@ -667,15 +578,9 @@ def _near_cycle_case1(
     hook = [p for p in odd if coll.has_edge(f_a, y, v(p))]
     if hook:
         p = hook[0]
-        path = _emit(
-            coll, stage, (x, v(p + 1), v(p), y), (c_star, vsig(p), f_a)
-        )
-        sets.case, sets.subcase = "1", "b1"
-        return path, sets
+        return fired("b1", (x, v(p + 1), v(p), y), (c_star, vsig(p), f_a))
     if coll.has_edge(f_a, y, z):
-        path = _emit(coll, stage, (x, w, z, y), (c_star, f_b, f_a))
-        sets.case, sets.subcase = "1", "b2"
-        return path, sets
+        return fired("b2", (x, w, z, y), (c_star, f_b, f_a))
     forced_y = set(v(p) for p in even) | {x, w}
     actual_y = {t for t in range(n) if t != y and coll.has_edge(f_a, y, t)}
     _req(
@@ -685,14 +590,7 @@ def _near_cycle_case1(
         f"y's f_a neighborhood must collapse onto the even-position vertices "
         f"plus x and w; got {sorted(actual_y)} vs {sorted(forced_y)}",
     )
-    path = _emit(
-        coll,
-        stage,
-        (x, v(length), v(length - 1), y),
-        (c_star, vsig(length - 1), f_a),
-    )
-    sets.case, sets.subcase = "1", "b3"
-    return path, sets
+    return fired("b3", (x, v(length), v(length - 1), y), (c_star, vsig(length - 1), f_a))
 
 
 def _near_cycle_sweep(
@@ -720,16 +618,16 @@ def _near_cycle_sweep(
             cols = (c_star,) + mid + (f_a, f_b)
             path = _emit(coll, stage, verts, cols)
             if anchor in (length, length - 1):
-                sets.case, sets.subcase = "2", None
+                case, subcase = "2", None
             else:
                 midpos = (n - 5) // 2
                 side = 1 if midpos in odd_set else 2
                 if (k - 3) % 2 == 1:
-                    sets.subcase = "3.1" if side == 1 else "3.2"
+                    subcase = "3.1" if side == 1 else "3.2"
                 else:
-                    sets.subcase = "3.3" if side == 1 else "3.4"
-                sets.case = "3"
-            return path, sets
+                    subcase = "3.3" if side == 1 else "3.4"
+                case = "3"
+            return BranchTrace(stage, case, subcase, sets, k, path)
     raise HypothesisViolation(
         stage,
         "anchor-sweep",
@@ -858,7 +756,7 @@ def ham_path_k_path(
     y: int,
     z: int,
     k: int,
-) -> tuple[ColoredPath, PathEndSets]:
+) -> BranchTrace:
     """k-path from a rainbow spanning path of the view minus {x, y, z}.
 
     The builder tries both orientations and both assignments of the two free
@@ -868,6 +766,11 @@ def ham_path_k_path(
     a recoloring of its last edge) and re-enter the dispatch; the trace
     subcase records that hand-off. Fatal violations carry rainbow cycles
     that contradict the cycle-freeness assumptions.
+
+    The trace's sets: a1 holds the interior positions whose vertex joins the
+    opening endpoint through f_a, b1 those joining the closing endpoint
+    through f_b; blocks are the maximal runs of consecutive positions in a1,
+    s and t its extremes, l the run count.
     """
     free = _check_inputs(coll, (x, y, z), k, ham_path, cover=coll.n - 3, free=3)
     star_cands = [c for c in free if not coll.has_edge(c, x, z)]
@@ -948,23 +851,22 @@ def _hp_dispatch(coll, frame, x, y, z, k, depth):
             blocks[-1][1] = i
         else:
             blocks.append([i, i])
-    blocks_t = tuple((lo, hi) for lo, hi in blocks)
-    s, t, l = a1[0], a1[-1], len(blocks_t)
-    sets = PathEndSets(
-        a1=a1,
-        b1=b1,
-        blocks=blocks_t,
-        s=s,
-        t=t,
-        l=l,
-        f_a=f_a,
-        f_b=f_b,
-        c_star=frame.c_star,
-    )
+    s, l = a1[0], len(blocks)
+    sets = {
+        "a1": list(a1),
+        "b1": list(b1),
+        "blocks": blocks,
+        "s": s,
+        "t": a1[-1],
+        "l": l,
+        "f_a": f_a,
+        "f_b": f_b,
+        "c_star": frame.c_star,
+    }
     if (s, l) == (3, 1):
         return _hp_case_a(coll, frame, x, y, z, k, sets)
     if (s, l) == (2, 2):
-        return _hp_case_b(coll, frame, x, y, z, k, sets, depth)
+        return _hp_case_b(coll, frame, x, y, z, k, sets)
     if (s, l) == (2, 1):
         return _hp_case_c(coll, frame, x, y, z, k, sets, depth)
     raise HypothesisViolation(
@@ -1051,26 +953,22 @@ def _hp_case_a(coll, frame, x, y, z, k, sets):
     stage = "ham_path"
     n = coll.n
     u = frame.u
-    sets.case = "a"
     expect_b = set(range((n - 1) // 2, n - 3))
     _req(
-        set(sets.b1) == expect_b,
+        set(sets["b1"]) == expect_b,
         stage,
         "case-a-range",
-        f"closing set {sorted(sets.b1)} differs from the forced run "
+        f"closing set {sets['b1']} differs from the forced run "
         f"{sorted(expect_b)} ({frame.tag})",
     )
     _hp_closing_attach(coll, frame, (x, y, z), "case-a-attach")
     if k == n - 1:
-        sets.subcase = "full"
         row = _hp_close(
             coll, frame, x, y, frame.verts, frame.sigma, frame.f_a, frame.f_b, "case-a-full"
         )
-        return row, sets
+        return BranchTrace(stage, "a", "full", sets, k, row)
     if 4 <= k <= (n + 1) // 2:
-        sets.subcase = "claim5"
-        return _hp_claim5(coll, frame, x, y, k), sets
-    sets.subcase = "u2"
+        return BranchTrace(stage, "a", "claim5", sets, k, _hp_claim5(coll, frame, x, y, k))
     _req(
         coll.has_edge(frame.f_a, u(2), x) or coll.has_edge(frame.f_a, u(2), y),
         stage,
@@ -1081,36 +979,33 @@ def _hp_case_a(coll, frame, x, y, z, k, sets):
     # u_2 reaches an endpoint, so a row that closes in neither orientation
     # fails at the closing vertex's terminal edge
     row = _hp_tail_row(coll, frame, x, y, 2, k - 2, "case-a-hook", "case-a-final-edge")
-    return row, sets
+    return BranchTrace(stage, "a", "u2", sets, k, row)
 
 
-def _hp_case_b(coll, frame, x, y, z, k, sets, depth):
+def _hp_case_b(coll, frame, x, y, z, k, sets):
     stage = "ham_path"
     n = coll.n
     L = n - 3
     u, sig = frame.u, frame.sig
-    sets.case = "b"
-    (lo1, a_1), (b_1, t) = sets.blocks
+    (lo1, a_1), (b_1, t) = sets["blocks"]
     expect_b = set(range(a_1, b_1 - 2)) | set(range(t, n - 3))
     _req(
-        set(sets.b1) == expect_b,
+        set(sets["b1"]) == expect_b,
         stage,
         "case-b-range",
-        f"closing set {sorted(sets.b1)} differs from the forced pair of runs "
+        f"closing set {sets['b1']} differs from the forced pair of runs "
         f"{sorted(expect_b)} ({frame.tag})",
     )
     _hp_closing_attach(coll, frame, (x, y, z), "case-b-attach")
     if 4 <= k <= a_1 + 1 or b_1 + 1 <= k <= t + 1:
-        sets.subcase = "claim5"
-        return _hp_claim5(coll, frame, x, y, k), sets
+        return BranchTrace(stage, "b", "claim5", sets, k, _hp_claim5(coll, frame, x, y, k))
     if a_1 + 3 <= k <= b_1 or t + 3 <= k <= n - 1:
-        sets.subcase = "long"
-        return _hp_tail_row(coll, frame, x, y, 1, k - 3, "case-b-hook", "case-b-final-edge"), sets
+        row = _hp_tail_row(coll, frame, x, y, 1, k - 3, "case-b-hook", "case-b-final-edge")
+        return BranchTrace(stage, "b", "long", sets, k, row)
     if k == t + 2 or (k == a_1 + 2 and b_1 > a_1 + 2):
-        sets.subcase = "u2"
-        return _hp_tail_row(coll, frame, x, y, 2, k - 2, "case-b-hook", "case-b-skip-attach"), sets
+        row = _hp_tail_row(coll, frame, x, y, 2, k - 2, "case-b-hook", "case-b-skip-attach")
+        return BranchTrace(stage, "b", "u2", sets, k, row)
     # k == a_1 + 2 with touching blocks: thread through the reversed tail
-    sets.subcase = "bridge"
     _req(
         t == (n - 1) // 2,
         stage,
@@ -1137,30 +1032,30 @@ def _hp_case_b(coll, frame, x, y, z, k, sets, depth):
         frame.f_b,
         "case-b-bridge",
     )
-    return row, sets
+    return BranchTrace(stage, "b", "bridge", sets, k, row)
 
 
 def _hp_case_c(coll, frame, x, y, z, k, sets, depth):
     stage = "ham_path"
     n = coll.n
-    sets.case = "c"
+    b1 = sets["b1"]
     lo = (n - 3) // 2
     _req(
-        not sets.b1 or min(sets.b1) >= lo,
+        not b1 or min(b1) >= lo,
         stage,
         "case-c-range",
-        f"closing set {sorted(sets.b1)} dips below position {lo} "
+        f"closing set {b1} dips below position {lo} "
         f"({frame.tag})",
     )
-    if len(sets.b1) == lo:  # == half + 1
-        return _hp_case_c_full(coll, frame, x, y, z, k, sets)
+    if len(b1) == lo:  # == half + 1
+        return _hp_case_c_full(coll, frame, x, y, k, sets)
     # size half: exactly one admissible position is missing
-    missing = sorted(set(range(lo, n - 3)) - set(sets.b1))
+    missing = sorted(set(range(lo, n - 3)) - set(b1))
     _req(
         len(missing) == 1,
         stage,
         "case-c-gap",
-        f"closing set {sorted(sets.b1)} leaves {missing} open, want exactly "
+        f"closing set {b1} leaves {missing} open, want exactly "
         f"one gap ({frame.tag})",
     )
     q = missing[0]
@@ -1175,14 +1070,12 @@ def _hp_case_c(coll, frame, x, y, z, k, sets, depth):
             frame.c_star,
             frame.tag + " (reversed)",
         )
-        path, inner = _hp_dispatch(coll, rframe, x, y, z, k, depth + 1)
-        inner.subcase = f"3.2->rev:{inner.case}:{inner.subcase}"
-        inner.case = "c"
-        return path, inner
+        inner = _hp_dispatch(coll, rframe, x, y, z, k, depth + 1)
+        return replace(inner, case="c", subcase=f"3.2->rev:{inner.case}:{inner.subcase}")
     return _hp_case_c_gap_low(coll, frame, x, y, z, k, sets, depth)
 
 
-def _hp_case_c_full(coll, frame, x, y, z, k, sets):
+def _hp_case_c_full(coll, frame, x, y, k, sets):
     stage = "ham_path"
     n = coll.n
     u, sig = frame.u, frame.sig
@@ -1201,20 +1094,17 @@ def _hp_case_c_full(coll, frame, x, y, z, k, sets):
         f"({frame.tag})",
     )
     if k == n - 1:
-        sets.subcase = "3.1:full"
         row = _hp_close(
             coll, frame, x, y, frame.verts, frame.sigma, frame.f_a, frame.f_b, "case-c-full"
         )
-        return row, sets
+        return BranchTrace(stage, "c", "3.1:full", sets, k, row)
     if 4 <= k <= (n - 1) // 2:
-        sets.subcase = "3.1:claim5"
-        return _hp_claim5(coll, frame, x, y, k), sets
+        return BranchTrace(stage, "c", "3.1:claim5", sets, k, _hp_claim5(coll, frame, x, y, k))
     # (n+1)/2 <= k <= n-2: ride the skip edge past position 2
-    sets.subcase = "3.1:skip"
     row = _hp_tail_row(
         coll, frame, x, y, 3, k - 2, "case-c-skip-hook", "case-c-final-edge", skip=True
     )
-    return row, sets
+    return BranchTrace(stage, "c", "3.1:skip", sets, k, row)
 
 
 def _hp_case_c_gap_low(coll, frame, x, y, z, k, sets, depth):
@@ -1245,10 +1135,8 @@ def _hp_case_c_gap_low(coll, frame, x, y, z, k, sets, depth):
         new_sigma = frame.sigma[: n - 5] + (f_b,)
         new_path = ColoredPath(frame.verts, new_sigma)
         roles = [(frame.c_star, sorted((sn4, f_a)))]
-        path, inner = _hp_combos(coll, new_path, x, y, z, k, roles, depth + 1)
-        inner.subcase = f"3.2->rec:{inner.case}:{inner.subcase}"
-        inner.case = "c"
-        return path, inner
+        inner = _hp_combos(coll, new_path, x, y, z, k, roles, depth + 1)
+        return replace(inner, case="c", subcase=f"3.2->rec:{inner.case}:{inner.subcase}")
     for v0 in (x, y):
         _req(
             coll.has_edge(sn4, u(L), v0),
@@ -1258,14 +1146,12 @@ def _hp_case_c_gap_low(coll, frame, x, y, z, k, sets, depth):
             f"({frame.tag})",
         )
     if 4 <= k <= (n - 1) // 2:
-        sets.subcase = "3.2:claim5"
-        return _hp_claim5(coll, frame, x, y, k), sets
+        return BranchTrace(stage, "c", "3.2:claim5", sets, k, _hp_claim5(coll, frame, x, y, k))
     if k >= (n + 5) // 2:
-        sets.subcase = "3.2:long"
-        return _hp_tail_row(coll, frame, x, y, 1, k - 3, "case-c-hook", "case-c-final-edge"), sets
+        row = _hp_tail_row(coll, frame, x, y, 1, k - 3, "case-c-hook", "case-c-final-edge")
+        return BranchTrace(stage, "c", "3.2:long", sets, k, row)
     # the two middle lengths
     if n == 7 and k == 4:
-        sets.subcase = "3.2:u2"
         _req(
             coll.has_edge(f_b, u(2), x) or coll.has_edge(f_b, u(2), y),
             stage,
@@ -1274,7 +1160,7 @@ def _hp_case_c_gap_low(coll, frame, x, y, z, k, sets, depth):
             f"({frame.tag})",
         )
         row = _hp_close(coll, frame, x, y, (u(2), u(1)), (sig(1),), f_b, f_a, "case-c-u2")
-        return row, sets
+        return BranchTrace(stage, "c", "3.2:u2", sets, k, row)
     c1 = sig(1)
     _req(
         coll.has_edge(c1, u(1), x) or coll.has_edge(c1, u(1), y),
@@ -1286,12 +1172,12 @@ def _hp_case_c_gap_low(coll, frame, x, y, z, k, sets, depth):
     if (k == (n + 1) // 2 and n >= 11) or (k == (n + 3) // 2 and n >= 9):
         # detour through the top of the opening set: u_1, then the run from
         # position (n-3)/2 to the hook, then the closing vertex
-        sets.subcase = "3.2:mid"
+        subcase = "3.2:mid"
         top, hook = (n - 3) // 2, (n - 6 if k == (n + 1) // 2 else n - 5)
         run, run_cols = frame.verts[top - 1 : hook], frame.sigma[top - 1 : hook - 1]
     else:
         # n=7 k=5, or n=9 k=5: detour through the removed vertex z
-        sets.subcase = "3.2:z"
+        subcase = "3.2:z"
         run, run_cols = (z,), ()
     row = _hp_close(
         coll,
@@ -1304,7 +1190,7 @@ def _hp_case_c_gap_low(coll, frame, x, y, z, k, sets, depth):
         sn4,
         "case-c-g1",
     )
-    return row, sets
+    return BranchTrace(stage, "c", subcase, sets, k, row)
 
 
 # ---------------------------------------------------------------------------
@@ -1320,14 +1206,15 @@ def two_clique_k_path(
     z: int,
     j: int,
     k: int,
-) -> tuple[ColoredPath, str]:
+) -> BranchTrace:
     """k-path when all but one working color split the view into two cliques.
 
     u1_part/u2_part partition the vertices outside {x, y, z} into the two
     clique sides; j is the exempt color. Short paths stay inside one clique;
     longer ones cross through a j-colored bridge edge when one exists, and
     otherwise detour through z, which the degree bounds then force to attach
-    everywhere in color j. Returns the path and the row tag.
+    everywhere in color j. The trace's case tags the row: "straight",
+    "cross", "z-mid" or "z-full".
     """
     n, m = coll.n, coll.m
     _check_inputs(coll, (x, y, z), k)
@@ -1366,11 +1253,15 @@ def two_clique_k_path(
                     f"vertex {v0} misses {t} in working color {i}; the "
                     "degree balance forces every such edge",
                 )
+    sets = {"u1": list(side1), "u2": list(side2), "j": j}
+
+    def fired(tag, verts, reserved):
+        cols = _fill_colors(k - 1, reserved, h_colors)
+        return BranchTrace(stage, tag, None, sets, k, _emit(coll, stage, verts, cols))
+
     kk = k - 2
     if kk <= half:
-        verts = (x,) + side1[:kk] + (y,)
-        cols = _fill_colors(kk + 1, {}, h_colors)
-        return _emit(coll, stage, verts, cols), "straight"
+        return fired("straight", (x,) + side1[:kk] + (y,), {})
     bridges = sorted(
         (a, b) for a in side1 for b in side2 if coll.has_edge(j, a, b)
     )
@@ -1379,9 +1270,8 @@ def two_clique_k_path(
         order1 = tuple(v for v in side1 if v != a) + (a,)
         order2 = (b,) + tuple(v for v in side2 if v != b)
         verts = (x,) + order1 + order2[: kk - half] + (y,)
-        cross_idx = half  # edges: attach, half-1 inside, then the bridge
-        cols = _fill_colors(kk + 1, {cross_idx: j}, h_colors)
-        return _emit(coll, stage, verts, cols), "cross"
+        # edges: attach, half-1 inside, then the bridge
+        return fired("cross", verts, {half: j})
     # no bridge: the exempt color must also split, and z attaches everywhere
     for side in (side1, side2):
         for idx, a in enumerate(side):
@@ -1402,13 +1292,9 @@ def two_clique_k_path(
             "forces every such edge",
         )
     if kk == half + 1:
-        verts = (x,) + side1[: half - 1] + (z, side2[0], y)
-        z_in = half - 1  # edge index of the hop into z
-        cols = _fill_colors(kk + 1, {z_in: j}, h_colors)
-        return _emit(coll, stage, verts, cols), "z-mid"
-    verts = (x,) + side1 + (z,) + side2[: kk - half - 1] + (y,)
-    cols = _fill_colors(kk + 1, {half: j}, h_colors)
-    return _emit(coll, stage, verts, cols), "z-full"
+        # edge half - 1 is the hop into z
+        return fired("z-mid", (x,) + side1[: half - 1] + (z, side2[0], y), {half - 1: j})
+    return fired("z-full", (x,) + side1 + (z,) + side2[: kk - half - 1] + (y,), {half: j})
 
 
 # ---------------------------------------------------------------------------
@@ -1423,7 +1309,7 @@ def join_partition_k_path(
     y: int,
     z: int,
     k: int,
-) -> tuple[ColoredPath | ExtremalWitness, str]:
+) -> BranchTrace:
     """k-path when every working color joins an independent half to the rest.
 
     i_part is independent in every working color and completely joined to
@@ -1431,8 +1317,10 @@ def join_partition_k_path(
     i_part as well. Paths alternate between the two sides; even lengths need
     one same-side edge, supplied by a reserved-color edge inside i_part, by a
     witness edge from {x, y} into f_part or z, or nowhere, in which case the
-    collection is the known exceptional family and that verdict is returned
-    instead of a path (tag "family").
+    collection is the known exceptional family. The trace's subcase is "1"
+    when i_part has a reserved-color edge (at every k), else "2.1" for a
+    path and "2.2" for the family verdict: a trace without a path whose sets
+    carry the `ExtremalWitness` as "verdict".
     """
     n, m = coll.n, coll.m
     _check_inputs(coll, (x, y, z), k)
@@ -1474,6 +1362,11 @@ def join_partition_k_path(
                     f"vertex {w0} misses {t} in working color {i}; the "
                     "degree balance forces every such edge",
                 )
+    sets = {"f": list(eff), "i": list(eye)}
+
+    def fired(tag, verts, cols):
+        return BranchTrace(stage, tag[0], tag, sets, k, _emit(coll, stage, verts, cols))
+
     inner = sorted(
         (a, b)
         for ai, a in enumerate(eye)
@@ -1492,11 +1385,11 @@ def join_partition_k_path(
                 mids += [ws[idx], eff[idx]]
             verts = (x,) + tuple(mids) + (a, b, y)
             reserved = {2 * r + 1: c_star}
-        return _emit(coll, stage, verts, _fill_colors(k - 1, reserved, h_colors)), "1"
+        return fired("1", verts, _fill_colors(k - 1, reserved, h_colors))
     if k % 2 == 1:
         # odd lengths never need a same-side edge
         verts, reserved = _alt_row(x, y, eye, eff, k)
-        return _emit(coll, stage, verts, _fill_colors(k - 1, reserved, h_colors)), "2.1"
+        return fired("2.1", verts, _fill_colors(k - 1, reserved, h_colors))
     witness = None
     for i in h_colors:
         for b0 in (x, y):
@@ -1509,7 +1402,8 @@ def join_partition_k_path(
         if witness:
             break
     if witness is None:
-        return _join_family_verdict(coll, eye, eff, x, y, z, stage), "2.2"
+        verdict = _join_family_verdict(coll, eye, eff, x, y, z, stage)
+        return BranchTrace(stage, "2", "2.2", dict(sets, verdict=verdict), k, None)
     i0, b0, a0 = witness
     start, end = (x, y) if b0 == x else (y, x)
     if a0 == z:
@@ -1535,7 +1429,7 @@ def join_partition_k_path(
     cols = _fill_colors(k - 1, {0: i0}, h_colors)
     if start != x:
         verts, cols = verts[::-1], cols[::-1]
-    return _emit(coll, stage, verts, cols), "2.1"
+    return fired("2.1", verts, cols)
 
 
 def _alt_row(x, y, ws, vs, k):
@@ -1572,15 +1466,14 @@ def _join_family_verdict(coll, eye, eff, x, y, z, stage):
 # five-vertex collections
 
 
-def five_vertex_4path(
-    coll: GraphCollection, x: int, y: int
-) -> tuple[ColoredPath, str]:
+def five_vertex_4path(coll: GraphCollection, x: int, y: int) -> BranchTrace:
     """Rainbow 4-path for n=5, where the reduction machinery is too small.
 
     Picks the smallest color holding an edge inside the three non-endpoint
     vertices, orients it from x's side, and either closes directly or
-    recolors using the forced neighborhoods of the middle vertex. Returns
-    the path and a tag naming which exit produced it.
+    recolors using the forced neighborhoods of the middle vertex. The
+    trace's case names the exit that produced the path: "direct",
+    "recolored" or "shifted".
     """
     n, m = coll.n, coll.m
     if n != 5 or m != 4:
@@ -1588,6 +1481,10 @@ def five_vertex_4path(
     _check_vertices(coll, (x, y))
     stage = "five_vertex"
     rest = [v for v in range(n) if v not in (x, y)]
+
+    def fired(tag, verts, cols):
+        return BranchTrace(stage, tag, None, {}, 4, _emit(coll, stage, verts, cols))
+
     pick = None
     for g in range(m):
         for ai, a in enumerate(rest):
@@ -1623,7 +1520,7 @@ def five_vertex_4path(
     r2, r3 = sorted(c for c in range(m) if c not in (g, r1))
     for c in (r2, r3):
         if coll.has_edge(c, u2, y):
-            return _emit(coll, stage, (x, u1, u2, y), (r1, g, c)), "direct"
+            return fired("direct", (x, u1, u2, y), (r1, g, c))
     for c in (r2, r3):
         for t in (x, u1, u3):
             _req(
@@ -1634,9 +1531,9 @@ def five_vertex_4path(
                 "degree forces the other three",
             )
     if coll.has_edge(g, y, u2):
-        return _emit(coll, stage, (x, u1, u2, y), (r1, r2, g)), "recolored"
+        return fired("recolored", (x, u1, u2, y), (r1, r2, g))
     if coll.has_edge(g, y, u3):
-        return _emit(coll, stage, (x, u2, u3, y), (r2, r3, g)), "shifted"
+        return fired("shifted", (x, u2, u3, y), (r2, r3, g))
     raise HypothesisViolation(
         stage,
         "closing-attach",
@@ -1670,6 +1567,30 @@ class ConstructiveReport:
     discrepancies: list[dict] = field(default_factory=list)
     verdict: ExtremalWitness | None = None
     missing_k: tuple[int, ...] = ()
+
+    def record(self, trace: BranchTrace) -> None:
+        """Keep a fired branch's trace, and its path when it built one."""
+        if trace.path is not None:
+            self.paths[trace.k] = trace.path
+        self.traces.append(trace)
+
+    def flag(self, k: int, stage: str, detail: str, claim: str | None = None) -> None:
+        """Note where the argument and the instance disagree at length k."""
+        entry = {"k": k, "stage": stage}
+        if claim is not None:
+            entry["claim"] = claim
+        entry["detail"] = detail
+        self.discrepancies.append(entry)
+
+    def search(self, coll, k: int, budget: SearchBudget | None) -> bool:
+        """Exhaustive search for the k-path: record it as a "search" trace,
+        or k as missing. True when found."""
+        found = find_rainbow_path(coll, self.x, self.y, k, budget=budget)
+        if found is None:
+            self.missing_k += (k,)
+            return False
+        self.record(BranchTrace("search", None, None, {}, k, found))
+        return True
 
     def to_json_dict(self) -> dict:
         return {
@@ -1727,32 +1648,22 @@ def constructive_panconnect(
             raise RuntimeError(
                 "invariant broken: adjacent endpoints have no 2-path"
             )
-        report.paths[2] = two
-        report.traces.append(
-            BranchTrace("short_path", None, None, {"color": two.colors[0]}, 2, two)
-        )
-    report.paths[3] = three
-    report.traces.append(
-        BranchTrace("short_path", None, None, {"middle": three.vertices[1]}, 3, three)
-    )
+        report.record(BranchTrace("short_path", None, None, {"color": two.colors[0]}, 2, two))
+    report.record(BranchTrace("short_path", None, None, {"middle": three.vertices[1]}, 3, three))
 
     spanning = find_rainbow_ham_path(coll, x, y, budget=budget)
     if spanning is not None:
-        report.paths[n] = spanning
-        report.traces.append(BranchTrace("ham_search", None, None, {}, n, spanning))
+        report.record(BranchTrace("ham_search", None, None, {}, n, spanning))
     else:
         report.missing_k += (n,)
-        report.discrepancies.append(
-            {
-                "k": n,
-                "stage": "ham_search",
-                "detail": "no spanning rainbow path despite the degree "
-                "threshold guaranteeing one",
-            }
+        report.flag(
+            n,
+            "ham_search",
+            "no spanning rainbow path despite the degree threshold guaranteeing one",
         )
 
     if n == 5:
-        _pan_n5(coll, x, y, report, budget)
+        _pan_one_k(coll, 4, partial(five_vertex_4path, coll, x, y), report, budget)
         return report
 
     interior = [v for v in range(n) if v not in (x, y)]
@@ -1760,11 +1671,11 @@ def constructive_panconnect(
         coll.has_edge(i, x, u0) for u0 in interior for i in range(m)
     )
     if universal and spanning is not None:
-        _pan_universal(coll, x, y, report, spanning)
+        _pan_universal(coll, x, report, spanning)
         return report
     if universal:
         for k in range(4, n):
-            _pan_fallback(coll, x, y, k, report, budget, "universal")
+            _pan_fallback(coll, k, report, budget, "universal")
         return report
 
     c_star, z = None, None
@@ -1781,26 +1692,20 @@ def constructive_panconnect(
             "vertex in any color"
         )
     view = restrict(coll, remove_vertices=(x, y, z), remove_colors=(c_star,))
-    route = _pan_route(coll, view, x, y, z, budget)
+    build = _pan_route(coll, view, budget)
     for k in range(4, n):
-        _pan_one_k(coll, x, y, z, k, route, report, budget)
+        if build is None:
+            report.flag(
+                k, "structure", "no spanning structure or recognized shape in the reduced view"
+            )
+            _pan_fallback(coll, k, report, budget, "structure")
+        else:
+            _pan_one_k(coll, k, partial(build, x, y, z, k), report, budget)
     report.missing_k = tuple(sorted(report.missing_k))
     return report
 
 
-def _pan_n5(coll, x, y, report, budget):
-    try:
-        path, tag = five_vertex_4path(coll, x, y)
-        report.paths[4] = path
-        report.traces.append(BranchTrace("five_vertex", tag, None, {}, 4, path))
-    except HypothesisViolation as hv:
-        report.discrepancies.append(
-            {"k": 4, "stage": hv.stage, "claim": hv.claim, "detail": hv.details}
-        )
-        _pan_fallback(coll, x, y, 4, report, budget, hv.stage)
-
-
-def _pan_universal(coll, x, y, report, spanning):
+def _pan_universal(coll, x, report, spanning):
     n = coll.n
     for k in range(4, n):
         tail = spanning.vertices[n - k + 1 :]
@@ -1810,14 +1715,14 @@ def _pan_universal(coll, x, y, report, spanning):
         path = _emit(
             coll, "universal_endpoint", (x,) + tail, (attach,) + tail_cols
         )
-        report.paths[k] = path
-        report.traces.append(
+        report.record(
             BranchTrace("universal_endpoint", None, None, {"attach": attach}, k, path)
         )
 
 
-def _pan_route(coll, view, x, y, z, budget):
-    """Locate the spanning structure of the reduced view that drives [4, n-1]."""
+def _pan_route(coll, view, budget):
+    """The builder, called as build(x, y, z, k), that the spanning structure
+    of the reduced view drives for every k in [4, n-1], or None."""
     n = coll.n
     # Test the join shape first: when it is present, every search below is an
     # exhaustive refutation. The view has N = n - 3 vertices, even because n
@@ -1829,14 +1734,14 @@ def _pan_route(coll, view, x, y, z, budget):
     # route is the same as when the join is tested last.
     join = join_partition(view)
     if join is not None:
-        return ("join_partition", join)
+        return lambda x, y, z, k: join_partition_k_path(coll, *join, x, y, z, k)
     cyc = find_rainbow_cycle(view, n - 3, budget=budget)
     if cyc is not None:
-        return ("rotation", cyc)
-    cyc = find_rainbow_cycle(view, n - 4, budget=budget)
-    if cyc is not None:
-        w = next(v for v in view.vertices if v not in set(cyc.vertices))
-        return ("near_cycle", (cyc, w))
+        return lambda x, y, z, k: rotation_k_path(coll, cyc, x, y, k)
+    near = find_rainbow_cycle(view, n - 4, budget=budget)
+    if near is not None:
+        w = next(v for v in view.vertices if v not in set(near.vertices))
+        return lambda x, y, z, k: near_cycle_k_path(coll, near, x, y, z, w, k)
     keep = view.vertices
     for j in view.colors:
         sub = restrict(view, remove_colors=(j,))
@@ -1844,128 +1749,44 @@ def _pan_route(coll, view, x, y, z, budget):
             for b in keep[ai + 1 :]:
                 found = find_rainbow_path(sub, a, b, n - 3, budget=budget)
                 if found is not None:
-                    return ("ham_path", found)
+                    return lambda x, y, z, k: ham_path_k_path(coll, found, x, y, z, k)
     for j in view.colors:
         split = two_clique_partition(restrict(view, remove_colors=(j,)))
         if split is not None:
-            return ("two_clique", split + (j,))
+            return lambda x, y, z, k: two_clique_k_path(coll, *split, x, y, z, j, k)
     return None
 
 
-def _pan_one_k(coll, x, y, z, k, route, report, budget):
-    if route is None:
-        report.discrepancies.append(
-            {
-                "k": k,
-                "stage": "structure",
-                "detail": "no spanning structure or recognized shape in the "
-                "reduced view",
-            }
-        )
-        _pan_fallback(coll, x, y, k, report, budget, "structure")
-        return
-    kind, payload = route
+def _pan_one_k(coll, k, build, report, budget):
+    """Fire one branch builder for length k. A violation is flagged and
+    answered by search; the family verdict is checked against search."""
     try:
-        if kind == "rotation":
-            path, sets = rotation_k_path(coll, payload, x, y, k)
-            trace = BranchTrace("rotation", None, None, sets.to_json_dict(), k, path)
-        elif kind == "near_cycle":
-            cyc, w = payload
-            path, sets = near_cycle_k_path(coll, cyc, x, y, z, w, k)
-            trace = BranchTrace(
-                "near_cycle", sets.case, sets.subcase, sets.to_json_dict(), k, path
-            )
-        elif kind == "ham_path":
-            path, sets = ham_path_k_path(coll, payload, x, y, z, k)
-            trace = BranchTrace(
-                "ham_path", sets.case, sets.subcase, sets.to_json_dict(), k, path
-            )
-        elif kind == "two_clique":
-            side1, side2, j = payload
-            path, tag = two_clique_k_path(coll, side1, side2, x, y, z, j, k)
-            trace = BranchTrace(
-                "two_clique",
-                tag,
-                None,
-                {"u1": list(side1), "u2": list(side2), "j": j},
-                k,
-                path,
-            )
-        else:
-            eff, eye = payload
-            outcome, tag = join_partition_k_path(coll, eff, eye, x, y, z, k)
-            if isinstance(outcome, ExtremalWitness):
-                _pan_family(coll, x, y, k, outcome, tag, eff, eye, report, budget)
-                return
-            path, trace = outcome, BranchTrace(
-                "join_partition",
-                tag[0],
-                tag,
-                {"f": list(eff), "i": list(eye)},
-                k,
-                outcome,
-            )
+        trace = build()
     except HypothesisViolation as hv:
-        report.discrepancies.append(
-            {"k": k, "stage": hv.stage, "claim": hv.claim, "detail": hv.details}
-        )
-        _pan_fallback(coll, x, y, k, report, budget, hv.stage)
+        report.flag(k, hv.stage, hv.details, hv.claim)
+        _pan_fallback(coll, k, report, budget, hv.stage)
         return
-    report.paths[k] = path
-    report.traces.append(trace)
-
-
-def _pan_family(coll, x, y, k, witness, tag, eff, eye, report, budget):
+    report.record(trace)
+    if trace.path is not None:
+        return
+    # the join family's verdict: only length 4 may be missing
     if report.verdict is None:
-        report.verdict = witness
-    report.traces.append(
-        BranchTrace(
+        report.verdict = trace.sets["verdict"]
+    found = report.search(coll, k, budget)
+    if not found and k != 4:
+        report.flag(k, "join_partition", "the exceptional family should only miss length 4")
+    elif found and k == 4:
+        report.flag(
+            4,
             "join_partition",
-            tag[0],
-            tag,
-            {"f": list(eff), "i": list(eye), "verdict": witness.to_json_dict()},
-            k,
-            None,
+            "family verdict claims length 4 unreachable but search found a path",
         )
-    )
-    found = find_rainbow_path(coll, x, y, k, budget=budget)
-    if found is None:
-        report.missing_k += (k,)
-        if k != 4:
-            report.discrepancies.append(
-                {
-                    "k": k,
-                    "stage": "join_partition",
-                    "detail": "the exceptional family should only miss "
-                    "length 4",
-                }
-            )
-    else:
-        report.paths[k] = found
-        report.traces.append(BranchTrace("search", None, None, {}, k, found))
-        if k == 4:
-            report.discrepancies.append(
-                {
-                    "k": 4,
-                    "stage": "join_partition",
-                    "detail": "family verdict claims length 4 unreachable "
-                    "but search found a path",
-                }
-            )
 
 
-def _pan_fallback(coll, x, y, k, report, budget, origin):
-    found = find_rainbow_path(coll, x, y, k, budget=budget)
-    if found is not None:
-        report.paths[k] = found
-        report.traces.append(BranchTrace("search", None, None, {}, k, found))
-    else:
-        report.missing_k += (k,)
-        report.discrepancies.append(
-            {
-                "k": k,
-                "stage": origin,
-                "detail": "fallback search also found no path; the instance "
-                "misses a guaranteed length",
-            }
+def _pan_fallback(coll, k, report, budget, origin):
+    if not report.search(coll, k, budget):
+        report.flag(
+            k,
+            origin,
+            "fallback search also found no path; the instance misses a guaranteed length",
         )

@@ -18,7 +18,6 @@ import random
 from dataclasses import dataclass, field
 
 from .analysis import (
-    ExtremalWitness,
     recognize_F_family,
     recognize_join_partition,
     recognize_two_cliques,
@@ -383,8 +382,8 @@ def _shape_rotation(n, seed, variant):
     cycle = ColoredCycle(tuple(ring), tuple(range(length)))
     _expect(check_colored_cycle(coll, cycle) is None, "planted cycle invalid")
     for k in range(4, n):
-        path, sets = rotation_k_path(coll, cycle, x, y, k)
-        _expect(sets.c_star == c_star and sets.j == j, "rotation roles drifted")
+        sets = rotation_k_path(coll, cycle, x, y, k).sets
+        _expect(sets["c_star"] == c_star and sets["j"] == j, "rotation roles drifted")
     handles = {"cycle": cycle, "x": x, "y": y, "z": z, "c_star": c_star, "j": j}
     return coll, handles
 
@@ -438,14 +437,14 @@ def _shape_near_cycle(n, seed, variant):
     _expect(check_colored_cycle(coll, cycle) is None, "planted cycle invalid")
     expect_sub = {"main": "main", "case3": "main", "b1": "b1", "b2": "b2", "b3": "b3"}
     for k in range(4, n):
-        path, sets = near_cycle_k_path(coll, cycle, x, y, z, w, k)
+        trace = near_cycle_k_path(coll, cycle, x, y, z, w, k)
         if k == 4:
             _expect(
-                sets.case == "1" and sets.subcase == expect_sub[variant],
-                f"length-4 branch drifted to {sets.case}/{sets.subcase}",
+                trace.case == "1" and trace.subcase == expect_sub[variant],
+                f"length-4 branch drifted to {trace.case}/{trace.subcase}",
             )
         elif variant == "case3":
-            _expect(sets.case == "3", f"expected interior anchor, got {sets.case}")
+            _expect(trace.case == "3", f"expected interior anchor, got {trace.case}")
     handles = {
         "cycle": cycle,
         "x": x,
@@ -582,12 +581,12 @@ def _shape_ham_path(n, seed, variant):
     _expect(check_colored_path(coll, path) is None, "planted path invalid")
     want_case = {"a": "a", "b": "b", "c1": "c", "c2": "c", "c2rec": "c"}[variant]
     for k in range(4, n):
-        built, sets = ham_path_k_path(coll, path, x, y, z, k)
-        _expect(sets.case == want_case, f"case drifted to {sets.case} at k={k}")
+        trace = ham_path_k_path(coll, path, x, y, z, k)
+        _expect(trace.case == want_case, f"case drifted to {trace.case} at k={k}")
         if variant == "c2rec":
             _expect(
-                sets.subcase is not None and sets.subcase.startswith("3.2->rec:"),
-                f"recolored re-entry missing at k={k}: {sets.subcase}",
+                trace.subcase is not None and trace.subcase.startswith("3.2->rec:"),
+                f"recolored re-entry missing at k={k}: {trace.subcase}",
             )
     handles = {
         "path": path,
@@ -633,9 +632,9 @@ def _shape_two_clique(n, seed, variant):
     }
     want = {"z": ("z-mid", "z-full"), "cross": ("cross",)}[variant]
     for k in range(4, n):
-        built, tag = two_clique_k_path(
+        tag = two_clique_k_path(
             coll, u1_p, u2_p, handles["x"], handles["y"], handles["z"], 0, k
-        )
+        ).case
         _expect(
             tag == "straight" or tag in want,
             f"branch drifted to {tag!r} at k={k}",
@@ -689,11 +688,11 @@ def _shape_join(n, seed, variant):
     }
     want = "1" if variant == "inner" else "2.1"
     for k in range(4, n):
-        built, tag = join_partition_k_path(
+        trace = join_partition_k_path(
             coll, handles["f"], handles["i"], handles["x"], handles["y"], handles["z"], k
         )
-        _expect(tag == want, f"branch drifted to {tag!r} at k={k}")
-        _expect(not isinstance(built, ExtremalWitness), "unexpected verdict")
+        _expect(trace.subcase == want, f"branch drifted to {trace.subcase!r} at k={k}")
+        _expect(trace.path is not None, "unexpected verdict")
     return coll, handles
 
 

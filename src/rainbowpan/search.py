@@ -169,6 +169,7 @@ def find_rainbow_path(
     x: int,
     y: int,
     k: int,
+    *,
     budget: SearchBudget | None = None,
 ) -> ColoredPath | None:
     """Rainbow path on exactly k vertices joining x and y, or None.
@@ -207,6 +208,7 @@ def find_rainbow_ham_path(
     view: CollectionLike,
     x: int,
     y: int,
+    *,
     budget: SearchBudget | None = None,
 ) -> ColoredPath | None:
     """Rainbow path through every surviving vertex, joining x and y."""
@@ -217,6 +219,7 @@ def shortest_rainbow_path(
     view: CollectionLike,
     x: int,
     y: int,
+    *,
     budget: SearchBudget | None = None,
 ) -> ColoredPath | None:
     """A shortest rainbow path joining x and y, or None if there is none.
@@ -244,6 +247,7 @@ def rainbow_distance(
     coll: CollectionLike,
     x: int,
     y: int,
+    *,
     budget: SearchBudget | None = None,
 ) -> int | None:
     """Length (edge count) of a shortest rainbow path, or None if unreachable."""
@@ -254,6 +258,7 @@ def rainbow_distance(
 def find_rainbow_cycle(
     view: CollectionLike,
     length: int,
+    *,
     budget: SearchBudget | None = None,
 ) -> ColoredCycle | None:
     """Rainbow cycle on exactly `length` vertices, or None."""

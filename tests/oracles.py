@@ -220,3 +220,36 @@ def clique_splits(coll: CollectionLike, color: int) -> list[tuple[tuple, tuple]]
             ):
                 found.append(tuple(sorted((a, b), key=lambda s: (len(s), s))))
     return found
+
+
+def f_partitions(coll) -> list[tuple[tuple, tuple, tuple]]:
+    """Every (Q1, Q2, single edge) of the join family: all graphs share one
+    edge set, |Q1| = (n-1)/2, Q1 is independent and joined to all of Q2, and
+    G[Q2] has minimum degree 1 and a component that is a single edge, the
+    smallest such edge named. Enumerates every candidate Q1."""
+    edge_sets = [set(g.edges()) for g in coll.graphs]
+    n = coll.n
+    if n % 2 == 0 or n < 5 or any(e != edge_sets[0] for e in edge_sets[1:]):
+        return []
+    nbr = [set(coll.graphs[0].neighbors(v)) for v in range(n)]
+    found = []
+    for q1 in combinations(range(n), (n - 1) // 2):
+        q2 = tuple(v for v in range(n) if v not in q1)
+        if any(nbr[u] != set(q2) for u in q1):
+            continue
+        comps, seen = [], set()
+        for v in q2:
+            if v in seen:
+                continue
+            comp, stack = {v}, [v]
+            while stack:
+                for t in nbr[stack.pop()] & set(q2):
+                    if t not in comp:
+                        comp.add(t)
+                        stack.append(t)
+            seen |= comp
+            comps.append(comp)
+        singles = [tuple(sorted(c)) for c in comps if len(c) == 2]
+        if all(len(c) > 1 for c in comps) and singles:
+            found.append((q1, q2, min(singles)))
+    return found

@@ -1,4 +1,6 @@
 """Certificates, recognizers and headline verdicts against brute force."""
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -36,6 +38,7 @@ from rainbowpan.search import SearchBudget, find_rainbow_path
 
 from .oracles import (
     clique_splits,
+    f_partitions,
     join_partitions,
     rainbow_path_exists,
     single_graph_path_exists,
@@ -281,6 +284,59 @@ def test_recognize_F_family_rejects_nonmembers():
     broken = GraphCollection(7, coll.graphs[:5] + (bumped,))
     assert recognize_F_family(broken) is None
     assert "differ" in f_family_rejection_reason(broken)
+
+
+def f_family_cases():
+    """Identical-graph collections at every odd n <= 11: join families with
+    one or several single-edge components, each with single edges toggled,
+    the shape with two candidate halves, a family shape with the wrong side
+    sizes, and random graphs."""
+    q2_variants = {
+        7: [None, ((0, 1), (2, 3))],
+        9: [None, ((0, 1), (2, 3), (3, 4))],
+        11: [None, ((0, 1), (2, 3), (4, 5)), ((0, 1), (2, 3), (3, 4), (4, 5))],
+    }
+    for n, variants in q2_variants.items():
+        for seed, q2_edges in enumerate(variants):
+            g = gen_extremal_F(n, 2, q2_edges, seed).graphs[0]
+            yield g
+            rng = random.Random(f"F:{n}:{seed}")
+            for _ in range(6):
+                u, v = rng.sample(range(n), 2)
+                yield g.without_edge(u, v) if g.has_edge(u, v) else g.with_edge(u, v)
+    for n in (5, 7, 9, 11):
+        h = (n - 1) // 2
+        # halves {0..h-1} and {h..2h-1}, joined to each other and to vertex n-1:
+        # both are candidate independent halves
+        halves = [(a, b) for a in range(h) for b in range(h, n)]
+        yield build_graph(n, halves + [(a, n - 1) for a in range(h, n - 1)])
+        if n >= 9:
+            # an independent side one vertex too large, over a single edge
+            # and a path
+            q2 = list(range(h + 1, n))
+            join = [(a, b) for a in range(h + 1) for b in q2]
+            yield build_graph(n, join + [(q2[0], q2[1])] + list(zip(q2[2:], q2[3:])))
+        rng = random.Random(f"F:random:{n}")
+        for _ in range(4):
+            yield build_graph(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+            )
+
+
+def test_recognize_F_family_matches_bruteforce():
+    named = 0
+    for g in f_family_cases():
+        coll = GraphCollection(g.n, (g, g))
+        want = f_partitions(coll)
+        assert len(want) <= 1
+        got = recognize_F_family(coll)
+        if not want:
+            assert got is None, g
+            continue
+        named += 1
+        q1, q2, single = want[0]
+        assert got.partition == {"q1": q1, "q2": q2, "single_edge": single}
+    assert named >= 8
 
 
 def test_f_family_rejection_reasons():

@@ -10,6 +10,7 @@ import pytest
 from rainbowpan import constructions
 from rainbowpan.analysis import ExtremalWitness, join_partition
 from rainbowpan.constructions import (
+    BranchTrace,
     HypothesisViolation,
     _Frame,
     _hp_close,
@@ -31,11 +32,13 @@ from rainbowpan.core import (
     GraphCollection,
     build_graph,
     check_colored_cycle,
+    check_colored_path,
     clique_split,
     restrict,
     verify_colored_path,
 )
 from rainbowpan.generate import (
+    LEMMA_SHAPES,
     gen_extremal_F,
     gen_lemma_shape,
     gen_random_collection,
@@ -87,9 +90,10 @@ def test_five_vertex_4path_all_pairs():
         coll = gen_random_collection(5, 4, 3, seed=seed)
         for x in range(5):
             for y in range(x + 1, 5):
-                path, tag = five_vertex_4path(coll, x, y)
-                check_path(coll, path, x, y, 4)
-                assert tag
+                trace = five_vertex_4path(coll, x, y)
+                assert (trace.lemma, trace.k) == ("five_vertex", 4)
+                check_path(coll, trace.path, x, y, 4)
+                assert trace.case in ("direct", "recolored", "shifted")
 
 
 # -- rotation around a spanning cycle ---------------------------------------------
@@ -99,14 +103,15 @@ def test_five_vertex_4path_all_pairs():
 def test_rotation_all_lengths(n):
     coll, h = gen_lemma_shape("lem2", n, seed=n)
     for k in range(4, n):
-        path, sets = rotation_k_path(coll, h["cycle"], h["x"], h["y"], k)
-        check_path(coll, path, h["x"], h["y"], k)
-        assert sets.c_star == h["c_star"]
-        assert sets.j == h["j"]
-        assert sets.s in sets.i_k and sets.s in sets.i_0
+        trace = rotation_k_path(coll, h["cycle"], h["x"], h["y"], k)
+        check_path(coll, trace.path, h["x"], h["y"], k)
+        sets = trace.sets
+        assert sets["c_star"] == h["c_star"]
+        assert sets["j"] == h["j"]
+        assert sets["s"] in sets["i_k"] and sets["s"] in sets["i_0"]
         # positions are 1-based along the cycle
         length = len(h["cycle"].vertices)
-        assert all(1 <= p <= length for p in sets.i_k + sets.i_0)
+        assert all(1 <= p <= length for p in sets["i_k"] + sets["i_0"])
 
 
 def test_rotation_rejects_wrong_cycle():
@@ -124,45 +129,46 @@ NEAR_CYCLE_K4 = {"main": "main", "b1": "b1", "b2": "b2", "b3": "b3"}
 @pytest.mark.parametrize("variant", sorted(NEAR_CYCLE_K4))
 def test_near_cycle_k4_subcases(variant):
     coll, h = gen_lemma_shape("lem3", 9, seed=1, variant=variant)
-    path, sets = near_cycle_k_path(
+    trace = near_cycle_k_path(
         coll, h["cycle"], h["x"], h["y"], h["z"], h["w"], 4
     )
-    check_path(coll, path, h["x"], h["y"], 4)
-    assert sets.case == "1"
-    assert sets.subcase == NEAR_CYCLE_K4[variant]
+    check_path(coll, trace.path, h["x"], h["y"], 4)
+    assert trace.case == "1"
+    assert trace.subcase == NEAR_CYCLE_K4[variant]
 
 
 @pytest.mark.parametrize("variant", ["main", "b1", "b2", "b3"])
 def test_near_cycle_longer_lengths_use_anchor_sweep(variant):
     coll, h = gen_lemma_shape("lem3", 9, seed=1, variant=variant)
     for k in range(5, 9):
-        path, sets = near_cycle_k_path(
+        trace = near_cycle_k_path(
             coll, h["cycle"], h["x"], h["y"], h["z"], h["w"], k
         )
-        check_path(coll, path, h["x"], h["y"], k)
-        assert sets.case == "2"
+        check_path(coll, trace.path, h["x"], h["y"], k)
+        assert trace.case == "2"
         # disjoint attachment sets with the lone excluded position
-        assert not set(sets.a) & set(sets.b)
-        assert sets.excluded not in sets.a + sets.b
+        sets = trace.sets
+        assert not set(sets["a"]) & set(sets["b"])
+        assert sets["excluded"] not in sets["a"] + sets["b"]
 
 
 def test_near_cycle_interior_anchor_case():
     coll, h = gen_lemma_shape("lem3", 9, seed=2, variant="case3")
     for k in range(5, 9):
-        path, sets = near_cycle_k_path(
+        trace = near_cycle_k_path(
             coll, h["cycle"], h["x"], h["y"], h["z"], h["w"], k
         )
-        check_path(coll, path, h["x"], h["y"], k)
-        assert sets.case == "3"
+        check_path(coll, trace.path, h["x"], h["y"], k)
+        assert trace.case == "3"
 
 
 def test_near_cycle_partition_roles():
     coll, h = gen_lemma_shape("lem3", 9, seed=3, variant="main")
-    _, sets = near_cycle_k_path(coll, h["cycle"], h["x"], h["y"], h["z"], h["w"], 6)
+    sets = near_cycle_k_path(coll, h["cycle"], h["x"], h["y"], h["z"], h["w"], 6).sets
     cycle_verts = set(h["cycle"].vertices)
-    assert set(sets.u1) | set(sets.u2) == cycle_verts
-    assert not set(sets.u1) & set(sets.u2)
-    assert sets.w == h["w"]
+    assert set(sets["u1"]) | set(sets["u2"]) == cycle_verts
+    assert not set(sets["u1"]) & set(sets["u2"])
+    assert sets["w"] == h["w"]
 
 
 # -- endpoint degree bounds ----------------------------------------------------------
@@ -217,29 +223,29 @@ def test_ham_path_cases(variant, n):
     coll, h = gen_lemma_shape("lem6", n, seed=2, variant=variant)
     expected = HAM_PATH_TAGS[(variant, n)]
     for k in range(4, n):
-        path, sets = ham_path_k_path(coll, h["path"], h["x"], h["y"], h["z"], k)
-        check_path(coll, path, h["x"], h["y"], k)
-        assert sets.case == h["case"]
+        trace = ham_path_k_path(coll, h["path"], h["x"], h["y"], h["z"], k)
+        check_path(coll, trace.path, h["x"], h["y"], k)
+        assert trace.case == h["case"]
         if k in expected:
-            assert (sets.case, sets.subcase) == expected[k], k
+            assert (trace.case, trace.subcase) == expected[k], k
 
 
 def test_ham_path_recolor_redispatch():
     # the planted frame only completes after re-rooting on recolored ends
     coll, h = gen_lemma_shape("lem6", 9, seed=2, variant="c2rec")
     for k in range(4, 9):
-        path, sets = ham_path_k_path(coll, h["path"], h["x"], h["y"], h["z"], k)
-        check_path(coll, path, h["x"], h["y"], k)
-        assert sets.subcase.startswith("3.2->rec:")
+        trace = ham_path_k_path(coll, h["path"], h["x"], h["y"], h["z"], k)
+        check_path(coll, trace.path, h["x"], h["y"], k)
+        assert trace.subcase.startswith("3.2->rec:")
 
 
 def test_ham_path_block_structure():
     coll, h = gen_lemma_shape("lem6", 9, seed=5, variant="a")
-    _, sets = ham_path_k_path(coll, h["path"], h["x"], h["y"], h["z"], 6)
+    sets = ham_path_k_path(coll, h["path"], h["x"], h["y"], h["z"], 6).sets
     # blocks tile a1 exactly
-    from_blocks = [p for s, t in sets.blocks for p in range(s, t + 1)]
-    assert tuple(sorted(sets.a1)) == tuple(sorted(from_blocks))
-    assert sets.l == len(sets.blocks)
+    from_blocks = [p for s, t in sets["blocks"] for p in range(s, t + 1)]
+    assert sorted(sets["a1"]) == sorted(from_blocks)
+    assert sets["l"] == len(sets["blocks"])
 
 
 # -- two-clique collections -----------------------------------------------------------
@@ -258,12 +264,12 @@ def test_two_clique_routes(variant, n):
     coll, h = gen_lemma_shape("lem7", n, seed=3, variant=variant)
     expected = TWO_CLIQUE_TAGS[(variant, n)]
     for k in range(4, n):
-        path, tag = two_clique_k_path(
+        trace = two_clique_k_path(
             coll, h["u1"], h["u2"], h["x"], h["y"], h["z"], h["j"], k
         )
-        check_path(coll, path, h["x"], h["y"], k)
+        check_path(coll, trace.path, h["x"], h["y"], k)
         if k in expected:
-            assert tag == expected[k], k
+            assert trace.case == expected[k], k
 
 
 # -- join partitions -------------------------------------------------------------------
@@ -272,21 +278,21 @@ def test_two_clique_routes(variant, n):
 def test_join_partition_witness_route():
     coll, h = gen_lemma_shape("lem8", 9, seed=4, variant="witness")
     for k in range(4, 9):
-        path, tag = join_partition_k_path(
+        trace = join_partition_k_path(
             coll, h["f"], h["i"], h["x"], h["y"], h["z"], k
         )
-        check_path(coll, path, h["x"], h["y"], k)
-        assert tag == "2.1"
+        check_path(coll, trace.path, h["x"], h["y"], k)
+        assert trace.subcase == "2.1"
 
 
 def test_join_partition_inner_route():
     coll, h = gen_lemma_shape("lem8", 9, seed=4, variant="inner")
     for k in range(4, 9):
-        path, tag = join_partition_k_path(
+        trace = join_partition_k_path(
             coll, h["f"], h["i"], h["x"], h["y"], h["z"], k
         )
-        check_path(coll, path, h["x"], h["y"], k)
-        assert tag == "1"
+        check_path(coll, trace.path, h["x"], h["y"], k)
+        assert trace.subcase == "1"
 
 
 def test_join_partition_family_verdict():
@@ -294,15 +300,80 @@ def test_join_partition_family_verdict():
     # exhaustive search both say the 4-path is missing
     coll, h = gen_lemma_shape("lem8", 9, seed=4, variant="family")
     f, i, x, y = h["f"], h["i"], h["x"], h["y"]
-    verdict, tag = join_partition_k_path(coll, f[1:], i, x, y, f[0], 4)
-    assert tag == "2.2"
+    trace = join_partition_k_path(coll, f[1:], i, x, y, f[0], 4)
+    assert (trace.case, trace.subcase, trace.path) == ("2", "2.2", None)
+    verdict = trace.sets["verdict"]
     assert isinstance(verdict, ExtremalWitness)
     assert verdict.kind == "F_family"
+    assert trace.to_json_dict()["sets"]["verdict"] == verdict.to_json_dict()
     assert not rainbow_path_exists(coll, x, y, 4)
     # every other length is still reachable
-    path, tag = join_partition_k_path(coll, f[1:], i, x, y, f[0], 5)
-    check_path(coll, path, x, y, 5)
-    assert tag == "2.1"
+    trace = join_partition_k_path(coll, f[1:], i, x, y, f[0], 5)
+    check_path(coll, trace.path, x, y, 5)
+    assert trace.subcase == "2.1"
+
+
+# -- every builder returns the trace of the branch it fired -----------------------------
+
+
+SHAPE_BUILDERS = {
+    "lem2": ("rotation", lambda coll, h, k: rotation_k_path(coll, h["cycle"], h["x"], h["y"], k)),
+    "lem3": (
+        "near_cycle",
+        lambda coll, h, k: near_cycle_k_path(
+            coll, h["cycle"], h["x"], h["y"], h["z"], h["w"], k
+        ),
+    ),
+    "lem6": (
+        "ham_path",
+        lambda coll, h, k: ham_path_k_path(coll, h["path"], h["x"], h["y"], h["z"], k),
+    ),
+    "lem7": (
+        "two_clique",
+        lambda coll, h, k: two_clique_k_path(
+            coll, h["u1"], h["u2"], h["x"], h["y"], h["z"], h["j"], k
+        ),
+    ),
+    "lem8": (
+        "join_partition",
+        lambda coll, h, k: join_partition_k_path(
+            coll, h["f"], h["i"], h["x"], h["y"], h["z"], k
+        ),
+    ),
+}
+
+
+def k_path_shapes():
+    """(lemma, variant, n) for every gen_lemma_shape fixture at n = 7 and 9
+    that a k-path builder reads (lem5 feeds `endpoint_bound_report`)."""
+    for n in (7, 9):
+        for lemma in sorted(SHAPE_BUILDERS):
+            for variant in LEMMA_SHAPES[lemma]:
+                try:
+                    gen_lemma_shape(lemma, n, 0, variant)
+                except ValueError:  # the shape does not exist at this order
+                    continue
+                yield lemma, variant, n
+
+
+@pytest.mark.parametrize("lemma,variant,n", list(k_path_shapes()))
+def test_builders_return_the_trace_they_fired(lemma, variant, n):
+    coll, h = gen_lemma_shape(lemma, n, 0, variant)
+    family = (lemma, variant) == ("lem8", "family")
+    if family:
+        # the family has no removed vertex: one F vertex stands in for z
+        h = dict(h, f=h["f"][1:], z=h["f"][0])
+    name, build = SHAPE_BUILDERS[lemma]
+    for k in range(4, n):
+        trace = build(coll, h, k)
+        assert isinstance(trace, BranchTrace)
+        assert (trace.lemma, trace.k) == (name, k)
+        if trace.path is None:
+            assert family and trace.subcase == "2.2", k
+            assert trace.sets["verdict"].kind == "F_family"
+            continue
+        assert check_colored_path(coll, trace.path) is None
+        check_path(coll, trace.path, h["x"], h["y"], k)
 
 
 # -- the full constructive pipeline ------------------------------------------------------
@@ -414,7 +485,9 @@ def test_join_route_excludes_the_searched_routes(n):
         if join is None:
             continue
         joins += 1
-        assert _pan_route(coll, view, x, y, z, None) == ("join_partition", join)
+        trace = _pan_route(coll, view, None)(x, y, z, 5)
+        assert trace.lemma == "join_partition"
+        assert (tuple(trace.sets["f"]), tuple(trace.sets["i"])) == join
         assert all(clique_split(view.color_rows[c], view.vertex_mask) is None for c in view.colors)
         if joins > 2:
             continue
@@ -545,8 +618,7 @@ def test_ham_path_retries_roles_after_non_fatal_violations(monkeypatch):
     monkeypatch.setattr(constructions, "_hp_dispatch", spy)
     got = ham_path_k_path(coll, h["path"].reversed(), *args, 6)
     assert outcomes == ["opening-count", "opening-count", "ok"]
-    assert got[0] == want[0]
-    assert got[1].to_json_dict() == want[1].to_json_dict()
+    assert got == want
 
 
 def assert_fatal_cycle(hv, claim, length):

@@ -3,26 +3,29 @@ witness vertices and colors, same node counts. Any divergence means the
 candidate ordering or augmenting order drifted.
 
 When the extension is not installed, the committed `_kernel.c` is compiled
-into a temporary directory with the C compiler and flags this interpreter was
-built with; the tests skip only when no such compiler exists.
+into a temporary directory by the benchmark's `perfbench/kernel_build.py`,
+with the C compiler and flags this interpreter was built with; the tests
+skip only when no such compiler exists.
 """
 import importlib.util
 import random
-import shlex
 import shutil
-import subprocess
-import sysconfig
 from pathlib import Path
 
 import pytest
 
 from rainbowpan import _kernel_py
 
-KERNEL_C = Path(__file__).resolve().parents[1] / "src" / "rainbowpan" / "_kernel.c"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def _config(name: str, default: str) -> list[str]:
-    return shlex.split(sysconfig.get_config_var(name) or default)
+def _load_kernel_build():
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_kernel_build", ROOT / "perfbench" / "kernel_build.py"
+    )
+    kernel_build = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(kernel_build)
+    return kernel_build
 
 
 @pytest.fixture(scope="session")
@@ -31,17 +34,11 @@ def kernel(tmp_path_factory):
         return importlib.import_module("rainbowpan._kernel")
     except ImportError:
         pass
-    cc = _config("CC", "cc")
+    kernel_build = _load_kernel_build()
+    cc = kernel_build._cc()
     if shutil.which(cc[0]) is None:
         pytest.skip(f"rainbowpan._kernel is not installed and no C compiler ({cc[0]}) is on PATH")
-    out = tmp_path_factory.mktemp("kernel")
-    obj = out / "_kernel.o"
-    target = out / ("_kernel" + (sysconfig.get_config_var("EXT_SUFFIX") or ".so"))
-    compile_cmd = cc + _config("CFLAGS", "-O2") + _config("CCSHARED", "-fPIC")
-    compile_cmd += ["-I", sysconfig.get_paths()["include"], "-c", str(KERNEL_C), "-o", str(obj)]
-    for cmd in (compile_cmd, _config("LDSHARED", "cc -shared") + [str(obj), "-o", str(target)]):
-        done = subprocess.run(cmd, capture_output=True, text=True)
-        assert done.returncode == 0, f"building the kernel failed: {' '.join(cmd)}\n{done.stderr}"
+    target = kernel_build.build(ROOT, tmp_path_factory.mktemp("kernel"))
     spec = importlib.util.spec_from_file_location("rainbowpan._kernel", target)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

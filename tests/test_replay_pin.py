@@ -2,16 +2,18 @@
 
 Each digest is the sha256 of `io.format_json` of a list of outputs: for every
 `gen_lemma_shape` variant at n = 7 and 9 (seed 0), what its branch builder
-returns for every k (path and sets, path and tag, a family verdict, or the
-violation it raises); and `constructive_panconnect` for every pair of one
-random and one F-family instance at n = 9. A refactor of the builders must
-leave every digest unchanged; a deliberate change of output updates them.
+returns for every k (its trace, mapped by `_json` onto the path or family
+verdict beside the branch's sets or tag, or the violation it raises); and
+`constructive_panconnect` for every pair of one random and one F-family
+instance at n = 9. A refactor of the builders must leave every digest
+unchanged; a deliberate change of output updates them.
 """
 import hashlib
 
 import pytest
 
 from rainbowpan.constructions import (
+    BranchTrace,
     HypothesisViolation,
     constructive_panconnect,
     endpoint_bound_report,
@@ -70,15 +72,19 @@ REPLAY_DIGESTS = {
 
 
 def _json(out):
-    if isinstance(out, tuple):
-        return [_json(part) for part in out]
-    if out is None or isinstance(out, str):
-        return out
+    """A builder's result in the form the shape digests were taken over: a
+    trace becomes [path or family verdict, the branch's sets or tag]."""
+    if not isinstance(out, BranchTrace):
+        return out.to_json_dict()
     data = out.to_json_dict()
-    for name in ("case", "subcase"):  # kept out of some sets' JSON
-        if hasattr(out, name):
-            data[name] = getattr(out, name)
-    return data
+    first = data["path"] if out.path is not None else data["sets"]["verdict"]
+    if out.lemma == "rotation":
+        return [first, data["sets"]]
+    if out.lemma == "two_clique":
+        return [first, out.case]
+    if out.lemma == "join_partition":
+        return [first, out.subcase]
+    return [first, dict(data["sets"], case=out.case, subcase=out.subcase)]
 
 
 def _outcome(builder, *args, **kwargs):

@@ -405,6 +405,21 @@ class TestViewsAndValidation:
         with pytest.raises(ValueError):
             find_rainbow_path(view, 0, 1, 2)
 
+    def test_budget_is_keyword_only(self):
+        # a positional budget once landed where a removed parameter stood
+        kn = build_graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+        view = GraphCollection(6, (kn,) * 6)
+        for call in (
+            lambda: find_rainbow_cycle(view, 6, SearchBudget()),
+            lambda: find_rainbow_path(view, 0, 1, 4, SearchBudget()),
+            lambda: find_rainbow_ham_path(view, 0, 1, SearchBudget()),
+            lambda: shortest_rainbow_path(view, 0, 1, SearchBudget()),
+            lambda: rainbow_distance(view, 0, 1, SearchBudget()),
+        ):
+            with pytest.raises(TypeError):
+                call()
+        assert find_rainbow_cycle(view, 6, budget=SearchBudget()) is not None
+
     @given(collections(min_n=2))
     def test_every_collection_edge_yields_its_two_path(self, coll):
         for c in range(coll.m):
