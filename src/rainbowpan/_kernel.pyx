@@ -1,7 +1,10 @@
 # cython: language_level=3, boundscheck=False, wraparound=False
-"""Compiled search kernel. Mirrors rainbowpan._kernel_py operation for
-operation: identical candidate ordering, augmenting order, node counting,
-witnesses. The parity tests compare both on the same queries."""
+"""No longer built; deleted together with the `kernel_pyx_sha256` field of
+`perfbench/kernel_build.provenance()`, which hashes this file (ROADMAP.md).
+
+The Cython source of the former generated kernel. The compiled kernel is
+the hand-written `_kernel.c`, which adds the cycle reflection bound and the
+input checks this file lacks."""
 
 from libc.stdlib cimport free, malloc
 from libc.string cimport memcpy

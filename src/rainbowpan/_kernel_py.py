@@ -1,16 +1,23 @@
 """Pure-Python search kernel: exact k-path / k-cycle search with an
 injective edge->color assignment maintained incrementally.
 
-This is the reference implementation. rainbowpan._kernel (Cython) mirrors
-its search operation for operation: both kernels make the same choices (the
-same candidates in the same order, the same augmenting steps) and return
-identical witnesses and node counts, which the parity tests pin down.
+This is the reference implementation. rainbowpan._kernel, hand-written C,
+mirrors its search operation for operation: both kernels make the same
+choices (the same candidates in the same order, the same augmenting steps)
+and return identical witnesses and node counts, which the parity tests pin
+down.
 
 Interface contract (shared by both kernels):
   adj is a flat sequence of m*n ints, adj[c*n + v] = bitmask of v's neighbors
   in color c, already restricted to surviving vertices and colors. Color
   values in results are positions 0..m-1 into that array; the caller re-maps
   them to base collection ids.
+  Both kernels raise ValueError when n or m is outside [0, 64], adj does not
+  hold exactly m*n rows, x or y is outside [0, n), k exceeds n or length is
+  outside [3, n], and OverflowError when a row of adj or vmask is negative
+  or has a bit at or above n. The compiled kernel's tables are 64-slot
+  arrays, so these inputs would read or write outside them; a cycle below
+  3 vertices would read a second vertex the search never placed.
 
 Determinism: candidates are tried by (fewest colors carrying the new edge,
 then smallest vertex id); augmenting steps scan colors in ascending order.
@@ -25,7 +32,8 @@ together with that tuple: a tuple cannot change, and holding it keeps its
 id from being reused, so the same object means the same input. The search
 layer passes each view's cached kernel input, one tuple, so every query on
 one view reuses its tables. A list, which may change between calls, gets
-tables for one call only.
+tables for one call only. The checks on n, m and adj run when tables are
+built, so a cache hit repeats none of them.
 """
 from __future__ import annotations
 
@@ -38,6 +46,9 @@ _INF = 1 << 20
 
 class _Budget(Exception):
     pass
+
+
+_MAXN = 64  # the compiled kernel's table width
 
 
 def _union_rows(n: int, adj) -> list[int]:
@@ -85,6 +96,14 @@ class _Tables:
     __slots__ = ("n", "m", "adj", "rows", "dists", "options")
 
     def __init__(self, n, m, adj):
+        if not 0 <= n <= _MAXN:
+            raise ValueError(f"n={n} outside [0, {_MAXN}]")
+        if not 0 <= m <= _MAXN:
+            raise ValueError(f"m={m} outside [0, {_MAXN}]")
+        if len(adj) != m * n:
+            raise ValueError(f"adj has {len(adj)} rows, not m*n = {m * n}")
+        if adj and (min(adj) < 0 or max(adj) >> n):
+            raise OverflowError(f"adj has a row that is not an {n}-bit mask")
         self.n = n
         self.m = m
         self.adj = adj
@@ -194,8 +213,8 @@ class _Search:
 
     def ordered_candidates(self, last: int, cand_mask: int) -> list[tuple[int, int, int]]:
         """(option count, vertex, option mask) sorted fail-first, one lookup
-        in last's option row per candidate vertex. `_order_candidates` of
-        `_kernel.pyx` makes the same list by testing every color for every
+        in last's option row per candidate vertex. `order_candidates` of
+        `_kernel.c` makes the same list by testing every color for every
         candidate; vertices are distinct, so the sort is by (count, vertex)."""
         out = []
         row = self.tables.option_row(last)
@@ -210,10 +229,20 @@ class _Search:
         return out
 
 
+def _check_vertex_mask(vmask: int, n: int) -> None:
+    if vmask < 0 or vmask >> n:
+        raise OverflowError(f"vmask is not an {n}-bit mask")
+
+
 def find_path(n, m, adj, x, y, k, vmask, node_limit):
     """Exact k-vertex rainbow path from x to y. Returns (status, vertices,
     colors, nodes); vertices/colors are None unless status == FOUND."""
     tables = _tables(n, m, adj)
+    if not (0 <= x < n and 0 <= y < n):
+        raise ValueError(f"x={x} or y={y} outside [0, {n})")
+    if k > n:
+        raise ValueError(f"k={k} exceeds n={n}")
+    _check_vertex_mask(vmask, n)
     rows = tables.rows
     dist = tables.dist(y, vmask)
     if dist[x] > k - 1:
@@ -261,8 +290,13 @@ def find_path(n, m, adj, x, y, k, vmask, node_limit):
 
 def find_cycle(n, m, adj, length, vmask, node_limit):
     """Rainbow cycle on exactly `length` vertices. Start vertex is the cycle
-    minimum; reflections are broken by second < last vertex id."""
+    minimum; reflections are broken by second < last vertex id, and a branch
+    stops once no unvisited neighbour of the start above the second vertex
+    is left to close the cycle."""
     tables = _tables(n, m, adj)
+    if not 3 <= length <= n:
+        raise ValueError(f"length={length} outside [3, {n}]")
+    _check_vertex_mask(vmask, n)
     rows = tables.rows
     st = _Search(tables, node_limit)
     result = None
@@ -293,6 +327,10 @@ def find_cycle(n, m, adj, length, vmask, node_limit):
                 if st.push_edge(tables.option_row(last)[s]):
                     return True
                 st.restore(snap)
+                return False
+            # reflection bound: the closing vertex is an unvisited neighbour
+            # of s above path[1]; with none left, every leaf below is rejected
+            if d and not (rows[s] & higher & ~used) >> (path[1] + 1):
                 return False
             cand = rows[last] & higher & ~used
             rem = length - 1 - d

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from rainbowpan import _kernel_py
+from rainbowpan import SearchBudget, _kernel_py, constructive_panconnect, restrict
+from rainbowpan.generate import GenSpec, generate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -135,22 +136,117 @@ class TestWideMasks:
         assert a[0] == _kernel_py.FOUND and a[1] == [0, 63, 32]
 
     def test_cycle_in_top_bits(self, kernel):
-        n, m = 64, 3
-        adj = [0] * (m * n)
-
-        def add(c, u, v):
-            adj[c * n + u] |= 1 << v
-            adj[c * n + v] |= 1 << u
-
-        for c in range(3):
-            add(c, 61, 62)
-            add(c, 62, 63)
-            add(c, 61, 63)
+        """A triangle on 61, 62, 63, and the square 60-61-62-63, where the
+        reflection bound works at the top bit. From start 60, vertex 63
+        comes first (one color against two), and the bound cuts [60, 63] at
+        once: no vertex lies above path[1] = 63. At length 3 the bound also
+        cuts [61, 62], and the start loop stops at 62, which has one vertex
+        above it."""
+        n = 64
         vmask = (1 << 64) - 1
-        a = _kernel_py.find_cycle(n, m, adj, 3, vmask, 10**6)
-        b = kernel.find_cycle(n, m, adj, 3, vmask, 10**6)
-        assert a == b
-        assert a[0] == _kernel_py.FOUND and a[1] == [61, 62, 63]
+
+        def build(m, edges):
+            adj = [0] * (m * n)
+            for colors, u, v in edges:
+                for c in colors:
+                    adj[c * n + u] |= 1 << v
+                    adj[c * n + v] |= 1 << u
+            return adj
+
+        def ask(m, adj, length):
+            got = _kernel_py.find_cycle(n, m, adj, length, vmask, 10**6)
+            assert got == kernel.find_cycle(n, m, adj, length, vmask, 10**6), length
+            return got
+
+        triangle = build(3, [(range(3), 61, 62), (range(3), 62, 63), (range(3), 61, 63)])
+        got = ask(3, triangle, 3)
+        assert got[0] == _kernel_py.FOUND and got[1] == [61, 62, 63]
+
+        square = build(4, [((0,), 60, 63), ((0, 1), 60, 61), (range(4), 61, 62), (range(4), 62, 63)])
+        # starts 0..59 take one node each; start 60 takes [60], [60, 63],
+        # [60, 61] and, at length 4, [60, 61, 62] and the leaf
+        assert ask(4, square, 4) == (_kernel_py.FOUND, [60, 61, 62, 63], [1, 3, 2, 0], 65)
+        assert ask(4, square, 3) == (_kernel_py.NONE, None, None, 65)
+
+
+class TestReflectionBound:
+    """The spanning 12-cycle query the constructive replay asks on
+    GenSpec(15, 14, 3, "random", min_degree=8) for pair (0, 2): the view
+    without vertices 0, 2 and 9 and without color 0. From start vertex 1,
+    whose largest neighbour comes first, every Hamiltonian path is rejected
+    at its leaf; without the bound that costs 9,864,113 nodes before the
+    first cycle below."""
+
+    CYCLE = [1, 3, 4, 8, 6, 5, 11, 12, 14, 7, 10, 13]
+    COLORS = [9, 7, 12, 1, 11, 8, 5, 2, 6, 4, 3, 0]  # positions among the view's colors
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        coll = generate(GenSpec(15, 14, 3, "random", min_degree=8))
+        view = restrict(coll, remove_vertices=(0, 2, 9), remove_colors=(0,))
+        assert view.vertex_mask == 0b111110111111010 and len(view.colors) == 13
+        return coll, view
+
+    def test_both_kernels_find_the_first_cycle_within_1000_nodes(self, kernel, instance):
+        _, view = instance
+        args = (view.n, len(view.colors), view.kernel_adj, 12, view.vertex_mask, 1000)
+        got = _kernel_py.find_cycle(*args)
+        assert got == kernel.find_cycle(*args)
+        assert got[:3] == (_kernel_py.FOUND, self.CYCLE, self.COLORS)
+
+    def test_replay_pair_decides_within_the_replay_budget(self, instance):
+        coll, _ = instance
+        report = constructive_panconnect(coll, 0, 2, budget=SearchBudget(200_000))
+        assert set(report.paths) | set(report.missing_k) == set(range(report.distance + 1, 16))
+
+
+def bad_inputs():
+    """(kernel function, case, error, arguments) for inputs that do not fit
+    the compiled kernel's 64-slot tables, most of them one change to a
+    query on a 5-vertex, 3-color input that both kernels answer."""
+    n, m, vm = 5, 3, 0b11111
+    adj = [0b00110, 0b00101, 0b00011, 0, 0] * m
+    path = [
+        ("n above 64", ValueError, (65, 1, [0] * 65, 0, 1, 2, 3, 10)),
+        ("negative n", ValueError, (-1, m, [], 0, 1, 2, 0, 10)),
+        ("m above 64", ValueError, (2, 65, [0] * 130, 0, 1, 2, 3, 10)),
+        ("short adj", ValueError, (n, m, adj[:-1], 0, 1, 2, vm, 10)),
+        ("long adj", ValueError, (n, m, adj + [0], 0, 1, 2, vm, 10)),
+        ("negative x", ValueError, (n, m, adj, -1, 1, 2, vm, 10)),
+        ("x at n", ValueError, (n, m, adj, n, 1, 2, vm, 10)),
+        ("y at n", ValueError, (n, m, adj, 0, n, 2, vm, 10)),
+        ("k above n", ValueError, (n, m, adj, 0, 1, n + 1, vm, 10)),
+        ("negative vmask", OverflowError, (n, m, adj, 0, 1, 2, -1, 10)),
+        ("vmask bit n", OverflowError, (n, m, adj, 0, 1, 2, vm | 1 << n, 10)),
+        ("vmask bit 64", OverflowError, (64, 0, [], 0, 1, 2, 1 << 64, 10)),
+        ("negative row", OverflowError, (n, m, [-1] + adj[1:], 0, 1, 2, vm, 10)),
+        ("row bit n", OverflowError, (n, m, [1 << n] + adj[1:], 0, 1, 2, vm, 10)),
+    ]
+    cycle = [
+        ("n above 64", ValueError, (65, 1, [0] * 65, 3, 3, 10)),
+        ("short adj", ValueError, (n, m, adj[:-1], 3, vm, 10)),
+        ("length above n", ValueError, (n, m, adj, n + 1, vm, 10)),
+        ("length below 3", ValueError, (n, m, adj, 1, vm, 10)),
+        ("negative vmask", OverflowError, (n, m, adj, 3, -1, 10)),
+        ("vmask bit n", OverflowError, (n, m, adj, 3, vm | 1 << n, 10)),
+        ("row bit 64", OverflowError, (64, 1, [1 << 64] + [0] * 63, 3, 7, 10)),
+    ]
+    return [("find_path",) + c for c in path] + [("find_cycle",) + c for c in cycle]
+
+
+BAD_INPUTS = bad_inputs()
+
+
+@pytest.mark.parametrize("kind, case, error, args", BAD_INPUTS,
+                         ids=[f"{kind}-{case}" for kind, case, _, _ in BAD_INPUTS])
+def test_both_kernels_reject_inputs_outside_their_tables(kernel, kind, case, error, args):
+    """Both kernels raise the same error before any search; the compiled
+    kernel would otherwise read or write outside its tables. The tuple
+    input is the one the pure kernel caches tables for."""
+    for impl in (_kernel_py, kernel):
+        for adj in (args[2], tuple(args[2])):
+            with pytest.raises(error):
+                getattr(impl, kind)(*args[:2], adj, *args[3:])
 
 
 WORD_BITS = (31, 32, 63)
