@@ -1,6 +1,9 @@
-/* Compiled search kernel. Mirrors rainbowpan._kernel_py operation for
- * operation: identical candidate ordering, augmenting order, node counting,
- * witnesses. The parity tests compare both on the same queries.
+/* Compiled search kernel. Mirrors rainbowpan._kernel_py function for
+ * function (`State` is its `_Search`; path_extend, cycle_extend,
+ * try_candidates, push_edge, kuhn and result are `_Search` methods, bfs is
+ * `_bfs`) and operation for operation: identical candidate ordering,
+ * augmenting order, node counting, witnesses. The parity tests compare
+ * both on the same queries.
  *
  * Written by hand against the CPython C API. Every input is checked before
  * it reaches a table: all tables are fixed 64-slot arrays, so n, m, the
@@ -369,7 +372,7 @@ static PyObject *find_path(PyObject *self, PyObject *args, PyObject *kwargs)
         return NULL;
     bfs(&st, y, vm);
     if (st.dist[x] > k - 1)
-        return Py_BuildValue("(iOOi)", NONE, Py_None, Py_None, 0);
+        return result(&st, 0);
     st.k = k;
     st.ybit = 1ULL << y;
     st.path[0] = x;

@@ -7,6 +7,15 @@ choices (the same candidates in the same order, the same augmenting steps)
 and return identical witnesses and node counts, which the parity tests pin
 down.
 
+Structure: the two kernels match function for function. `_Search` holds a
+call's state, as `State` does in C. `find_path` and `find_cycle` check their
+inputs, set up the state and call one extender, `_Search.path_extend` or
+`_Search.cycle_extend`; both extenders go through the one candidate loop
+`_Search.try_candidates`, which snapshots the matching, admits an edge with
+`push_edge` (an augmenting step, `kuhn`), recurses and undoes. A search
+returns 1 (found), 0 (refuted) or `_ABORT` (budget), and `_Search.result`
+turns that into the kernel's answer. `_bfs` is C's `bfs`.
+
 Interface contract (shared by both kernels):
   adj is a flat sequence of m*n ints, adj[c*n + v] = bitmask of v's neighbors
   in color c, already restricted to surviving vertices and colors. Color
@@ -42,10 +51,7 @@ NONE = 1
 BUDGET = 2
 
 _INF = 1 << 20
-
-
-class _Budget(Exception):
-    pass
+_ABORT = -2  # a search result: the node budget ran out
 
 
 _MAXN = 64  # the compiled kernel's table width
@@ -151,7 +157,11 @@ def _tables(n: int, m: int, adj) -> _Tables:
 
 
 class _Search:
-    """Shared DFS state for one kernel call."""
+    """The state of one kernel call, as `State` in `_kernel.c`: the matching,
+    the path, the distances to the target and the query's constants."""
+
+    __slots__ = ("tables", "node_limit", "nodes", "color_edge", "edge_color", "opts",
+                 "path", "dist", "k", "start", "ybit", "higher")
 
     def __init__(self, tables: _Tables, node_limit):
         self.tables = tables
@@ -160,15 +170,16 @@ class _Search:
         self.color_edge = [-1] * tables.m  # color -> edge index
         self.edge_color: list[int] = []  # edge index -> color
         self.opts: list[int] = []  # edge index -> option mask at assignment time
-
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.node_limit:
-            raise _Budget
+        self.path: list[int] = []
+        self.dist: list[int] = []
+        self.k = 0  # target vertex count / cycle length
+        self.start = 0  # cycle start vertex
+        self.ybit = 0
+        self.higher = 0
 
     # -- incremental injective assignment (augmenting step per new edge) --
 
-    def _kuhn(self, e: int, visited: int) -> tuple[bool, int]:
+    def kuhn(self, e: int, visited: int) -> tuple[bool, int]:
         free = self.opts[e] & ~visited
         while free:
             low = free & -free
@@ -179,7 +190,7 @@ class _Search:
             if holder < 0:
                 ok = True
             else:
-                ok, visited = self._kuhn(holder, visited)
+                ok, visited = self.kuhn(holder, visited)
             if ok:
                 self.color_edge[c] = e
                 self.edge_color[e] = c
@@ -187,29 +198,17 @@ class _Search:
         return False, visited
 
     def push_edge(self, option_mask: int) -> bool:
-        """Try to admit one more edge with the given color options.
-
-        On failure the matching is untouched. On success the caller must
-        eventually undo with pop_edge(snapshot) using the returned state.
-        """
+        """Try to admit one more edge with the given color options. On
+        failure the matching is untouched; on success `try_candidates` undoes
+        it from the snapshot it took before."""
         e = len(self.edge_color)
         self.edge_color.append(-1)
         self.opts.append(option_mask)
-        ok, _ = self._kuhn(e, 0)
+        ok, _ = self.kuhn(e, 0)
         if not ok:
             self.edge_color.pop()
             self.opts.pop()
         return ok
-
-    def snapshot(self) -> tuple[list[int], list[int]]:
-        return (self.color_edge.copy(), self.edge_color.copy())
-
-    def restore(self, snap: tuple[list[int], list[int]]) -> None:
-        self.color_edge[:] = snap[0]
-        self.edge_color[:] = snap[1]
-        del self.opts[len(self.edge_color):]
-
-    # -- candidate enumeration --
 
     def ordered_candidates(self, last: int, cand_mask: int) -> list[tuple[int, int, int]]:
         """(option count, vertex, option mask) sorted fail-first, one lookup
@@ -228,6 +227,76 @@ class _Search:
         out.sort()
         return out
 
+    # -- the search: 1 found, 0 refuted, _ABORT when the budget ran out --
+
+    def try_candidates(self, used: int, last: int, cand: int, rem: int, extend) -> int:
+        """Try each candidate after `last` in order: admit its edge, recurse,
+        undo. `rem` is the largest distance to the target a candidate may
+        have."""
+        dist = self.dist
+        path = self.path
+        color_edge = self.color_edge
+        edge_color = self.edge_color
+        for _, v, om in self.ordered_candidates(last, cand):
+            if dist[v] > rem:
+                continue
+            snap_ce = color_edge.copy()
+            snap_ec = edge_color.copy()
+            if not self.push_edge(om):
+                continue
+            path.append(v)
+            r = extend(used | (1 << v))
+            if r:
+                return r
+            path.pop()
+            color_edge[:] = snap_ce
+            edge_color[:] = snap_ec
+            del self.opts[len(snap_ec):]
+        return 0
+
+    def path_extend(self, used: int) -> int:
+        self.nodes += 1
+        if self.nodes > self.node_limit:
+            return _ABORT
+        path = self.path
+        d = len(path) - 1  # edges placed
+        if d == self.k - 1:
+            return 1
+        last = path[-1]
+        if d == self.k - 2:
+            cand = self.tables.rows[last] & self.ybit
+        else:
+            cand = self.tables.rows[last] & ~used & ~self.ybit
+        return self.try_candidates(used, last, cand, self.k - 2 - d, self.path_extend)
+
+    def cycle_extend(self, used: int) -> int:
+        self.nodes += 1
+        if self.nodes > self.node_limit:
+            return _ABORT
+        path = self.path
+        rows = self.tables.rows
+        d = len(path) - 1
+        last = path[-1]
+        s = self.start
+        if d == self.k - 1:
+            if path[1] > last or not (rows[last] >> s) & 1:
+                return 0
+            return self.push_edge(self.tables.option_row(last)[s])
+        # reflection bound: the closing vertex is an unvisited neighbour of
+        # the start above path[1]; with none left, every leaf below is rejected
+        if d and not (rows[s] & self.higher & ~used) >> (path[1] + 1):
+            return 0
+        return self.try_candidates(used, last, rows[last] & self.higher & ~used,
+                                   self.k - 1 - d, self.cycle_extend)
+
+    def result(self, r: int):
+        """(status, vertices, colors, nodes) for the search result r."""
+        if r == _ABORT:
+            return (BUDGET, None, None, self.nodes)
+        if not r:
+            return (NONE, None, None, self.nodes)
+        return (FOUND, self.path, self.edge_color, self.nodes)
+
 
 def _check_vertex_mask(vmask: int, n: int) -> None:
     if vmask < 0 or vmask >> n:
@@ -243,49 +312,14 @@ def find_path(n, m, adj, x, y, k, vmask, node_limit):
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}")
     _check_vertex_mask(vmask, n)
-    rows = tables.rows
-    dist = tables.dist(y, vmask)
-    if dist[x] > k - 1:
-        return (NONE, None, None, 0)
     st = _Search(tables, node_limit)
-    path = [x]
-    ybit = 1 << y
-
-    def extend(used: int) -> bool:
-        st.tick()
-        d = len(path) - 1  # edges placed
-        if d == k - 1:
-            return True
-        last = path[-1]
-        if d == k - 2:
-            cand = rows[last] & ybit
-        else:
-            cand = rows[last] & ~used & ~ybit
-        rem_after = k - 2 - d
-        for _, v, om in st.ordered_candidates(last, cand):
-            if dist[v] > rem_after:
-                continue
-            snap = st.snapshot()
-            if not st.push_edge(om):
-                continue
-            path.append(v)
-            if extend(used | (1 << v)):
-                return True
-            path.pop()
-            st.restore(snap)
-        return False
-
-    try:
-        ok = extend(1 << x)
-    except _Budget:
-        return (BUDGET, None, None, st.nodes)
-    finally:
-        # the closure refers to itself through its cell; break that cycle so
-        # reference counting frees the search state
-        extend = None
-    if not ok:
-        return (NONE, None, None, st.nodes)
-    return (FOUND, list(path), st.edge_color.copy(), st.nodes)
+    st.dist = tables.dist(y, vmask)
+    if st.dist[x] > k - 1:
+        return st.result(0)
+    st.k = k
+    st.ybit = 1 << y
+    st.path.append(x)
+    return st.result(st.path_extend(1 << x))
 
 
 def find_cycle(n, m, adj, length, vmask, node_limit):
@@ -297,67 +331,23 @@ def find_cycle(n, m, adj, length, vmask, node_limit):
     if not 3 <= length <= n:
         raise ValueError(f"length={length} outside [3, {n}]")
     _check_vertex_mask(vmask, n)
-    rows = tables.rows
     st = _Search(tables, node_limit)
-    result = None
-
+    st.k = length
+    r = 0
     rest = vmask
     while rest:
         low = rest & -rest
         rest ^= low
         s = low.bit_length() - 1
-        higher = vmask & ~((1 << (s + 1)) - 1)
-        if higher.bit_count() + 1 < length:
+        st.higher = vmask & ~((low << 1) - 1)
+        if st.higher.bit_count() + 1 < length:
             break
-        scope = higher | (1 << s)
-        dist = tables.dist(s, scope)
-        path = [s]
-        sbit = 1 << s
-
-        def extend(used: int) -> bool:
-            st.tick()
-            d = len(path) - 1
-            last = path[-1]
-            if d == length - 1:
-                if path[1] > path[-1]:
-                    return False
-                if not (rows[last] >> s) & 1:
-                    return False
-                snap = st.snapshot()
-                if st.push_edge(tables.option_row(last)[s]):
-                    return True
-                st.restore(snap)
-                return False
-            # reflection bound: the closing vertex is an unvisited neighbour
-            # of s above path[1]; with none left, every leaf below is rejected
-            if d and not (rows[s] & higher & ~used) >> (path[1] + 1):
-                return False
-            cand = rows[last] & higher & ~used
-            rem = length - 1 - d
-            for _, v, om in st.ordered_candidates(last, cand):
-                if dist[v] > rem:
-                    continue
-                snap = st.snapshot()
-                if not st.push_edge(om):
-                    continue
-                path.append(v)
-                if extend(used | (1 << v)):
-                    return True
-                path.pop()
-                st.restore(snap)
-            return False
-
-        try:
-            if extend(sbit):
-                result = (list(path), st.edge_color.copy())
-                break
-        except _Budget:
-            return (BUDGET, None, None, st.nodes)
-        finally:
-            extend = None  # as in find_path: no self-referencing closure left
+        st.dist = tables.dist(s, st.higher | low)
+        st.start = s
+        st.path = [s]
+        r = st.cycle_extend(low)
+        if r:
+            break
         if st.edge_color:
             raise RuntimeError("matching not unwound between start vertices")
-
-    if result is None:
-        return (NONE, None, None, st.nodes)
-    return (FOUND, result[0], result[1], st.nodes)
+    return st.result(r)

@@ -201,6 +201,17 @@ def _check_pair(coll, x, y, k, budget, cert_path) -> int:
         if cert_path:
             print("found" if path is not None else "absent")
         return _exit_for(path is not None)
+    result, complete = _pair_sweep(coll, x, y, budget)
+    _emit_json(result, cert_path)
+    if cert_path:
+        print("complete" if complete else "incomplete")
+    return _exit_for(complete)
+
+
+def _pair_sweep(coll, x, y, budget) -> tuple[dict, bool]:
+    """The k-sweep of one pair as `check --pair` writes it, and whether it
+    found a path for every k from the distance to the cap."""
+    k_cap = min(coll.n, coll.m + 1)
     found = dict(k_paths(coll, x, y, k_cap, budget))
     missing = [kk for kk, p in found.items() if p is None]
     result = {
@@ -210,11 +221,7 @@ def _check_pair(coll, x, y, k, budget, cert_path) -> int:
         "missing": missing,
         "witnesses": {str(kk): p.to_json_dict() for kk, p in found.items() if p is not None},
     }
-    _emit_json(result, cert_path)
-    complete = bool(found) and not missing
-    if cert_path:
-        print("complete" if complete else "incomplete")
-    return _exit_for(complete)
+    return result, bool(found) and not missing
 
 
 # ---------------------------------------------------------------------------
@@ -499,14 +506,17 @@ def cmd_replay(args) -> int:
     n, m = coll.n, coll.m
     hypothesis = n % 2 == 1 and n >= 5 and m == n - 1 and 2 * collection_min_degree(coll) >= n + 1
     if not hypothesis:
-        note = (
-            "constructive replay needs odd n >= 5, m = n-1 and min degree >= "
-            "(n+1)/2; emitting a search certificate only"
-        )
-        cert = is_rainbow_panconnected(coll, budget=budget)
-        _emit_json({"mode": "search", "note": note, "certificate": cert.to_json_dict()}, args.out)
+        note = "constructive replay needs odd n >= 5, m = n-1 and min degree >= (n+1)/2; "
+        if pair is None:
+            note += "emitting a search certificate only"
+            cert = is_rainbow_panconnected(coll, budget=budget)
+            body, verdict = {"certificate": cert.to_json_dict()}, cert.verdict
+        else:
+            note += "emitting the pair's search k-sweep only"
+            body, verdict = _pair_sweep(coll, *pair, budget)
+        _emit_json({"mode": "search", "note": note, **body}, args.out)
         _say(note)
-        return _exit_for(cert.verdict)
+        return _exit_for(verdict)
     pairs = [pair] if pair is not None else [(x, y) for x in range(n) for y in range(x + 1, n)]
     reports = []
     clean = True

@@ -493,6 +493,50 @@ def test_replay_even_order_delegates(tmp_path, capsys):
     assert code == EXIT_FAIL
 
 
+@pytest.fixture
+def rand8(tmp_path):
+    """A random instance at even n, outside the replay's hypothesis."""
+    return write_instance_via_gen(tmp_path, "--family", "random", "--n", "8",
+                                  "--m", "7", "--min-degree", "4", "--seed", "0")
+
+
+def test_replay_search_mode_sweeps_only_the_pair(rand8, tmp_path, monkeypatch, capsys):
+    """Outside the hypothesis, `replay --pair X Y` runs that pair's k-sweep,
+    writes it as `check --pair X Y` does and exits by it."""
+    from rainbowpan import kernels
+
+    asked = []
+    original = kernels.find_path
+
+    def spy(n, m, adj, x, y, *rest):
+        asked.append({x, y})
+        return original(n, m, adj, x, y, *rest)
+
+    monkeypatch.setattr(kernels, "find_path", spy)
+    monkeypatch.setattr(kernels, "find_cycle", None)  # a pair sweep asks no cycle
+    code = main(["replay", "--in", str(rand8), "--pair", "3", "0"])
+    payload = json.loads(capsys.readouterr().out)
+    assert asked and all(ends == {0, 3} for ends in asked)
+    assert payload.pop("mode") == "search" and "k-sweep" in payload.pop("note")
+    out = tmp_path / "pair.json"
+    assert main(["check", "--in", str(rand8), "--pair", "3", "0", "--cert", str(out)]) == code
+    assert payload == json.loads(out.read_text())
+    assert payload["pair"] == [3, 0] and code == cli._exit_for(not payload["missing"])
+
+
+def test_replay_search_mode_without_pair_is_the_certificate(rand8, capsys):
+    from rainbowpan.analysis import is_rainbow_panconnected
+    from rainbowpan.io import read_instance
+
+    code = main(["replay", "--in", str(rand8)])
+    cert = is_rainbow_panconnected(read_instance(rand8))
+    note = ("constructive replay needs odd n >= 5, m = n-1 and min degree >= (n+1)/2; "
+            "emitting a search certificate only")
+    want = {"mode": "search", "note": note, "certificate": cert.to_json_dict()}
+    assert capsys.readouterr().out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+    assert code == cli._exit_for(cert.verdict)
+
+
 def test_replay_out_file(rand7, tmp_path):
     out = tmp_path / "replay.json"
     assert main(["replay", "--in", str(rand7), "--out", str(out)]) == EXIT_PASS

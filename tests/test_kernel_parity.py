@@ -2,48 +2,14 @@
 witness vertices and colors, same node counts. Any divergence means the
 candidate ordering or augmenting order drifted.
 
-When the extension is not installed, the committed `_kernel.c` is compiled
-into a temporary directory by the benchmark's `perfbench/kernel_build.py`,
-with the C compiler and flags this interpreter was built with; the tests
-skip only when no such compiler exists.
+The compiled kernel comes from the `kernel` fixture in `conftest.py`.
 """
-import importlib.util
 import random
-import shutil
-from pathlib import Path
 
 import pytest
 
 from rainbowpan import SearchBudget, _kernel_py, constructive_panconnect, restrict
 from rainbowpan.generate import GenSpec, generate
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def _load_kernel_build():
-    spec = importlib.util.spec_from_file_location(
-        "_perfbench_kernel_build", ROOT / "perfbench" / "kernel_build.py"
-    )
-    kernel_build = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(kernel_build)
-    return kernel_build
-
-
-@pytest.fixture(scope="session")
-def kernel(tmp_path_factory):
-    try:
-        return importlib.import_module("rainbowpan._kernel")
-    except ImportError:
-        pass
-    kernel_build = _load_kernel_build()
-    cc = kernel_build._cc()
-    if shutil.which(cc[0]) is None:
-        pytest.skip(f"rainbowpan._kernel is not installed and no C compiler ({cc[0]}) is on PATH")
-    target = kernel_build.build(ROOT, tmp_path_factory.mktemp("kernel"))
-    spec = importlib.util.spec_from_file_location("rainbowpan._kernel", target)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def random_dense(seed: str):

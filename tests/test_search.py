@@ -487,8 +487,9 @@ class TestShortestPath:
 
 
 def test_pure_kernel_calls_leave_no_reference_cycles():
-    """The pure kernel's recursive search closure must not outlive its call
-    in a reference cycle, whatever the call ends in, on a list input (tables
+    """A pure kernel call leaves nothing in a reference cycle: its search
+    state and the extenders it hands the candidate loop are freed by
+    reference counting, whatever the call ends in, on a list input (tables
     for one call) and on a tuple input (cached tables, hit by every call
     after the first)."""
     import gc

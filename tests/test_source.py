@@ -74,6 +74,48 @@ def test_kernel_c_compiles_without_warnings(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+# the search functions of `_kernel.c` and their twins in `_kernel_py`
+KERNEL_TWINS = {
+    "path_extend": "_Search.path_extend",
+    "cycle_extend": "_Search.cycle_extend",
+    "try_candidates": "_Search.try_candidates",
+    "push_edge": "_Search.push_edge",
+    "kuhn": "_Search.kuhn",
+    "result": "_Search.result",
+    "bfs": "_bfs",
+}
+
+
+def test_kernels_are_twins_function_for_function():
+    """Each search function of `_kernel.c` has its counterpart in the pure
+    kernel, so a change to the search lands in the same place in both."""
+    c_source = (PACKAGE / "_kernel.c").read_text()
+    defined = set(re.findall(r"^static\b[^;{(]*?\b(\w+)\(", c_source, re.MULTILINE))
+    assert set(KERNEL_TWINS) <= defined, set(KERNEL_TWINS) - defined
+    kernel_py = importlib.import_module("rainbowpan._kernel_py")
+    for c_name, py_name in KERNEL_TWINS.items():
+        owner, _, attr = py_name.rpartition(".")
+        scope = getattr(kernel_py, owner) if owner else kernel_py
+        assert callable(getattr(scope, attr, None)), f"{c_name}: no {py_name}"
+
+
+def test_pure_kernel_has_no_closures_and_no_finally():
+    """The pure kernel's search is methods on one state object, as the C
+    kernel's is functions on one `State`: no nested function, whose
+    self-reference would need breaking, and so no `finally` to break it."""
+    tree = ast.parse((PACKAGE / "_kernel_py.py").read_text())
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    nested = [
+        inner.lineno
+        for outer in ast.walk(tree) if isinstance(outer, funcs)
+        for inner in ast.walk(outer) if inner is not outer and isinstance(inner, funcs)
+    ]
+    finally_lines = [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.Try) and node.finalbody]
+    assert not nested, f"nested functions at lines {nested}"
+    assert not finally_lines, f"finally blocks at lines {finally_lines}"
+
+
 ROOT = PACKAGE.parents[1]
 PERFBENCH = ROOT / "perfbench"
 

@@ -41,3 +41,45 @@ def test_seeds_option_parses_ranges(bench_compare):
     assert bench_compare.parser().parse_args(base + ["--seeds", "0-2,5"]).seeds == [0, 1, 2, 5]
     with pytest.raises(SystemExit):
         bench_compare.parser().parse_args(base + ["--seeds", "5-2"])
+
+
+def _run(metrics: dict, failed: int = 0, attempted: int = 100) -> dict:
+    return {"correct": True, "failed": failed, "attempted": attempted,
+            "metrics": {name: {"value": value, "unit": "u"} for name, value in metrics.items()}}
+
+
+def test_summary_reads_direction_and_bound_from_the_declaration(bench_compare):
+    """Each metric's `better` and `bound` come from the declaration: a rate
+    that falls 29% and a time that rises 40% pass a 50% bound and are
+    marked under a 25% one; medians and quartiles of both sides and each
+    side's failure share are printed."""
+    seeds = {
+        str(seed): {"before": _run({"rate": 100.0 + seed, "time": 1.0 + seed / 10}, 1, 100),
+                    "after": _run({"rate": 70.0 + seed, "time": 1.4 * (1.0 + seed / 10)}, 0, 50)}
+        for seed in range(5)
+    }
+    doc = {"workloads": {"w": seeds, "empty": {}}}
+
+    def lines(bound):
+        specs = {"rate": {"better": "higher", "bound": bound},
+                 "time": {"better": "lower", "bound": bound}}
+        return bench_compare.summary(doc, specs)
+
+    head, rate, time = lines(0.25)
+    assert head == "w: 5 seed(s), correct True, failed 5/500 (1.00%) -> 0/250 (0.00%)"
+    assert rate.split()[:8] == ["rate", "102", "[100.5,", "103.5]", "->", "72", "[70.5,", "73.5]"]
+    assert "better on 0 of 5" in rate and "better on 0 of 5" in time
+    assert rate.endswith("WORSE BY MORE THAN ITS 25% BOUND")
+    assert time.endswith("WORSE BY MORE THAN ITS 25% BOUND")
+    assert not any("WORSE" in line for line in lines(0.5))
+
+    specs = {"rate": {"better": "lower", "bound": 0.25}, "time": {"better": "higher", "bound": 0.25}}
+    _, rate, time = bench_compare.summary(doc, specs)
+    assert "better on 5 of 5" in rate and "WORSE" not in rate
+    assert "better on 5 of 5" in time and "WORSE" not in time
+
+
+def test_summary_reads_the_repo_declaration(bench_compare):
+    specs = bench_compare.metric_specs()
+    assert specs["items_per_s"]["better"] == "higher"
+    assert all(spec["bound"] > 0 for spec in specs.values())

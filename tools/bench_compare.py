@@ -10,8 +10,10 @@ directory under $TMPDIR) and once in the working tree, one run at a time,
 and keeps each run's last output line, its JSON result. Even seeds run the
 base first, odd seeds the working tree first, so a slow phase of the host
 does not always land on the same side. The file is rewritten after every
-pair, so an interrupted comparison keeps the pairs it finished. A summary of
-medians per metric goes to stderr.
+pair, so an interrupted comparison keeps the pairs it finished. A summary
+goes to stderr: each side's failure share, and per metric each side's
+median and quartiles, marked when the change is worse than the metric's
+bound in BENCHMARK.json.
 """
 from __future__ import annotations
 
@@ -86,9 +88,36 @@ def parse_seeds(text: str) -> list[int]:
     return list(dict.fromkeys(seeds))
 
 
-def summary(doc: dict) -> list[str]:
-    """One line per workload and metric: medians before -> after, and how
-    many seeds moved in the metric's better direction."""
+def metric_specs() -> dict[str, dict]:
+    """Each end-to-end metric's declaration in BENCHMARK.json (`better`,
+    `bound`) by name."""
+    return {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+
+
+def _quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
+def _side(values: list[float]) -> str:
+    q1, q3 = _quartiles(values)
+    return f"{statistics.median(values):.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def _failed(pairs: list[dict], side: str) -> str:
+    failed = sum(p[side]["failed"] for p in pairs)
+    attempted = sum(p[side]["attempted"] for p in pairs)
+    return f"{failed}/{attempted} ({failed / attempted if attempted else 0:.2%})"
+
+
+def summary(doc: dict, specs: dict[str, dict]) -> list[str]:
+    """One line per workload with each side's failure share (failed items
+    over attempted ones), then one per metric: each side's median with its
+    quartiles in brackets, the change of the median, and on how many seeds
+    the metric moved in its `better` direction. A metric whose after-median
+    is worse than its before-median by more than its `bound` is marked."""
     lines = []
     for workload, seeds in doc["workloads"].items():
         pairs = list(seeds.values())
@@ -96,16 +125,19 @@ def summary(doc: dict) -> list[str]:
             continue
         lines.append(f"{workload}: {len(pairs)} seed(s), correct "
                      f"{all(p[s]['correct'] for p in pairs for s in ('before', 'after'))}, "
-                     f"failed {[p['before']['failed'] for p in pairs]} -> "
-                     f"{[p['after']['failed'] for p in pairs]}")
+                     f"failed {_failed(pairs, 'before')} -> {_failed(pairs, 'after')}")
         for metric in pairs[0]["before"]["metrics"]:
             b = [p["before"]["metrics"][metric]["value"] for p in pairs]
             a = [p["after"]["metrics"][metric]["value"] for p in pairs]
-            higher = metric == "items_per_s"  # every other metric is better lower
-            wins = sum((y > x) if higher else (y < x) for x, y in zip(b, a))
+            sign = 1 if specs[metric]["better"] == "higher" else -1
+            wins = sum(sign * (y - x) > 0 for x, y in zip(b, a))
             mb, ma = statistics.median(b), statistics.median(a)
-            lines.append(f"  {metric:<12} {mb:10.4g} -> {ma:10.4g}  ({(ma - mb) / mb:+.1%}, "
-                         f"better on {wins} of {len(pairs)})")
+            change = (ma - mb) / mb
+            line = (f"  {metric:<12} {_side(b)} -> {_side(a)}  ({change:+.1%}, "
+                    f"better on {wins} of {len(pairs)})")
+            if -sign * change > specs[metric]["bound"]:
+                line += f"  WORSE BY MORE THAN ITS {specs[metric]['bound']:.0%} BOUND"
+            lines.append(line)
     return lines
 
 
@@ -154,7 +186,7 @@ def main(argv=None) -> int:
                           f"{json.dumps(pair[side]['metrics'])}", file=sys.stderr)
                 doc["workloads"][workload][str(seed)] = {s: pair[s] for s in ("before", "after")}
                 out.write_text(json.dumps(doc, indent=1) + "\n")
-    print("\n".join(summary(doc)), file=sys.stderr)
+    print("\n".join(summary(doc, metric_specs())), file=sys.stderr)
     print(f"wrote {out.relative_to(ROOT)}", file=sys.stderr)
     return 0
 
