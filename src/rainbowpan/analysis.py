@@ -10,7 +10,6 @@ into False.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .core import (
     CollectionLike,
@@ -27,8 +26,8 @@ from .search import (
     BudgetExceeded,
     SearchBudget,
     find_rainbow_ham_path,
-    find_rainbow_path,
-    shortest_rainbow_path,
+    k_cap,
+    k_paths,
 )
 
 
@@ -148,25 +147,6 @@ def is_panconnected_single(
     return is_rainbow_panconnected(coll, budget=budget).verdict
 
 
-def k_paths(
-    view: CollectionLike,
-    x: int,
-    y: int,
-    k_cap: int,
-    budget: SearchBudget | None = None,
-) -> Iterator[tuple[int, ColoredPath | None]]:
-    """The k-sweep of one pair: yields (d + 1, a shortest rainbow path), then
-    (k, a rainbow k-path or None) for each k from d + 2 to k_cap, asking the
-    queries in that order; yields nothing when no rainbow path joins x and y.
-    A budget stop raises BudgetExceeded from the query that ran out."""
-    shortest = shortest_rainbow_path(view, x, y, budget=budget)
-    if shortest is None:
-        return
-    yield shortest.k, shortest
-    for k in range(shortest.k + 1, k_cap + 1):
-        yield k, find_rainbow_path(view, x, y, k, budget=budget)
-
-
 def is_rainbow_panconnected(
     view: CollectionLike, budget: SearchBudget | None = None
 ) -> PanconnectivityCertificate:
@@ -177,19 +157,18 @@ def is_rainbow_panconnected(
     stops at the first failure; budget exhaustion anywhere yields verdict
     None ("unknown"), never False.
     """
-    k_cap = min(view.n_surviving, view.m_surviving + 1)
     pairs: list[PairReport] = []
     try:
-        failure = _first_failure(view, k_cap, budget, pairs)
+        failure = _first_failure(view, budget, pairs)
         verdict = failure is None
     except BudgetExceeded:
         failure, verdict = None, None
     return PanconnectivityCertificate(
-        view.n_surviving, view.m_surviving, verdict, pairs, failure, None, k_cap
+        view.n_surviving, view.m_surviving, verdict, pairs, failure, None, k_cap(view)
     )
 
 
-def _first_failure(view, k_cap, budget, pairs):
+def _first_failure(view, budget, pairs):
     """Sweep the pairs, appending each pair's report to `pairs` once its
     distance is known; the first failing (x, y, k) triple, k None when no
     rainbow path joins x and y, or None when every pair passes."""
@@ -197,7 +176,7 @@ def _first_failure(view, k_cap, budget, pairs):
     for i, x in enumerate(alive):
         for y in alive[i + 1 :]:
             report = None
-            for k, path in k_paths(view, x, y, k_cap, budget):
+            for k, path in k_paths(view, x, y, budget=budget):
                 if report is None:  # the shortest path comes first
                     report = PairReport(x, y, k - 1)
                     pairs.append(report)

@@ -21,7 +21,6 @@ from .analysis import (
     is_panconnected_single,
     is_rainbow_ham_connected,
     is_rainbow_panconnected,
-    k_paths,
     recognize_F_family,
     recognize_join_partition,
     recognize_two_cliques,
@@ -37,6 +36,8 @@ from .search import (
     default_budget,
     find_rainbow_ham_path,
     find_rainbow_path,
+    k_cap,
+    k_paths,
 )
 
 EXIT_PASS = 0
@@ -186,10 +187,10 @@ def cmd_check(args) -> int:
 
 
 def _check_pair(coll, x, y, k, budget, cert_path) -> int:
-    k_cap = min(coll.n, coll.m + 1)
     if k is not None:
-        if not 2 <= k <= k_cap:
-            return _usage_exit(f"--k {k} outside [2, {k_cap}] for n={coll.n}, m={coll.m}")
+        cap = k_cap(coll)
+        if not 2 <= k <= cap:
+            return _usage_exit(f"--k {k} outside [2, {cap}] for n={coll.n}, m={coll.m}")
         path = find_rainbow_path(coll, x, y, k, budget=budget)
         result = {
             "pair": [x, y],
@@ -211,13 +212,12 @@ def _check_pair(coll, x, y, k, budget, cert_path) -> int:
 def _pair_sweep(coll, x, y, budget) -> tuple[dict, bool]:
     """The k-sweep of one pair as `check --pair` writes it, and whether it
     found a path for every k from the distance to the cap."""
-    k_cap = min(coll.n, coll.m + 1)
-    found = dict(k_paths(coll, x, y, k_cap, budget))
+    found = dict(k_paths(coll, x, y, budget=budget))
     missing = [kk for kk, p in found.items() if p is None]
     result = {
         "pair": [x, y],
         "distance": min(found) - 1 if found else None,
-        "k_cap": k_cap,
+        "k_cap": k_cap(coll),
         "missing": missing,
         "witnesses": {str(kk): p.to_json_dict() for kk, p in found.items() if p is not None},
     }
@@ -437,12 +437,15 @@ def run_campaign(
         for t in range(trials)
     ]
     start = time.perf_counter()
-    if jobs > 1:
+    chunk = 8
+    # a pool starts all its workers at once, so start no more than it has chunks
+    workers = min(jobs, -(-len(tasks) // chunk))
+    if workers > 1:
         # imported here: it loads multiprocessing, which nothing else needs
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_campaign_trial, tasks, chunksize=8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_campaign_trial, tasks, chunksize=chunk))
     else:
         results = [_campaign_trial(t) for t in tasks]
     report = CampaignReport(

@@ -171,6 +171,39 @@ def _m1(i: int, length: int) -> int:
     return (i - 1) % length + 1
 
 
+@dataclass(frozen=True)
+class _Frame:
+    """One labeling attempt: a working cycle or path, read at 1-based
+    positions that wrap modulo its length, plus a role assignment. u(i) is
+    the vertex at position i and sig(i) the color of the edge from it to
+    position i + 1 (on a cycle, sig(length) closes it)."""
+
+    verts: tuple[int, ...]
+    sigma: tuple[int, ...]
+    f_a: int | None = None
+    f_b: int | None = None
+    c_star: int | None = None
+    tag: str = ""
+
+    def u(self, i: int) -> int:
+        return self.verts[(i - 1) % len(self.verts)]
+
+    def sig(self, i: int) -> int:
+        return self.sigma[(i - 1) % len(self.verts)]
+
+    def relabeled(self, r: int, d: int) -> _Frame:
+        """The cycle read from position r + 1 onward (d = 1), or backward
+        from position r + 1 (d = -1), with the same roles."""
+        length = len(self.verts)
+        if d == 1:
+            verts = [self.u(r + i) for i in range(1, length + 1)]
+            sigma = [self.sig(r + i) for i in range(1, length + 1)]
+        else:
+            verts = [self.u(r + 2 - i) for i in range(1, length + 1)]
+            sigma = [self.sig(r + 1 - i) for i in range(1, length + 1)]
+        return replace(self, verts=tuple(verts), sigma=tuple(sigma))
+
+
 def _emit(coll: GraphCollection, stage: str, vertices, colors) -> ColoredPath:
     """Build and verify a path; an invalid emission is a failed claim."""
     path = ColoredPath(tuple(vertices), tuple(colors))
@@ -272,6 +305,30 @@ def _fatal_cycle(coll, stage, claim, cyc, details):
     )
 
 
+def _star_colors(coll, colors, x, z, stage, details):
+    """The colors among `colors` that miss the edge xz, the candidates for
+    the reserved color c_star; when none does, the "free-color" claim fails
+    with `details`."""
+    out = [c for c in colors if not coll.has_edge(c, x, z)]
+    _req(bool(out), stage, "free-color", details)
+    return out
+
+
+def _require_attached(coll, colors, vertices, ends, stage, claim):
+    """Check that every vertex of `vertices` meets each of `ends` in every
+    color of `colors`, as the degree balance forces."""
+    for i in colors:
+        for v0 in vertices:
+            for t in ends:
+                if not coll.has_edge(i, v0, t):
+                    raise HypothesisViolation(
+                        stage,
+                        claim,
+                        f"vertex {v0} misses {t} in working color {i}; the "
+                        "degree balance forces every such edge",
+                    )
+
+
 def _fill_colors(
     edge_count: int, reserved: dict[int, int], pool: Sequence[int]
 ) -> list[int]:
@@ -348,28 +405,19 @@ def rotation_k_path(
     length = n - 3
     missing = _check_inputs(coll, (x, y), k, cycle, cover=length, free=2)
     z = next(iter(set(range(n)) - set(cycle.vertices) - {x, y}))
-    candidates = [c for c in missing if not coll.has_edge(c, x, z)]
-    if not candidates:
-        raise HypothesisViolation(
-            "rotation",
-            "free-color",
-            f"both unused colors {missing} join x={x} to the removed vertex "
-            f"z={z}; no attach color is available",
-        )
-
-    def u(i: int) -> int:
-        return cycle.vertices[_m1(i, length) - 1]
-
-    def sig(i: int) -> int:
-        return cycle.colors[_m1(i, length) - 1]
-
+    candidates = _star_colors(
+        coll, missing, x, z, "rotation",
+        f"both unused colors {missing} join x={x} to the removed vertex "
+        f"z={z}; no attach color is available",
+    )
+    cyc = _Frame(cycle.vertices, cycle.colors)
     tried = []
     for c_star in candidates:
         j = missing[0] if missing[1] == c_star else missing[1]
         i_k = tuple(
-            i for i in range(1, length + 1) if coll.has_edge(c_star, x, u(i + k - 3))
+            i for i in range(1, length + 1) if coll.has_edge(c_star, x, cyc.u(i + k - 3))
         )
-        i_0 = tuple(i for i in range(1, length + 1) if coll.has_edge(j, y, u(i)))
+        i_0 = tuple(i for i in range(1, length + 1) if coll.has_edge(j, y, cyc.u(i)))
         common = sorted(set(i_k) & set(i_0))
         if not common:
             tried.append(
@@ -378,13 +426,8 @@ def rotation_k_path(
             continue
         s = common[0]
         # walk the cycle backwards from position s+k-3 down to s
-        pos = [_m1(s + k - 3 - t, length) for t in range(k - 2)]
-        verts = (x,) + tuple(u(p) for p in pos) + (y,)
-        cols = (
-            (c_star,)
-            + tuple(sig(s + k - 4 - t) for t in range(k - 3))
-            + (j,)
-        )
+        verts = (x,) + tuple(cyc.u(s + k - 3 - t) for t in range(k - 2)) + (y,)
+        cols = (c_star,) + tuple(cyc.sig(s + k - 4 - t) for t in range(k - 3)) + (j,)
         sets = {"i_k": list(i_k), "i_0": list(i_0), "s": s, "c_star": c_star, "j": j}
         return BranchTrace("rotation", None, None, sets, k, _emit(coll, "rotation", verts, cols))
     raise HypothesisViolation(
@@ -423,32 +466,26 @@ def near_cycle_k_path(
     excluded is the one position in neither a nor b.
     """
     missing = _check_inputs(coll, (x, y, z, w), k, cycle, cover=coll.n - 4, free=3)
-    star_cands = [c for c in missing if not coll.has_edge(c, x, z)]
-    if not star_cands:
-        raise HypothesisViolation(
-            "near_cycle",
-            "free-color",
-            f"every unused color {missing} joins x={x} to z={z}",
+    star_cands = _star_colors(
+        coll, missing, x, z, "near_cycle", f"every unused color {missing} joins x={x} to z={z}"
+    )
+    frames = (
+        _Frame(
+            cycle.vertices, cycle.colors, f_a, f_b, c_star,
+            f"roles c_star={c_star}, f_a={f_a}, f_b={f_b}",
         )
-    return _retry(
-        partial(_near_cycle_attempt, coll, cycle, x, y, z, w, k, c_star, f_a, f_b)
         for c_star in star_cands
         for f_a, f_b in itertools.permutations(c for c in missing if c != c_star)
     )
+    return _retry(partial(_near_cycle_attempt, coll, frame, x, y, z, w, k) for frame in frames)
 
 
-def _near_cycle_attempt(coll, cycle, x, y, z, w, k, c_star, f_a, f_b):
+def _near_cycle_attempt(coll, frame, x, y, z, w, k):
     n = coll.n
     length = n - 4
     stage = "near_cycle"
-    tag = f"roles c_star={c_star}, f_a={f_a}, f_b={f_b}"
-
-    def u(i: int) -> int:
-        return cycle.vertices[_m1(i, length) - 1]
-
-    def sig(i: int) -> int:
-        return cycle.colors[_m1(i, length) - 1]
-
+    u, sig, tag = frame.u, frame.sig, frame.tag
+    c_star, f_a, f_b = frame.c_star, frame.f_a, frame.f_b
     a_raw = {
         s for s in range(1, length + 1) if coll.has_edge(f_a, w, u(s + 1))
     }
@@ -516,27 +553,14 @@ def _near_cycle_attempt(coll, cycle, x, y, z, w, k, c_star, f_a, f_b):
         f"neighbor positions {sorted(pos_b)} admit no relabeling onto the "
         f"alternating pattern {sorted(target)} ({tag})",
     )
-    r, d = norm
-    if d == 1:
-        nv = [u(r + i) for i in range(1, length + 1)]
-        ns = [sig(r + i) for i in range(1, length + 1)]
-    else:
-        nv = [u(r + 2 - i) for i in range(1, length + 1)]
-        ns = [sig(r + 1 - i) for i in range(1, length + 1)]
-
-    def v(i: int) -> int:
-        return nv[_m1(i, length) - 1]
-
-    def vsig(i: int) -> int:
-        return ns[_m1(i, length) - 1]
-
+    rel = frame.relabeled(*norm)
     odd = list(range(1, length - 1, 2))
     even = list(range(2, length, 2)) + [length]
     sets = {
         "a": sorted(_m1(t - 1, length) for t in odd),
-        "b": list(odd),
-        "u1": [v(i) for i in odd],
-        "u2": [v(i) for i in even],
+        "b": odd,
+        "u1": [rel.u(i) for i in odd],
+        "u2": [rel.u(i) for i in even],
         "w": w,
         "excluded": length - 1,
         "c_star": c_star,
@@ -544,19 +568,19 @@ def _near_cycle_attempt(coll, cycle, x, y, z, w, k, c_star, f_a, f_b):
         "f_b": f_b,
     }
     if k == 4:
-        return _near_cycle_case1(
-            coll, x, y, z, w, c_star, f_a, f_b, v, vsig, odd, even, length, sets
-        )
-    return _near_cycle_sweep(
-        coll, x, y, w, k, c_star, f_a, f_b, v, vsig, odd, length, sets, n
-    )
+        return _near_cycle_case1(coll, rel, x, y, z, w, sets)
+    return _near_cycle_sweep(coll, rel, x, y, w, k, sets)
 
 
-def _near_cycle_case1(
-    coll, x, y, z, w, c_star, f_a, f_b, v, vsig, odd, even, length, sets
-):
+def _near_cycle_case1(coll, frame, x, y, z, w, sets):
+    """Length 4 on the relabeled cycle, whose w-neighbors sit at the odd
+    positions `sets["b"]` and non-neighbors `sets["u2"]`."""
     stage = "near_cycle"
     n = coll.n
+    length = len(frame.verts)
+    v, vsig = frame.u, frame.sig
+    c_star, f_a, f_b = frame.c_star, frame.f_a, frame.f_b
+    odd = sets["b"]
 
     def fired(subcase, verts, cols):
         return BranchTrace(stage, "1", subcase, sets, 4, _emit(coll, stage, verts, cols))
@@ -565,7 +589,7 @@ def _near_cycle_case1(
     if direct:
         p = direct[0]
         return fired("main", (x, v(p), w, y), (c_star, f_a, f_b))
-    forced = set(v(p) for p in even) | {y, w}
+    forced = set(sets["u2"]) | {y, w}
     actual = {t for t in range(n) if t != x and coll.has_edge(c_star, x, t)}
     _req(
         actual == forced,
@@ -581,7 +605,7 @@ def _near_cycle_case1(
         return fired("b1", (x, v(p + 1), v(p), y), (c_star, vsig(p), f_a))
     if coll.has_edge(f_a, y, z):
         return fired("b2", (x, w, z, y), (c_star, f_b, f_a))
-    forced_y = set(v(p) for p in even) | {x, w}
+    forced_y = set(sets["u2"]) | {x, w}
     actual_y = {t for t in range(n) if t != y and coll.has_edge(f_a, y, t)}
     _req(
         actual_y == forced_y,
@@ -593,11 +617,14 @@ def _near_cycle_case1(
     return fired("b3", (x, v(length), v(length - 1), y), (c_star, vsig(length - 1), f_a))
 
 
-def _near_cycle_sweep(
-    coll, x, y, w, k, c_star, f_a, f_b, v, vsig, odd, length, sets, n
-):
+def _near_cycle_sweep(coll, frame, x, y, w, k, sets):
+    """Lengths 5 and up on the relabeled cycle: from an x attachment, run
+    k - 4 positions to an odd one, then close through w."""
     stage = "near_cycle"
-    odd_set = set(odd)
+    n = coll.n
+    length = len(frame.verts)
+    v, vsig, c_star = frame.u, frame.sig, frame.c_star
+    odd_set = set(sets["b"])
     front = [p for p in (length, length - 1) if coll.has_edge(c_star, x, v(p))]
     others = [
         p
@@ -609,13 +636,12 @@ def _near_cycle_sweep(
             tgt = _m1(anchor + d * (k - 4), length)
             if tgt not in odd_set:
                 continue
-            seg = [_m1(anchor + d * t, length) for t in range(k - 3)]
-            verts = (x,) + tuple(v(p) for p in seg) + (w, y)
+            verts = (x,) + tuple(v(anchor + d * t) for t in range(k - 3)) + (w, y)
             if d == 1:
                 mid = tuple(vsig(anchor + t) for t in range(k - 4))
             else:
                 mid = tuple(vsig(anchor - 1 - t) for t in range(k - 4))
-            cols = (c_star,) + mid + (f_a, f_b)
+            cols = (c_star,) + mid + (frame.f_a, frame.f_b)
             path = _emit(coll, stage, verts, cols)
             if anchor in (length, length - 1):
                 case, subcase = "2", None
@@ -685,14 +711,10 @@ def endpoint_bound_report(
 def _endpoint_bounds_with(coll, ham_path, c_star, free):
     stage = "endpoint_bounds"
     n = coll.n
-    verts = ham_path.vertices
     L = n - 3
-
-    def u(i: int) -> int:
-        return verts[i - 1]
-
+    u = _Frame(ham_path.vertices, ham_path.colors).u
     f1, f2 = sorted(c for c in free if c != c_star)
-    w1, w2 = verts[0], verts[-1]
+    w1, w2 = u(1), u(L)
     i_f1 = tuple(
         i for i in range(1, n - 5) if coll.has_edge(f1, w1, u(i + 1))
     )
@@ -731,24 +753,6 @@ def _endpoint_bounds_with(coll, ham_path, c_star, free):
 # k-paths from a spanning path of the thrice-reduced view
 
 
-@dataclass(frozen=True)
-class _Frame:
-    """One labeling attempt: oriented path plus a role assignment."""
-
-    verts: tuple[int, ...]
-    sigma: tuple[int, ...]
-    f_a: int
-    f_b: int
-    c_star: int
-    tag: str
-
-    def u(self, i: int) -> int:
-        return self.verts[i - 1]
-
-    def sig(self, i: int) -> int:
-        return self.sigma[i - 1]
-
-
 def ham_path_k_path(
     coll: GraphCollection,
     ham_path: ColoredPath,
@@ -773,13 +777,9 @@ def ham_path_k_path(
     s and t its extremes, l the run count.
     """
     free = _check_inputs(coll, (x, y, z), k, ham_path, cover=coll.n - 3, free=3)
-    star_cands = [c for c in free if not coll.has_edge(c, x, z)]
-    if not star_cands:
-        raise HypothesisViolation(
-            "ham_path",
-            "free-color",
-            f"every unused color {free} joins x={x} to z={z}",
-        )
+    star_cands = _star_colors(
+        coll, free, x, z, "ham_path", f"every unused color {free} joins x={x} to z={z}"
+    )
     roles = [(c, sorted(c0 for c0 in free if c0 != c)) for c in star_cands]
     return _hp_combos(coll, ham_path, x, y, z, k, roles, 0)
 
@@ -1243,16 +1243,7 @@ def two_clique_k_path(
     preferred = [c for c in star_cands if not coll.has_edge(c, x, z)]
     c_star = preferred[0] if preferred else star_cands[0]
     h_colors = [c for c in range(m) if c not in (c_star, j)]
-    for i in h_colors:
-        for v0 in side1 + side2:
-            for t in (x, y, z):
-                _req(
-                    coll.has_edge(i, v0, t),
-                    stage,
-                    "attach-degrees",
-                    f"vertex {v0} misses {t} in working color {i}; the "
-                    "degree balance forces every such edge",
-                )
+    _require_attached(coll, h_colors, side1 + side2, (x, y, z), stage, "attach-degrees")
     sets = {"u1": list(side1), "u2": list(side2), "j": j}
 
     def fired(tag, verts, reserved):
@@ -1343,25 +1334,11 @@ def join_partition_k_path(
         "no choice of reserved color leaves every working color in the "
         "join shape over the given partition",
     )
-    preferred = [c for c in star_cands if not coll.has_edge(c, x, z)]
-    _req(
-        bool(preferred),
-        stage,
-        "free-color",
-        f"every admissible reserved color joins x={x} to z={z}",
-    )
-    c_star = preferred[0]
+    c_star = _star_colors(
+        coll, star_cands, x, z, stage, f"every admissible reserved color joins x={x} to z={z}"
+    )[0]
     h_colors = [c for c in range(m) if c != c_star]
-    for i in h_colors:
-        for w0 in eye:
-            for t in (x, y, z):
-                _req(
-                    coll.has_edge(i, w0, t),
-                    stage,
-                    "bipartite-attach",
-                    f"vertex {w0} misses {t} in working color {i}; the "
-                    "degree balance forces every such edge",
-                )
+    _require_attached(coll, h_colors, eye, (x, y, z), stage, "bipartite-attach")
     sets = {"f": list(eff), "i": list(eye)}
 
     def fired(tag, verts, cols):
@@ -1550,8 +1527,9 @@ def five_vertex_4path(coll: GraphCollection, x: int, y: int) -> BranchTrace:
 class ConstructiveReport:
     """All k-paths for one pair, with the branch that built each.
 
-    missing_k lists lengths with no rainbow path; under the hypotheses that
-    happens only for length 4 on the exceptional family, recorded in verdict.
+    missing_k lists the lengths with no rainbow path in ascending order;
+    under the hypotheses that happens only for length 4 on the exceptional
+    family, recorded in verdict.
     discrepancies collects branches that failed where the fallback search
     disagreed with them; a non-empty list means the constructive argument
     and the instance disagree somewhere.
@@ -1662,21 +1640,29 @@ def constructive_panconnect(
             "no spanning rainbow path despite the degree threshold guaranteeing one",
         )
 
+    _pan_lengths(coll, x, y, spanning, report, budget)
+    report.missing_k = tuple(sorted(report.missing_k))
+    return report
+
+
+def _pan_lengths(coll, x, y, spanning, report, budget):
+    """Record a k-path, or the search that missed it, for every k in
+    [4, n-1]."""
+    n, m = coll.n, coll.m
     if n == 5:
         _pan_one_k(coll, 4, partial(five_vertex_4path, coll, x, y), report, budget)
-        return report
-
+        return
     interior = [v for v in range(n) if v not in (x, y)]
     universal = all(
         coll.has_edge(i, x, u0) for u0 in interior for i in range(m)
     )
     if universal and spanning is not None:
         _pan_universal(coll, x, report, spanning)
-        return report
+        return
     if universal:
         for k in range(4, n):
             _pan_fallback(coll, k, report, budget, "universal")
-        return report
+        return
 
     c_star, z = None, None
     for c in range(m):
@@ -1701,8 +1687,6 @@ def constructive_panconnect(
             _pan_fallback(coll, k, report, budget, "structure")
         else:
             _pan_one_k(coll, k, partial(build, x, y, z, k), report, budget)
-    report.missing_k = tuple(sorted(report.missing_k))
-    return report
 
 
 def _pan_universal(coll, x, report, spanning):

@@ -15,6 +15,9 @@ kernel keeps the tables it derives from that tuple (union rows, distances,
 option rows) until it is given another tuple, so queries on one view share
 those too. Every witness a kernel returns is re-checked against the view.
 
+One pair's k-sweep (`k_paths`) asks every length from the union-graph
+distance + 1 up to `k_cap`; its first path is the shortest rainbow path.
+
 A query for a path or cycle through every surviving vertex is refuted at the
 root, without a kernel call, when the view's union graph is disconnected or
 one of its twin classes (vertices with one shared union row, an independent
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import kernels
 from .core import (
@@ -189,19 +192,11 @@ def find_rainbow_path(
         return None
     if budget is None:
         budget = default_budget()
-    status, verts, cols, nodes = kernels.find_path(
+    result = kernels.find_path(
         view.n, len(active), view.kernel_adj, x, y, k, view.vertex_mask,
         budget.node_limit,
     )
-    if status == kernels.BUDGET:
-        raise BudgetExceeded(f"path x={x} y={y} k={k}", nodes)
-    if status == kernels.NONE:
-        return None
-    path = ColoredPath(tuple(verts), tuple(map(active.__getitem__, cols)))
-    problem = check_colored_path(view, path)
-    if problem is not None:
-        raise AssertionError(f"kernel returned invalid path: {problem}")
-    return path
+    return _witness(view, result, ColoredPath, check_colored_path, "path x={} y={} k={}", x, y, k)
 
 
 def find_rainbow_ham_path(
@@ -215,6 +210,39 @@ def find_rainbow_ham_path(
     return find_rainbow_path(view, x, y, view.n_surviving, budget=budget)
 
 
+def k_cap(view: CollectionLike) -> int:
+    """The most vertices a rainbow path of the view can have: every
+    surviving vertex, and one more than the surviving colors, since a
+    k-path needs k - 1 distinct colors."""
+    return min(view.n_surviving, view.m_surviving + 1)
+
+
+def k_paths(
+    view: CollectionLike,
+    x: int,
+    y: int,
+    *,
+    budget: SearchBudget | None = None,
+) -> Iterator[tuple[int, ColoredPath | None]]:
+    """The k-sweep of one pair: asks for a rainbow k-path for each k from
+    the union-graph distance + 1, a lower bound, up to k_cap(view), in that
+    order. From the first k that has one it yields (k, path), a shortest
+    rainbow path first, then (k, path or None) for every longer k; it yields
+    nothing when no rainbow path joins x and y. A budget stop raises
+    BudgetExceeded from the query that ran out."""
+    _require_vertex(view, x, "x")
+    _require_vertex(view, y, "y")
+    lower = distances(view.union_rows, x)[y]
+    if lower is None:
+        return
+    found = False
+    for k in range(lower + 1, k_cap(view) + 1):
+        path = find_rainbow_path(view, x, y, k, budget=budget)
+        found = found or path is not None
+        if found:
+            yield k, path
+
+
 def shortest_rainbow_path(
     view: CollectionLike,
     x: int,
@@ -222,25 +250,13 @@ def shortest_rainbow_path(
     *,
     budget: SearchBudget | None = None,
 ) -> ColoredPath | None:
-    """A shortest rainbow path joining x and y, or None if there is none.
-
-    Iterative deepening from the union-graph distance, which is a lower bound;
-    the path returned is the one find_rainbow_path gives at that length. For
-    x == y it is the one-vertex path.
+    """A shortest rainbow path joining x and y, or None if there is none:
+    the first path of their k-sweep. For x == y it is the one-vertex path.
     """
-    _require_vertex(view, x, "x")
-    _require_vertex(view, y, "y")
     if x == y:
+        _require_vertex(view, x, "x")
         return ColoredPath((x,), ())
-    lower = distances(view.union_rows, x)[y]
-    if lower is None:
-        return None
-    top = min(view.n_surviving - 1, view.m_surviving)
-    for length in range(lower, top + 1):
-        path = find_rainbow_path(view, x, y, length + 1, budget=budget)
-        if path is not None:
-            return path
-    return None
+    return next((path for _, path in k_paths(view, x, y, budget=budget)), None)
 
 
 def rainbow_distance(
@@ -273,16 +289,25 @@ def find_rainbow_cycle(
         return None
     if budget is None:
         budget = default_budget()
-    status, verts, cols, nodes = kernels.find_cycle(
+    result = kernels.find_cycle(
         view.n, len(active), view.kernel_adj, length, view.vertex_mask,
         budget.node_limit,
     )
+    return _witness(view, result, ColoredCycle, check_colored_cycle, "cycle length={}", length)
+
+
+def _witness(view, result, kind, check, query, *args):
+    """The witness of a kernel answer `(status, vertices, colors, nodes)`,
+    built as `kind` with the view's color ids and re-checked by `check`; None
+    when the kernel found none. A budget stop raises BudgetExceeded naming
+    the query `query.format(*args)`, formatted only then."""
+    status, verts, cols, nodes = result
     if status == kernels.BUDGET:
-        raise BudgetExceeded(f"cycle length={length}", nodes)
+        raise BudgetExceeded(query.format(*args), nodes)
     if status == kernels.NONE:
         return None
-    cycle = ColoredCycle(tuple(verts), tuple(map(active.__getitem__, cols)))
-    problem = check_colored_cycle(view, cycle)
+    witness = kind(tuple(verts), tuple(map(view.colors.__getitem__, cols)))
+    problem = check(view, witness)
     if problem is not None:
-        raise AssertionError(f"kernel returned invalid cycle: {problem}")
-    return cycle
+        raise AssertionError(f"kernel returned invalid {kind.__name__}: {problem}")
+    return witness

@@ -11,7 +11,6 @@ from rainbowpan.analysis import (
     is_rainbow_ham_connected,
     is_rainbow_panconnected,
     join_partition,
-    k_paths,
     recognize_clique_split,
     recognize_F_family,
     recognize_join_partition,
@@ -34,7 +33,7 @@ from rainbowpan.generate import (
     gen_random_collection,
 )
 from rainbowpan import kernels
-from rainbowpan.search import SearchBudget, find_rainbow_path
+from rainbowpan.search import SearchBudget, find_rainbow_path, k_cap, k_paths
 
 from .oracles import (
     clique_splits,
@@ -435,17 +434,18 @@ def test_recognizers_match_bruteforce(coll):
 @settings(max_examples=60, deadline=None)
 @given(shaped_views(max_n=7))
 def test_k_paths_sweep_matches_bruteforce(view):
-    k_cap = min(view.n_surviving, view.m_surviving + 1)
+    cap = min(view.n_surviving, view.m_surviving + 1)
+    assert k_cap(view) == cap
     alive = view.vertices
     for x, y in list(zip(alive, alive[1:]))[:3]:
         lengths = [
-            k for k in range(2, k_cap + 1) if rainbow_path_exists(view, x, y, k)
+            k for k in range(2, cap + 1) if rainbow_path_exists(view, x, y, k)
         ]
-        got = list(k_paths(view, x, y, k_cap))
+        got = list(k_paths(view, x, y))
         if not lengths:
             assert got == []
             continue
-        assert [k for k, _ in got] == list(range(lengths[0], k_cap + 1))
+        assert [k for k, _ in got] == list(range(lengths[0], cap + 1))
         for k, path in got:
             assert (path is not None) == (k in lengths)
             if path is not None:

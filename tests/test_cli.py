@@ -386,13 +386,49 @@ def test_verify_report_deterministic(tmp_path, capsys):
 
 
 def test_verify_jobs_merge_matches_serial(tmp_path, capsys):
-    base = ["verify", "--theorem", "t2_1", "--n", "5", "--trials", "4", "--seed", "3"]
+    # 16 trials make two chunks of 8, so two workers run
+    base = ["verify", "--theorem", "t2_1", "--n", "5", "--trials", "16", "--seed", "3"]
     a, b = tmp_path / "serial.json", tmp_path / "par.json"
     assert main([*base, "--report", str(a)]) == EXIT_PASS
     assert main([*base, "--jobs", "2", "--report", str(b)]) == EXIT_PASS
     da, db = json.loads(a.read_text()), json.loads(b.read_text())
     da.pop("wall_time_s"), db.pop("wall_time_s")
     assert da == db
+
+
+class _InlinePool:
+    """Stands in for `ProcessPoolExecutor`: records the workers asked for and
+    runs the tasks in this process, starting none."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("trials, workers", [(1, []), (8, []), (9, [2]), (17, [3])])
+def test_verify_jobs_starts_no_more_workers_than_chunks(monkeypatch, trials, workers):
+    """Tasks go to the pool in chunks of 8, and a pool starts all its
+    workers at once: `--jobs 64` starts one per chunk, and none for a
+    single chunk."""
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "started", [])
+    serial = run_campaign("lem1", [5], trials, 0, DEFAULT_NODE_LIMIT)
+    pooled = run_campaign("lem1", [5], trials, 0, DEFAULT_NODE_LIMIT, jobs=64)
+    assert _InlinePool.started == workers
+    assert serial.passes == pooled.passes == trials
+    assert serial.failing == pooled.failing == []
 
 
 def test_failing_campaign_embeds_reproducer(monkeypatch):

@@ -427,6 +427,21 @@ def test_constructive_route_five_vertex():
     assert rep.missing_k == ()
 
 
+def test_missing_lengths_are_sorted_on_the_five_vertex_exit(monkeypatch):
+    """With no spanning path, no five-vertex 4-path and no fallback path,
+    both missing lengths are reported in ascending order."""
+
+    def no_four_path(coll, x, y):
+        raise HypothesisViolation("five_vertex", "interior-edge", "stubbed")
+
+    monkeypatch.setattr(constructions, "find_rainbow_ham_path", lambda *a, **kw: None)
+    monkeypatch.setattr(constructions, "five_vertex_4path", no_four_path)
+    monkeypatch.setattr(constructions, "find_rainbow_path", lambda *a, **kw: None)
+    rep = constructive_panconnect(gen_random_collection(5, 4, 3, seed=1), 0, 2)
+    assert rep.missing_k == (4, 5)
+    assert rep.to_json_dict()["missing_k"] == [4, 5]
+
+
 def test_constructive_route_two_clique():
     coll, h = gen_lemma_shape("lem7", 7, seed=5, variant="z")
     rep = constructive_panconnect(coll, h["x"], h["y"])

@@ -7,6 +7,11 @@ The digest is the sha256 of the JSON list of (status, vertices, colors,
 nodes) over 200 seeded queries: 120 path and 80 cycle queries on dense
 inputs at n <= 9 and sparse ones up to n = 64, under node limits that end in
 FOUND, NONE and BUDGET. A deliberate change of the search updates it.
+
+A second record pins the queries the package asks the kernel: the
+(x, y, k, status, nodes) of every `kernels.find_path` call that
+`is_rainbow_panconnected` makes on a few seeded sparse collections and
+views of them, through each kernel.
 """
 import hashlib
 import json
@@ -14,7 +19,9 @@ import random
 
 import pytest
 
-from rainbowpan import _kernel_py
+from rainbowpan import _kernel_py, kernels
+from rainbowpan.analysis import is_rainbow_panconnected
+from rainbowpan.core import GraphCollection, build_graph, distances, restrict
 
 DIGEST = "23b0fd7a686c43f8b6f61c77aaa8ff9d8ee51bdc12f8e3cf701e40466ef4d312"
 LIMITS = (1, 4, 30, 400, 20000)
@@ -89,3 +96,69 @@ def test_pure_kernel_matches_the_record():
 
 def test_compiled_kernel_matches_the_record(kernel):
     assert _digest(_results(kernel)) == DIGEST
+
+
+CERTIFICATE_DIGEST = "152122ef4af6fae4384ee3b9b924821f702df2e61b7e53e5cecc420e4f12fe9f"
+CERTIFICATE_SEEDS = (0, 15, 21, 25)
+
+
+def _certificate_views():
+    """Per seed, a collection of 3 to 5 random graphs on 6 to 9 vertices,
+    and its view without one vertex and one color."""
+    for seed in CERTIFICATE_SEEDS:
+        rng = random.Random(seed)
+        n, m = rng.randint(6, 9), rng.randint(3, 5)
+        p = rng.uniform(0.25, 0.55)
+        coll = GraphCollection(n, tuple(
+            build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            for _ in range(m)
+        ))
+        yield coll
+        yield restrict(coll, remove_vertices=(rng.randrange(n),), remove_colors=(rng.randrange(m),))
+
+
+def _certificate_queries(monkeypatch, impl):
+    """The certificates of the views, and (x, y, k, status, nodes) of every
+    path query they ask the kernel, which is `impl`."""
+    calls = []
+
+    def spy(*args):
+        result = impl.find_path(*args)
+        calls.append([*args[3:6], result[0], result[3]])
+        return result
+
+    monkeypatch.setattr(kernels, "find_path", spy)
+    certs = [(view, is_rainbow_panconnected(view)) for view in _certificate_views()]
+    return certs, calls
+
+
+def test_certificate_views_reach_every_sweep_exit(monkeypatch):
+    """Passing and failing certificates, a pair whose rainbow distance
+    exceeds its union distance, and a union-joined pair with no rainbow
+    path at all, which only the kernel can tell."""
+    certs, calls = _certificate_queries(monkeypatch, _kernel_py)
+    verdicts = [cert.verdict for _, cert in certs]
+    assert True in verdicts and False in verdicts
+    assert any(
+        pair.distance is not None and pair.distance > distances(view.union_rows, pair.x)[pair.y]
+        for view, cert in certs
+        for pair in cert.pairs
+    )
+    assert any(
+        cert.failure is not None
+        and cert.failure[2] is None
+        and distances(view.union_rows, cert.failure[0])[cert.failure[1]] is not None
+        for view, cert in certs
+    )
+    statuses = {call[3] for call in calls}
+    assert statuses == {_kernel_py.FOUND, _kernel_py.NONE}
+
+
+def test_pure_kernel_queries_match_the_record(monkeypatch):
+    _, calls = _certificate_queries(monkeypatch, _kernel_py)
+    assert _digest(calls) == CERTIFICATE_DIGEST
+
+
+def test_compiled_kernel_queries_match_the_record(monkeypatch, kernel):
+    _, calls = _certificate_queries(monkeypatch, kernel)
+    assert _digest(calls) == CERTIFICATE_DIGEST

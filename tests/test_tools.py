@@ -79,6 +79,31 @@ def test_summary_reads_direction_and_bound_from_the_declaration(bench_compare):
     assert "better on 5 of 5" in time and "WORSE" not in time
 
 
+def test_summary_marks_a_metric_the_base_spread_leaves_unresolved(bench_compare):
+    """The before side of `time` spreads 30% between its quartiles, wider
+    than a 25% bound: unchanged after runs leave it unresolved, and so do
+    faster ones that overlap the slowest before runs; after runs that all
+    beat every before run resolve it. `rate` spreads 3% and is resolved."""
+    before = [1.0, 0.8, 1.2, 0.9, 1.1]
+
+    def time_line(after, bound=0.25):
+        seeds = {
+            str(seed): {"before": _run({"rate": 100.0 + seed, "time": t0}),
+                        "after": _run({"rate": 100.0 + seed, "time": t1})}
+            for seed, (t0, t1) in enumerate(zip(before, after))
+        }
+        specs = {"rate": {"better": "higher", "bound": bound},
+                 "time": {"better": "lower", "bound": bound}}
+        _, rate, time = bench_compare.summary({"workloads": {"w": seeds}}, specs)
+        assert "UNRESOLVED" not in rate
+        return time
+
+    assert time_line(before).endswith("UNRESOLVED: BEFORE SPREAD 30% IS WIDER THAN ITS 25% BOUND")
+    assert "UNRESOLVED" in time_line([0.5, 0.4, 0.6, 0.45, 0.85])
+    assert "UNRESOLVED" not in time_line([0.5, 0.4, 0.6, 0.45, 0.75])
+    assert "UNRESOLVED" not in time_line(before, bound=0.5)
+
+
 def test_summary_reads_the_repo_declaration(bench_compare):
     specs = bench_compare.metric_specs()
     assert specs["items_per_s"]["better"] == "higher"

@@ -13,7 +13,8 @@ does not always land on the same side. The file is rewritten after every
 pair, so an interrupted comparison keeps the pairs it finished. A summary
 goes to stderr: each side's failure share, and per metric each side's
 median and quartiles, marked when the change is worse than the metric's
-bound in BENCHMARK.json.
+bound in BENCHMARK.json, and marked unresolved when the base's own runs
+spread wider than that bound.
 """
 from __future__ import annotations
 
@@ -117,7 +118,10 @@ def summary(doc: dict, specs: dict[str, dict]) -> list[str]:
     over attempted ones), then one per metric: each side's median with its
     quartiles in brackets, the change of the median, and on how many seeds
     the metric moved in its `better` direction. A metric whose after-median
-    is worse than its before-median by more than its `bound` is marked."""
+    is worse than its before-median by more than its `bound` is marked. So
+    is one left unresolved: the distance between the before side's
+    quartiles, over its median, is wider than the `bound`, and not every
+    after run reads better than every before run."""
     lines = []
     for workload, seeds in doc["workloads"].items():
         pairs = list(seeds.values())
@@ -135,8 +139,14 @@ def summary(doc: dict, specs: dict[str, dict]) -> list[str]:
             change = (ma - mb) / mb
             line = (f"  {metric:<12} {_side(b)} -> {_side(a)}  ({change:+.1%}, "
                     f"better on {wins} of {len(pairs)})")
-            if -sign * change > specs[metric]["bound"]:
-                line += f"  WORSE BY MORE THAN ITS {specs[metric]['bound']:.0%} BOUND"
+            bound = specs[metric]["bound"]
+            q1, q3 = _quartiles(b)
+            spread = (q3 - q1) / mb
+            every_run_better = min(a) > max(b) if sign > 0 else max(a) < min(b)
+            if spread > bound and not every_run_better:
+                line += f"  UNRESOLVED: BEFORE SPREAD {spread:.0%} IS WIDER THAN ITS {bound:.0%} BOUND"
+            if -sign * change > bound:
+                line += f"  WORSE BY MORE THAN ITS {bound:.0%} BOUND"
             lines.append(line)
     return lines
 
