@@ -1,9 +1,14 @@
 /* Compiled search kernel. Mirrors rainbowpan._kernel_py function for
- * function (`State` is its `_Search`; path_extend, cycle_extend,
- * try_candidates, push_edge, kuhn and result are `_Search` methods, bfs is
- * `_bfs`) and operation for operation: identical candidate ordering,
- * augmenting order, node counting, witnesses. The parity tests compare
- * both on the same queries.
+ * function (`State` is its `_Search`; path_extend, own_nodes, close_path,
+ * cycle_extend, try_candidates, push_edge, kuhn and result are `_Search`
+ * methods, bfs is `_bfs` and walk is `_walk`) and operation for operation:
+ * identical candidate ordering, augmenting order, node counting, witnesses.
+ * The parity tests compare both on the same queries.
+ *
+ * Path queries walk the tree of paths from x that avoid y once for a set of
+ * pending lengths k (see walk); find_path is that walk with one length. A
+ * walk gives up once it costs more than one query per length would have
+ * (see path_extend and the pure kernel's module docstring).
  *
  * Written by hand against the CPython C API. Every input is checked before
  * it reaches a table: all tables are fixed 64-slot arrays, so n, m, the
@@ -39,9 +44,17 @@ typedef struct {
     int n_edges;
     int path[MAXN + 1];
     int depth;             /* vertices currently in path */
-    int k;                 /* target vertex count / cycle length */
+    int k;                 /* largest pending path length / cycle length */
     int start;             /* cycle start vertex */
-    u64 ybit;
+    int y;                 /* path target */
+    u64 pending;           /* bit k-2 for each path length still without a path */
+    u64 found;             /* bit k-2 for each path length with a witness */
+    int wverts[MAXN - 1][MAXN];     /* k-2 -> the witness's k vertices */
+    int wcols[MAXN - 1][MAXN - 1];  /* k-2 -> its k-1 edge colors */
+    int low;               /* smallest pending path length */
+    long long own[MAXN + 1];  /* s -> walk nodes whose shortest own length is s */
+    long long paid;        /* nodes the queries for the found lengths alone spend */
+    long long low_nodes;   /* walk nodes a query for `low` alone visits */
     u64 higher;
 } State;
 
@@ -179,8 +192,10 @@ static int order_candidates(const State *st, int last, u64 cand,
 }
 
 /* Try each candidate after `last` in order: admit its edge, recurse, undo.
- * `rem` is the largest distance to the target a candidate may have. */
-static inline int try_candidates(State *st, u64 used, int last, u64 cand, int rem,
+ * `k - spent` is the largest distance to the target a candidate may have,
+ * read for each candidate: a path walk lowers k when it records the
+ * largest pending length. */
+static inline int try_candidates(State *st, u64 used, int last, u64 cand, int spent,
                           int (*extend)(State *, u64))
 {
     int cnt[MAXN], vert[MAXN];
@@ -189,7 +204,7 @@ static inline int try_candidates(State *st, u64 used, int last, u64 cand, int re
     int ncand = order_candidates(st, last, cand, cnt, vert, oms);
     for (int i = 0; i < ncand; i++) {
         int v = vert[i];
-        if (st->dist[v] > rem)
+        if (st->dist[v] > st->k - spent)
             continue;
         memcpy(snap_ce, st->color_edge, st->m * sizeof(int));
         int snap_ne = st->n_edges;
@@ -208,20 +223,79 @@ static inline int try_candidates(State *st, u64 used, int last, u64 cand, int re
     return 0;
 }
 
+/* The walk nodes so far that a query for k alone visits too. */
+static long long own_nodes(const State *st, int k)
+{
+    long long total = 0;
+    for (int s = 0; s <= k; s++)
+        total += st->own[s];
+    return total;
+}
+
+/* The step from `last` to y, for the pending length k = depth + 1. When the
+ * matching admits its edge, this counts one node, records the path plus y
+ * and the matching's colors as k's witness and drops k. Returns ABORT, 1
+ * when no length is left pending, else 0 with the matching restored. */
+static int close_path(State *st, int last)
+{
+    int snap_ce[MAXN], snap_ec[MAXN];
+    int snap_ne = st->n_edges;
+    memcpy(snap_ce, st->color_edge, st->m * sizeof(int));
+    memcpy(snap_ec, st->edge_color, snap_ne * sizeof(int));
+    if (!push_edge(st, option_mask(st, last, st->y)))
+        return 0;
+    if (++st->nodes > st->node_limit)
+        return ABORT;
+    int k = st->depth + 1;
+    memcpy(st->wverts[k - 2], st->path, st->depth * sizeof(int));
+    st->wverts[k - 2][k - 1] = st->y;
+    memcpy(st->wcols[k - 2], st->edge_color, (k - 1) * sizeof(int));
+    st->found |= 1ULL << (k - 2);
+    st->pending &= ~(1ULL << (k - 2));
+    if (!st->pending)
+        return 1;
+    st->k = 65 - __builtin_clzll(st->pending);
+    if (k == st->low) {
+        st->paid += st->low_nodes + 1;
+        st->low = __builtin_ctzll(st->pending) + 2;
+        for (int s = k + 1; s <= st->low; s++)
+            st->low_nodes += st->own[s];
+    } else {
+        st->paid += own_nodes(st, k) + 1;
+    }
+    memcpy(st->color_edge, snap_ce, st->m * sizeof(int));
+    memcpy(st->edge_color, snap_ec, snap_ne * sizeof(int));
+    st->n_edges = snap_ne;
+    return 0;
+}
+
+/* A node with d edges placed: the step to y when k = d + 2 is pending, then
+ * the children, kept while they can still reach y within the largest
+ * pending length. The walk gives up, as a budget stop, at a node that a
+ * query for the smallest pending length would not visit once it has spent
+ * more nodes than the queries for the lengths it found and for that one
+ * would have. */
 static int path_extend(State *st, u64 used)
 {
     if (++st->nodes > st->node_limit)
         return ABORT;
     int d = st->depth - 1;
-    if (d == st->k - 1)
-        return 1;
-    int last = st->path[st->depth - 1];
-    u64 cand;
-    if (d == st->k - 2)
-        cand = st->rows[last] & st->ybit;
-    else
-        cand = st->rows[last] & ~used & ~st->ybit;
-    return try_candidates(st, used, last, cand, st->k - 2 - d, path_extend);
+    int last = st->path[d];
+    int s = st->dist[last] + d + 1;  /* the shortest length whose query visits this node */
+    st->own[s]++;
+    if (s <= st->low)
+        st->low_nodes++;
+    else if (st->nodes > st->paid + st->low_nodes)
+        return ABORT;
+    if ((st->pending >> d) & (st->rows[last] >> st->y) & 1) {
+        int r = close_path(st, last);
+        if (r != 0)
+            return r;
+    }
+    if (d + 2 >= st->k)
+        return 0;
+    return try_candidates(st, used, last, st->rows[last] & ~used & ~(1ULL << st->y),
+                          d + 2, path_extend);
 }
 
 static int cycle_extend(State *st, u64 used)
@@ -244,7 +318,7 @@ static int cycle_extend(State *st, u64 used)
                     & ~((2ULL << st->path[1]) - 1)))
         return 0;
     return try_candidates(st, used, last, st->rows[last] & st->higher & ~used,
-                          st->k - 1 - d, cycle_extend);
+                          d + 1, cycle_extend);
 }
 
 /* Check n and m, then copy adj into st and build the union rows. Returns 0,
@@ -290,6 +364,8 @@ static int init_state(State *st, int n, int m, PyObject *adj, long long node_lim
     st->node_limit = node_limit;
     st->nodes = 0;
     st->n_edges = 0;
+    st->pending = 0;
+    st->found = 0;
     for (int c = 0; c < m; c++)
         st->color_edge[c] = -1;
     build_rows(st);
@@ -344,6 +420,52 @@ static PyObject *result(const State *st, int r)
     return Py_BuildValue("(iNNL)", FOUND, verts, cols, st->nodes);
 }
 
+/* Check a path query and walk the tree of paths from x that avoid y once,
+ * for every length in [k_lo, k_hi] that the distance from x to y allows.
+ * Candidates come in the same order at every length, the matching at a node
+ * depends only on the path to it, and the distance prune removes only
+ * subtrees with no path of a pending length; so each length's witness is
+ * the first in preorder, the path a walk for that length alone records.
+ * Sets *r to the search result (1 when every length got a path) and returns
+ * 0, or returns -1 with an exception set. */
+static int walk(State *st, int n, int m, PyObject *adj, int x, int y, int k_lo,
+                int k_hi, PyObject *vmask, long long node_limit, int *r)
+{
+    u64 vm;
+    if (init_state(st, n, m, adj, node_limit) < 0)
+        return -1;
+    if (x < 0 || x >= n || y < 0 || y >= n) {
+        PyErr_Format(PyExc_ValueError, "x=%d or y=%d outside [0, %d)", x, y, n);
+        return -1;
+    }
+    if (k_hi > n) {
+        PyErr_Format(PyExc_ValueError, "k=%d exceeds n=%d", k_hi, n);
+        return -1;
+    }
+    if (vertex_mask(vmask, n, &vm) < 0)
+        return -1;
+    bfs(st, y, vm);
+    int lo = st->dist[x] + 1;
+    if (lo < k_lo)
+        lo = k_lo;
+    if (lo < 2)
+        lo = 2;
+    *r = 0;
+    if (lo > k_hi)
+        return 0;
+    st->pending = (2ULL << (k_hi - 2)) - (1ULL << (lo - 2));
+    st->k = k_hi;
+    st->low = lo;
+    memset(st->own, 0, sizeof st->own);
+    st->paid = 0;
+    st->low_nodes = 0;
+    st->y = y;
+    st->path[0] = x;
+    st->depth = 1;
+    *r = path_extend(st, 1ULL << x);
+    return 0;
+}
+
 PyDoc_STRVAR(find_path_doc,
 "find_path(n, m, adj, x, y, k, vmask, node_limit)\n\n"
 "Exact k-vertex rainbow path from x to y. Returns (status, vertices,\n"
@@ -353,31 +475,65 @@ static PyObject *find_path(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "m", "adj", "x", "y", "k", "vmask",
                              "node_limit", NULL};
-    int n, m, x, y, k;
+    int n, m, x, y, k, r;
     PyObject *adj, *vmask;
     long long node_limit;
     State st;
-    u64 vm;
     (void)self;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOiiiOL:find_path", kwlist,
                                      &n, &m, &adj, &x, &y, &k, &vmask, &node_limit))
         return NULL;
-    if (init_state(&st, n, m, adj, node_limit) < 0)
+    if (walk(&st, n, m, adj, x, y, k, k, vmask, node_limit, &r) < 0)
         return NULL;
-    if (x < 0 || x >= n || y < 0 || y >= n)
-        return PyErr_Format(PyExc_ValueError, "x=%d or y=%d outside [0, %d)", x, y, n);
-    if (k > n)
-        return PyErr_Format(PyExc_ValueError, "k=%d exceeds n=%d", k, n);
-    if (vertex_mask(vmask, n, &vm) < 0)
+    if (r == 1)
+        return Py_BuildValue("(iNNL)", FOUND, int_list(st.wverts[k - 2], k),
+                             int_list(st.wcols[k - 2], k - 1), st.nodes);
+    return result(&st, r);
+}
+
+PyDoc_STRVAR(find_paths_doc,
+"find_paths(n, m, adj, x, y, k_lo, k_hi, vmask, node_limit)\n\n"
+"Rainbow paths from x to y on every k in [k_lo, k_hi], from one walk of\n"
+"the search tree. Returns (status, {k: (vertices, colors)}, nodes), each\n"
+"witness the one find_path gives for its k. status is BUDGET when the\n"
+"walk stopped undecided, on the node limit or giving up, else FOUND or\n"
+"NONE as some k has a path or none has; a k missing from the dict of a\n"
+"decided walk has no path.");
+
+static PyObject *find_paths(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"n", "m", "adj", "x", "y", "k_lo", "k_hi", "vmask",
+                             "node_limit", NULL};
+    int n, m, x, y, k_lo, k_hi, r;
+    PyObject *adj, *vmask;
+    long long node_limit;
+    State st;
+    (void)self;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOiiiiOL:find_paths", kwlist,
+                                     &n, &m, &adj, &x, &y, &k_lo, &k_hi, &vmask,
+                                     &node_limit))
         return NULL;
-    bfs(&st, y, vm);
-    if (st.dist[x] > k - 1)
-        return result(&st, 0);
-    st.k = k;
-    st.ybit = 1ULL << y;
-    st.path[0] = x;
-    st.depth = 1;
-    return result(&st, path_extend(&st, 1ULL << x));
+    if (walk(&st, n, m, adj, x, y, k_lo, k_hi, vmask, node_limit, &r) < 0)
+        return NULL;
+    PyObject *paths = PyDict_New();
+    if (paths == NULL)
+        return NULL;
+    for (u64 rest = st.found; rest; rest ^= lowbit(rest)) {
+        int k = __builtin_ctzll(rest) + 2;
+        PyObject *key = PyLong_FromLong(k);
+        PyObject *value = Py_BuildValue("(NN)", int_list(st.wverts[k - 2], k),
+                                        int_list(st.wcols[k - 2], k - 1));
+        /* PyDict_SetItem takes its own references to key and value */
+        int failed = key == NULL || value == NULL || PyDict_SetItem(paths, key, value) < 0;
+        Py_XDECREF(key);
+        Py_XDECREF(value);
+        if (failed) {
+            Py_DECREF(paths);
+            return NULL;
+        }
+    }
+    int status = r == ABORT ? BUDGET : st.found ? FOUND : NONE;
+    return Py_BuildValue("(iNL)", status, paths, st.nodes);
 }
 
 PyDoc_STRVAR(find_cycle_doc,
@@ -427,6 +583,8 @@ static PyObject *find_cycle(PyObject *self, PyObject *args, PyObject *kwargs)
 static PyMethodDef methods[] = {
     {"find_path", (PyCFunction)(void (*)(void))find_path,
      METH_VARARGS | METH_KEYWORDS, find_path_doc},
+    {"find_paths", (PyCFunction)(void (*)(void))find_paths,
+     METH_VARARGS | METH_KEYWORDS, find_paths_doc},
     {"find_cycle", (PyCFunction)(void (*)(void))find_cycle,
      METH_VARARGS | METH_KEYWORDS, find_cycle_doc},
     {NULL, NULL, 0, NULL},

@@ -8,13 +8,39 @@ and return identical witnesses and node counts, which the parity tests pin
 down.
 
 Structure: the two kernels match function for function. `_Search` holds a
-call's state, as `State` does in C. `find_path` and `find_cycle` check their
-inputs, set up the state and call one extender, `_Search.path_extend` or
-`_Search.cycle_extend`; both extenders go through the one candidate loop
-`_Search.try_candidates`, which snapshots the matching, admits an edge with
-`push_edge` (an augmenting step, `kuhn`), recurses and undoes. A search
-returns 1 (found), 0 (refuted) or `_ABORT` (budget), and `_Search.result`
-turns that into the kernel's answer. `_bfs` is C's `bfs`.
+call's state, as `State` does in C. `find_cycle` checks its input, sets up
+the state and calls `_Search.cycle_extend`; `find_path` and `find_paths`
+call `_walk`, which checks a path query and calls `_Search.path_extend`.
+Both extenders go through the one candidate loop `_Search.try_candidates`,
+which snapshots the matching, admits an edge with `push_edge` (an
+augmenting step, `kuhn`), recurses and undoes. A search returns 1 (found),
+0 (refuted) or `_ABORT` (budget), and `_Search.result` turns that into a
+cycle query's answer. `_bfs` is C's `bfs`.
+
+Path walk: a path query holds a set of pending lengths k and walks the tree
+of paths from x that avoid y once for all of them. At a node with d edges
+placed, when k = d + 2 is pending and the last vertex is adjacent to y,
+`_Search.close_path` tries the step to y; when the matching admits it, that
+counts one node, records the path plus y and the matching's colors as k's
+witness and drops k. Children are kept while their distance to y fits the
+largest pending length, and the walk stops once nothing is pending.
+Candidates come in the same order at every length, the matching at a node
+depends only on the path to it, and the distance prune removes only
+subtrees with no path of a pending length, so each length's witness is the
+first in preorder: the path, colors and node count of a walk for that
+length alone. `find_path` is that walk with one length, and `find_paths`
+asks a whole range [k_lo, k_hi] at once.
+
+A walk for many lengths can cost far more than the queries for them one at
+a time: while a short length has no path, only exhausting the tree cut at
+the longest pending length decides it, where its own query exhausts a
+small tree. So the walk keeps the node count each length's own query would
+have: a node with d edges placed and distance t to y is one that every
+query for a length of at least t + d + 1 visits (distances change by at
+most one a step, so that bound never drops along a path). `paid` sums the
+counts of the lengths found so far and `low_nodes` counts the smallest
+pending length's so far. At a node that length's query would not visit,
+the walk gives up, as a budget stop, once its own count exceeds the two.
 
 Interface contract (shared by both kernels):
   adj is a flat sequence of m*n ints, adj[c*n + v] = bitmask of v's neighbors
@@ -22,8 +48,8 @@ Interface contract (shared by both kernels):
   values in results are positions 0..m-1 into that array; the caller re-maps
   them to base collection ids.
   Both kernels raise ValueError when n or m is outside [0, 64], adj does not
-  hold exactly m*n rows, x or y is outside [0, n), k exceeds n or length is
-  outside [3, n], and OverflowError when a row of adj or vmask is negative
+  hold exactly m*n rows, x or y is outside [0, n), k or k_hi exceeds n or
+  length is outside [3, n], and OverflowError when a row of adj or vmask is negative
   or has a bit at or above n. The compiled kernel's tables are 64-slot
   arrays, so these inputs would read or write outside them; a cycle below
   3 vertices would read a second vertex the search never placed.
@@ -161,7 +187,8 @@ class _Search:
     the path, the distances to the target and the query's constants."""
 
     __slots__ = ("tables", "node_limit", "nodes", "color_edge", "edge_color", "opts",
-                 "path", "dist", "k", "start", "ybit", "higher")
+                 "path", "dist", "k", "start", "y", "pending", "found", "low", "own",
+                 "paid", "low_nodes", "higher")
 
     def __init__(self, tables: _Tables, node_limit):
         self.tables = tables
@@ -172,9 +199,15 @@ class _Search:
         self.opts: list[int] = []  # edge index -> option mask at assignment time
         self.path: list[int] = []
         self.dist: list[int] = []
-        self.k = 0  # target vertex count / cycle length
+        self.k = 0  # largest pending path length / cycle length
         self.start = 0  # cycle start vertex
-        self.ybit = 0
+        self.y = 0  # path target
+        self.pending = 0  # bit k-2 for each path length still without a path
+        self.found: dict[int, tuple[list[int], list[int]]] = {}  # k -> (vertices, colors)
+        self.low = 0  # smallest pending path length
+        self.own = [0] * (_MAXN + 1)  # s -> walk nodes whose shortest own length is s
+        self.paid = 0  # nodes the queries for the found lengths alone spend
+        self.low_nodes = 0  # walk nodes a query for `low` alone visits
         self.higher = 0
 
     # -- incremental injective assignment (augmenting step per new edge) --
@@ -229,16 +262,17 @@ class _Search:
 
     # -- the search: 1 found, 0 refuted, _ABORT when the budget ran out --
 
-    def try_candidates(self, used: int, last: int, cand: int, rem: int, extend) -> int:
+    def try_candidates(self, used: int, last: int, cand: int, spent: int, extend) -> int:
         """Try each candidate after `last` in order: admit its edge, recurse,
-        undo. `rem` is the largest distance to the target a candidate may
-        have."""
+        undo. `k - spent` is the largest distance to the target a candidate
+        may have, read for each candidate: a path walk lowers k when it
+        records the largest pending length."""
         dist = self.dist
         path = self.path
         color_edge = self.color_edge
         edge_color = self.edge_color
         for _, v, om in self.ordered_candidates(last, cand):
-            if dist[v] > rem:
+            if dist[v] > self.k - spent:
                 continue
             snap_ce = color_edge.copy()
             snap_ec = edge_color.copy()
@@ -254,20 +288,67 @@ class _Search:
             del self.opts[len(snap_ec):]
         return 0
 
-    def path_extend(self, used: int) -> int:
+    def close_path(self, last: int) -> int:
+        """The step from `last` to y, for the pending length k = len(path) + 1.
+        When the matching admits its edge, this counts one node, records the
+        path plus y and the matching's colors as k's witness and drops k.
+        Returns _ABORT, 1 when no length is left pending, else 0 with the
+        matching restored."""
+        snap_ce = self.color_edge.copy()
+        snap_ec = self.edge_color.copy()
+        if not self.push_edge(self.tables.option_row(last)[self.y]):
+            return 0
         self.nodes += 1
         if self.nodes > self.node_limit:
             return _ABORT
-        path = self.path
-        d = len(path) - 1  # edges placed
-        if d == self.k - 1:
+        k = len(self.path) + 1
+        self.found[k] = (self.path + [self.y], self.edge_color.copy())
+        self.pending &= ~(1 << (k - 2))
+        if not self.pending:
             return 1
-        last = path[-1]
-        if d == self.k - 2:
-            cand = self.tables.rows[last] & self.ybit
+        self.k = self.pending.bit_length() + 1
+        if k == self.low:
+            self.paid += self.low_nodes + 1
+            self.low = (self.pending & -self.pending).bit_length() + 1
+            self.low_nodes += sum(self.own[k + 1:self.low + 1])
         else:
-            cand = self.tables.rows[last] & ~used & ~self.ybit
-        return self.try_candidates(used, last, cand, self.k - 2 - d, self.path_extend)
+            self.paid += self.own_nodes(k) + 1
+        self.color_edge[:] = snap_ce
+        self.edge_color[:] = snap_ec
+        del self.opts[len(snap_ec):]
+        return 0
+
+    def own_nodes(self, k: int) -> int:
+        """The walk nodes so far that a query for k alone visits too."""
+        return sum(self.own[:k + 1])
+
+    def path_extend(self, used: int) -> int:
+        """A node with d edges placed: the step to y when k = d + 2 is
+        pending, then the children, kept while they can still reach y
+        within the largest pending length. The walk gives up, as a budget
+        stop, at a node that a query for the smallest pending length would
+        not visit once it has spent more nodes than the queries for the
+        lengths it found and for that one would have."""
+        self.nodes += 1
+        if self.nodes > self.node_limit:
+            return _ABORT
+        d = len(self.path) - 1  # edges placed
+        last = self.path[-1]
+        s = self.dist[last] + d + 1  # the shortest length whose query visits this node
+        self.own[s] += 1
+        if s <= self.low:
+            self.low_nodes += 1
+        elif self.nodes > self.paid + self.low_nodes:
+            return _ABORT
+        rows = self.tables.rows
+        if (self.pending >> d) & (rows[last] >> self.y) & 1:
+            r = self.close_path(last)
+            if r:
+                return r
+        if d + 2 >= self.k:
+            return 0
+        return self.try_candidates(used, last, rows[last] & ~used & ~(1 << self.y),
+                                   d + 2, self.path_extend)
 
     def cycle_extend(self, used: int) -> int:
         self.nodes += 1
@@ -287,7 +368,7 @@ class _Search:
         if d and not (rows[s] & self.higher & ~used) >> (path[1] + 1):
             return 0
         return self.try_candidates(used, last, rows[last] & self.higher & ~used,
-                                   self.k - 1 - d, self.cycle_extend)
+                                   d + 1, self.cycle_extend)
 
     def result(self, r: int):
         """(status, vertices, colors, nodes) for the search result r."""
@@ -303,23 +384,49 @@ def _check_vertex_mask(vmask: int, n: int) -> None:
         raise OverflowError(f"vmask is not an {n}-bit mask")
 
 
-def find_path(n, m, adj, x, y, k, vmask, node_limit):
-    """Exact k-vertex rainbow path from x to y. Returns (status, vertices,
-    colors, nodes); vertices/colors are None unless status == FOUND."""
+def _walk(n, m, adj, x, y, k_lo, k_hi, vmask, node_limit) -> tuple[_Search, int]:
+    """Check a path query and walk the tree of paths from x that avoid y
+    once, for every length in [k_lo, k_hi] that the distance from x to y
+    allows: the search state and its result, 1 when every length got a
+    path."""
     tables = _tables(n, m, adj)
     if not (0 <= x < n and 0 <= y < n):
         raise ValueError(f"x={x} or y={y} outside [0, {n})")
-    if k > n:
-        raise ValueError(f"k={k} exceeds n={n}")
+    if k_hi > n:
+        raise ValueError(f"k={k_hi} exceeds n={n}")
     _check_vertex_mask(vmask, n)
     st = _Search(tables, node_limit)
     st.dist = tables.dist(y, vmask)
-    if st.dist[x] > k - 1:
-        return st.result(0)
-    st.k = k
-    st.ybit = 1 << y
+    lo = max(st.dist[x] + 1, k_lo, 2)
+    if lo > k_hi:
+        return st, 0
+    st.pending = (1 << (k_hi - 1)) - (1 << (lo - 2))
+    st.k = k_hi
+    st.low = lo
+    st.y = y
     st.path.append(x)
-    return st.result(st.path_extend(1 << x))
+    return st, st.path_extend(1 << x)
+
+
+def find_path(n, m, adj, x, y, k, vmask, node_limit):
+    """Exact k-vertex rainbow path from x to y. Returns (status, vertices,
+    colors, nodes); vertices/colors are None unless status == FOUND."""
+    st, r = _walk(n, m, adj, x, y, k, k, vmask, node_limit)
+    if r == 1:
+        return (FOUND, *st.found[k], st.nodes)
+    return st.result(r)
+
+
+def find_paths(n, m, adj, x, y, k_lo, k_hi, vmask, node_limit):
+    """Rainbow paths from x to y on every k in [k_lo, k_hi], from one walk
+    of the search tree. Returns (status, {k: (vertices, colors)}, nodes),
+    each witness the one find_path gives for its k. status is BUDGET when
+    the walk stopped undecided, on the node limit or giving up, else FOUND
+    or NONE as some k has a path or none has; a k missing from the dict of
+    a decided walk has no path."""
+    st, r = _walk(n, m, adj, x, y, k_lo, k_hi, vmask, node_limit)
+    status = BUDGET if r == _ABORT else FOUND if st.found else NONE
+    return status, dict(sorted(st.found.items())), st.nodes
 
 
 def find_cycle(n, m, adj, length, vmask, node_limit):

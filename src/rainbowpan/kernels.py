@@ -2,7 +2,8 @@
 
 Prefers the compiled extension; falls back to the pure-Python twin when the
 extension is absent or RAINBOWPAN_PURE_PYTHON is set to a non-empty value.
-Both expose find_path/find_cycle with identical semantics and witnesses.
+Both expose find_path/find_paths/find_cycle with identical semantics and
+witnesses.
 """
 from __future__ import annotations
 
@@ -29,4 +30,5 @@ else:
 IMPLEMENTATION = "compiled" if COMPILED else "python"
 
 find_path = _impl.find_path
+find_paths = _impl.find_paths
 find_cycle = _impl.find_cycle

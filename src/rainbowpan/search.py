@@ -15,8 +15,21 @@ kernel keeps the tables it derives from that tuple (union rows, distances,
 option rows) until it is given another tuple, so queries on one view share
 those too. Every witness a kernel returns is re-checked against the view.
 
-One pair's k-sweep (`k_paths`) asks every length from the union-graph
-distance + 1 up to `k_cap`; its first path is the shortest rainbow path.
+One pair's k-sweep (`k_paths`) covers every length from the union-graph
+distance + 1 up to `k_cap` with one kernel call, `find_paths`. The kernel
+walks the tree of paths from x that avoid y once for the whole range: at a
+node with d edges placed it tries the step to y for k = d + 2 while that k
+is pending, prunes children by the largest pending k and stops once every
+k has a path. Each k's witness is the one a query for that k alone returns.
+The walk pays off when the lengths have paths; while a short length has
+none, only exhausting the tree cut at the longest pending length decides
+it. So the kernel gives the walk up once it has spent more nodes than the
+queries for the lengths it found, and for the smallest pending one, would
+have. A walk that gave up or ran out of budget leaves the lengths it had
+not decided to one query each, in order, so budget stops read as they do
+per length. `shortest_rainbow_path` needs only the first length with a
+path and deepens one k at a time: a walk would decide the whole range,
+which can cost far more.
 
 A query for a path or cycle through every surviving vertex is refuted at the
 root, without a kernel call, when the view's union graph is disconnected or
@@ -217,6 +230,18 @@ def k_cap(view: CollectionLike) -> int:
     return min(view.n_surviving, view.m_surviving + 1)
 
 
+def _lengths(view: CollectionLike, x: int, y: int) -> range:
+    """The lengths a rainbow path joining x and y may have: from the
+    union-graph distance + 1, a lower bound, up to k_cap(view); empty when
+    the union graph does not join them."""
+    _require_vertex(view, x, "x")
+    _require_vertex(view, y, "y")
+    if x == y:
+        raise ValueError("endpoints must differ")
+    lower = distances(view.union_rows, x)[y]
+    return range(0) if lower is None else range(lower + 1, k_cap(view) + 1)
+
+
 def k_paths(
     view: CollectionLike,
     x: int,
@@ -224,20 +249,42 @@ def k_paths(
     *,
     budget: SearchBudget | None = None,
 ) -> Iterator[tuple[int, ColoredPath | None]]:
-    """The k-sweep of one pair: asks for a rainbow k-path for each k from
-    the union-graph distance + 1, a lower bound, up to k_cap(view), in that
-    order. From the first k that has one it yields (k, path), a shortest
-    rainbow path first, then (k, path or None) for every longer k; it yields
-    nothing when no rainbow path joins x and y. A budget stop raises
-    BudgetExceeded from the query that ran out."""
-    _require_vertex(view, x, "x")
-    _require_vertex(view, y, "y")
-    lower = distances(view.union_rows, x)[y]
-    if lower is None:
-        return
+    """The k-sweep of one pair: whether a rainbow k-path joins x and y for
+    each k of `_lengths`, in that order. From the first k that has one it
+    yields (k, path), a shortest rainbow path first, then (k, path or None)
+    for every longer k; it yields nothing when no rainbow path joins x and
+    y. A budget stop raises BudgetExceeded from the query that ran out.
+
+    One `find_paths` walk decides the whole range. When it stops
+    undecided, on the budget or giving up, every k it found a path for
+    keeps that path, and every other k is asked by `find_rainbow_path`
+    when the sweep reaches it. That gives what one query per k gives,
+    budget stops included: the walk's tree holds every node of each k's
+    own search tree, in the same order, so a k the walk decided within the
+    budget's L nodes is decided the same way by a query for k alone within
+    L nodes.
+    """
+    lengths = _lengths(view, x, y)
+    top = lengths.stop - 1
+    if top == view.n_surviving and _spanning_refuted(view, (x, y)):
+        top -= 1  # no spanning path, as find_rainbow_path would answer
+    status, paths, nodes = kernels.NONE, {}, 0
+    if lengths.start <= top:
+        if budget is None:
+            budget = default_budget()
+        status, paths, nodes = kernels.find_paths(
+            view.n, len(view.colors), view.kernel_adj, x, y, lengths.start, top,
+            view.vertex_mask, budget.node_limit,
+        )
     found = False
-    for k in range(lower + 1, k_cap(view) + 1):
-        path = find_rainbow_path(view, x, y, k, budget=budget)
+    for k in lengths:
+        if k in paths:
+            path = _witness(view, (kernels.FOUND, *paths[k], nodes), ColoredPath,
+                            check_colored_path, "path x={} y={} k={}", x, y, k)
+        elif status == kernels.BUDGET and k <= top:
+            path = find_rainbow_path(view, x, y, k, budget=budget)
+        else:
+            path = None
         found = found or path is not None
         if found:
             yield k, path
@@ -251,12 +298,21 @@ def shortest_rainbow_path(
     budget: SearchBudget | None = None,
 ) -> ColoredPath | None:
     """A shortest rainbow path joining x and y, or None if there is none:
-    the first path of their k-sweep. For x == y it is the one-vertex path.
+    the first path of their k-sweep, asked one k at a time up to the first
+    that has one. For x == y it is the one-vertex path.
+
+    `k_paths` would answer the same, but its walk decides every length up
+    to k_cap before the first is read: over all pairs of Corollary 2.3's
+    case (iii) at n = 14 that is 41M nodes where these queries take 210.
     """
     if x == y:
         _require_vertex(view, x, "x")
         return ColoredPath((x,), ())
-    return next((path for _, path in k_paths(view, x, y, budget=budget)), None)
+    for k in _lengths(view, x, y):
+        path = find_rainbow_path(view, x, y, k, budget=budget)
+        if path is not None:
+            return path
+    return None
 
 
 def rainbow_distance(

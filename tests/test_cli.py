@@ -542,13 +542,16 @@ def test_replay_search_mode_sweeps_only_the_pair(rand8, tmp_path, monkeypatch, c
     from rainbowpan import kernels
 
     asked = []
-    original = kernels.find_path
 
-    def spy(n, m, adj, x, y, *rest):
-        asked.append({x, y})
-        return original(n, m, adj, x, y, *rest)
+    def spy(original):
+        def ask(n, m, adj, x, y, *rest):
+            asked.append({x, y})
+            return original(n, m, adj, x, y, *rest)
 
-    monkeypatch.setattr(kernels, "find_path", spy)
+        return ask
+
+    monkeypatch.setattr(kernels, "find_path", spy(kernels.find_path))
+    monkeypatch.setattr(kernels, "find_paths", spy(kernels.find_paths))
     monkeypatch.setattr(kernels, "find_cycle", None)  # a pair sweep asks no cycle
     code = main(["replay", "--in", str(rand8), "--pair", "3", "0"])
     payload = json.loads(capsys.readouterr().out)

@@ -5,6 +5,7 @@ candidate ordering or augmenting order drifted.
 The compiled kernel comes from the `kernel` fixture in `conftest.py`.
 """
 import random
+import sys
 
 import pytest
 
@@ -58,6 +59,125 @@ class TestPathParity:
                 a = _kernel_py.find_path(n, m, adj, x, y, k, vmask, limit)
                 b = kernel.find_path(n, m, adj, x, y, k, vmask, limit)
                 assert a == b, (seed, limit)
+
+
+class TestPathsParity:
+    """`find_paths` walks one pair's tree for a range of lengths; both
+    kernels return the same (status, witnesses, nodes), and each witness is
+    what `find_path` returns for its length."""
+
+    def test_walks_agree(self, kernel):
+        statuses = []
+        for seed in range(60):
+            n, m, adj, vmask = random_dense(f"pw:{seed}")
+            alive = survivors(vmask)
+            rng = random.Random(f"pw:q:{seed}")
+            for _ in range(6):
+                x, y = rng.sample(alive, 2)
+                k_hi = rng.randint(2, min(len(alive), m + 1))
+                k_lo = rng.randint(1, k_hi)
+                for limit in (10**9, rng.randint(1, 40)):
+                    a = _kernel_py.find_paths(n, m, adj, x, y, k_lo, k_hi, vmask, limit)
+                    assert a == kernel.find_paths(n, m, adj, x, y, k_lo, k_hi, vmask, limit)
+                    statuses.append(a[0])
+                    for k, witness in a[1].items():
+                        assert k_lo <= k <= k_hi
+                        assert _kernel_py.find_path(n, m, adj, x, y, k, vmask, 10**9)[1:3] == witness
+                    if a[0] != _kernel_py.BUDGET:
+                        for k in range(k_lo, k_hi + 1):
+                            got = _kernel_py.find_path(n, m, adj, x, y, k, vmask, 10**9)
+                            assert (got[0] == _kernel_py.FOUND) == (k in a[1]), (seed, x, y, k)
+        assert {_kernel_py.FOUND, _kernel_py.NONE, _kernel_py.BUDGET} <= set(statuses)
+
+    def test_walk_spends_no_more_than_the_queries_it_answers(self, kernel):
+        """A walk's node count stays within what one query per length spends
+        on the lengths the walk found and on the smallest one it did not
+        (plus the node that tips it over): past that it gives up, as a
+        budget stop. Without that rule, a short length with no path under
+        longer ones with paths is decided only by exhausting the tree cut
+        at the longest."""
+        gave_up = 0
+        for seed in range(60):
+            n, m, adj, vmask = random_dense(f"pg:{seed}")
+            alive = survivors(vmask)
+            rng = random.Random(f"pg:q:{seed}")
+            for _ in range(6):
+                x, y = rng.sample(alive, 2)
+                k_hi = min(len(alive), m + 1)
+                a = _kernel_py.find_paths(n, m, adj, x, y, 2, k_hi, vmask, 10**9)
+                assert a == kernel.find_paths(n, m, adj, x, y, 2, k_hi, vmask, 10**9)
+                status, paths, nodes = a
+                alone = {k: _kernel_py.find_path(n, m, adj, x, y, k, vmask, 10**9)
+                         for k in range(2, k_hi + 1)}
+                bound = 1 + sum(alone[k][3] for k in paths)
+                missing = [k for k in alone if k not in paths and alone[k][3]]
+                if missing:
+                    bound += alone[missing[0]][3]
+                assert nodes <= bound, (seed, x, y)
+                gave_up += status == _kernel_py.BUDGET
+        assert gave_up > 10, gave_up
+
+    def test_wide_walks_agree(self, kernel):
+        for seed in range(30):
+            n, m, adj, vmask, hubs = random_sparse(f"pws:{seed}")
+            alive = survivors(vmask)
+            rng = random.Random(f"pws:q:{seed}")
+            x = rng.choice(hubs)
+            y = rng.choice([v for v in alive if v != x])
+            k_hi = min(len(alive), m + 1)
+            a = _kernel_py.find_paths(n, m, adj, x, y, 2, k_hi, vmask, TestWideParity.LIMIT)
+            assert a == kernel.find_paths(n, m, adj, x, y, 2, k_hi, vmask, TestWideParity.LIMIT)
+
+    def test_every_length_up_to_64(self, kernel):
+        """n = 64 and m = 63: the line 0-1-...-63, edge (i, i+1) in colors
+        i and i+1 mod 63, and an edge from each j < 62 to 63 in two colors.
+        The walk from 0 to 63 goes down the line and finds every length
+        from 2 to 64; under a small limit it stops with the short ones."""
+        n, m = 64, 63
+        adj = [0] * (m * n)
+
+        def add(colors, u, v):
+            for c in colors:
+                adj[c * n + u] |= 1 << v
+                adj[c * n + v] |= 1 << u
+
+        for i in range(63):
+            add((i, (i + 1) % 63), i, i + 1)
+        for j in range(62):
+            add(((j + 5) % 63, (j + 40) % 63), j, 63)
+        vmask = (1 << 64) - 1
+        for args in ((adj, 0, 63, 2, 64), (tuple(adj), 0, 63, 30, 64), (adj, 0, 63, 64, 64)):
+            a = _kernel_py.find_paths(n, m, *args, vmask, 10**6)
+            assert a == kernel.find_paths(n, m, *args, vmask, 10**6)
+            assert a[0] == _kernel_py.FOUND and sorted(a[1]) == list(range(args[3], 65))
+        assert a[1][64][0] == list(range(64))
+        one = kernel.find_path(n, m, adj, 0, 63, 64, vmask, 10**6)
+        assert one == _kernel_py.find_path(n, m, adj, 0, 63, 64, vmask, 10**6)
+        assert one[:3] == (_kernel_py.FOUND, *a[1][64])
+        a = _kernel_py.find_paths(n, m, adj, 0, 63, 2, 64, vmask, 40)
+        assert a == kernel.find_paths(n, m, adj, 0, 63, 2, 64, vmask, 40)
+        assert a[0] == _kernel_py.BUDGET and a[1] and 64 not in a[1]
+
+
+def test_compiled_kernel_keeps_no_reference_to_its_answers(kernel):
+    """Each object the compiled kernel returns is referenced only by its
+    container: its reference count is that of a fresh copy held the same
+    way. A witness the walk's dict took without its own reference dropped
+    would count one more and never be freed."""
+    n, m, adj, vmask = 6, 6, [0b100010, 0b000101, 0b001010, 0b010100, 0b101000, 0b010001] * 6, 0b111111
+    status, paths, _ = kernel.find_paths(n, m, adj, 0, 3, 2, 6, vmask, 10**6)
+    fresh = {k: (list(verts), list(cols)) for k, (verts, cols) in paths.items()}
+    assert status == _kernel_py.FOUND and paths == fresh
+    assert sys.getrefcount(paths) == sys.getrefcount(fresh)
+    for k in paths:
+        assert sys.getrefcount(paths[k]) == sys.getrefcount(fresh[k])
+        for got, copy in zip(paths[k], fresh[k]):
+            assert sys.getrefcount(got) == sys.getrefcount(copy)
+    answer = list(kernel.find_path(n, m, adj, 0, 3, 4, vmask, 10**6))
+    copy = [answer[0], list(answer[1]), list(answer[2]), answer[3]]
+    assert answer == copy
+    for i in (1, 2):
+        assert sys.getrefcount(answer[i]) == sys.getrefcount(copy[i])
 
 
 class TestCycleParity:
@@ -197,7 +317,10 @@ def bad_inputs():
         ("vmask bit n", OverflowError, (n, m, adj, 3, vm | 1 << n, 10)),
         ("row bit 64", OverflowError, (64, 1, [1 << 64] + [0] * 63, 3, 7, 10)),
     ]
-    return [("find_path",) + c for c in path] + [("find_cycle",) + c for c in cycle]
+    # find_paths asks lengths 2 to k, so a k above n is its k_hi
+    paths = [(case, error, args[:5] + (2,) + args[5:]) for case, error, args in path]
+    return ([("find_path",) + c for c in path] + [("find_paths",) + c for c in paths]
+            + [("find_cycle",) + c for c in cycle])
 
 
 BAD_INPUTS = bad_inputs()

@@ -8,10 +8,16 @@ nodes) over 200 seeded queries: 120 path and 80 cycle queries on dense
 inputs at n <= 9 and sparse ones up to n = 64, under node limits that end in
 FOUND, NONE and BUDGET. A deliberate change of the search updates it.
 
-A second record pins the queries the package asks the kernel: the
-(x, y, k, status, nodes) of every `kernels.find_path` call that
-`is_rainbow_panconnected` makes on a few seeded sparse collections and
-views of them, through each kernel.
+A second record pins the per-k queries of a certificate: the
+(x, y, k, status, nodes) of every `kernels.find_path` call that a reference
+per-k sweep makes, one `find_rainbow_path` query per k, on a few seeded
+sparse collections and views of them, through each kernel, stopping where
+`is_rainbow_panconnected` stops. `k_paths`, which the certificate reads,
+answers every pair's sweep from one `kernels.find_paths` walk; it must
+equal the reference sweep on every pair of those views. A third record
+pins what the certificate itself asks: each walk's (x, y, k_lo, k_hi,
+status, lengths found, nodes) and each per-k query made after a walk gave
+up, in call order, through each kernel.
 """
 import hashlib
 import json
@@ -22,6 +28,9 @@ import pytest
 from rainbowpan import _kernel_py, kernels
 from rainbowpan.analysis import is_rainbow_panconnected
 from rainbowpan.core import GraphCollection, build_graph, distances, restrict
+from rainbowpan.search import k_paths
+
+from .sweeps import reference_k_paths
 
 DIGEST = "23b0fd7a686c43f8b6f61c77aaa8ff9d8ee51bdc12f8e3cf701e40466ef4d312"
 LIMITS = (1, 4, 30, 400, 20000)
@@ -99,6 +108,7 @@ def test_compiled_kernel_matches_the_record(kernel):
 
 
 CERTIFICATE_DIGEST = "152122ef4af6fae4384ee3b9b924821f702df2e61b7e53e5cecc420e4f12fe9f"
+TRAFFIC_DIGEST = "970230d36fb6a318e90f13c6615a19f71931901959d3068230f587925da7b2c2"
 CERTIFICATE_SEEDS = (0, 15, 21, 25)
 
 
@@ -117,26 +127,61 @@ def _certificate_views():
         yield restrict(coll, remove_vertices=(rng.randrange(n),), remove_colors=(rng.randrange(m),))
 
 
-def _certificate_queries(monkeypatch, impl):
-    """The certificates of the views, and (x, y, k, status, nodes) of every
-    path query they ask the kernel, which is `impl`."""
-    calls = []
+def _reference_certificate(view) -> None:
+    """Sweep the pairs as the certificate does, by the reference sweep:
+    up to the first k without a path."""
+    alive = view.vertices
+    for i, x in enumerate(alive):
+        for y in alive[i + 1:]:
+            swept = False
+            for _, path in reference_k_paths(view, x, y):
+                swept = True
+                if path is None:
+                    return
+            if not swept:
+                return
 
-    def spy(*args):
+
+def _certificate_queries(monkeypatch, impl):
+    """The certificates of the views on the kernel `impl`; the kernel calls
+    they make, ("walk", x, y, k_lo, k_hi, status, lengths found, nodes) per
+    `find_paths` walk and ("path", x, y, k, status, nodes) per `find_path`
+    query, in call order; and the (x, y, k, status, nodes) of every path
+    query their reference per-k sweeps ask. On every pair of every view,
+    `k_paths` equals the reference sweep."""
+    log = []
+
+    def path_spy(*args):
         result = impl.find_path(*args)
-        calls.append([*args[3:6], result[0], result[3]])
+        log.append(["path", *args[3:6], result[0], result[3]])
         return result
 
-    monkeypatch.setattr(kernels, "find_path", spy)
+    def walk_spy(*args):
+        status, paths, nodes = impl.find_paths(*args)
+        log.append(["walk", *args[3:7], status, sorted(paths), nodes])
+        return status, paths, nodes
+
+    monkeypatch.setattr(kernels, "find_path", path_spy)
+    monkeypatch.setattr(kernels, "find_paths", walk_spy)
     certs = [(view, is_rainbow_panconnected(view)) for view in _certificate_views()]
-    return certs, calls
+    traffic = list(log)
+    for view, _ in certs:
+        alive = view.vertices
+        for i, x in enumerate(alive):
+            for y in alive[i + 1:]:
+                assert list(k_paths(view, x, y)) == list(reference_k_paths(view, x, y)), (x, y)
+    log.clear()
+    for view, _ in certs:
+        _reference_certificate(view)
+    assert all(call[0] == "path" for call in log)
+    return certs, traffic, [call[1:] for call in log]
 
 
 def test_certificate_views_reach_every_sweep_exit(monkeypatch):
     """Passing and failing certificates, a pair whose rainbow distance
     exceeds its union distance, and a union-joined pair with no rainbow
     path at all, which only the kernel can tell."""
-    certs, calls = _certificate_queries(monkeypatch, _kernel_py)
+    certs, traffic, calls = _certificate_queries(monkeypatch, _kernel_py)
     verdicts = [cert.verdict for _, cert in certs]
     assert True in verdicts and False in verdicts
     assert any(
@@ -152,13 +197,18 @@ def test_certificate_views_reach_every_sweep_exit(monkeypatch):
     )
     statuses = {call[3] for call in calls}
     assert statuses == {_kernel_py.FOUND, _kernel_py.NONE}
+    walks = {call[5] for call in traffic if call[0] == "walk"}
+    assert walks == {_kernel_py.FOUND, _kernel_py.NONE, _kernel_py.BUDGET}
+    assert any(call[0] == "path" for call in traffic)  # after a walk gave up
 
 
 def test_pure_kernel_queries_match_the_record(monkeypatch):
-    _, calls = _certificate_queries(monkeypatch, _kernel_py)
+    _, traffic, calls = _certificate_queries(monkeypatch, _kernel_py)
     assert _digest(calls) == CERTIFICATE_DIGEST
+    assert _digest(traffic) == TRAFFIC_DIGEST
 
 
 def test_compiled_kernel_queries_match_the_record(monkeypatch, kernel):
-    _, calls = _certificate_queries(monkeypatch, kernel)
+    _, traffic, calls = _certificate_queries(monkeypatch, kernel)
     assert _digest(calls) == CERTIFICATE_DIGEST
+    assert _digest(traffic) == TRAFFIC_DIGEST

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rainbowpan import _kernel_py, kernels
 from rainbowpan.core import (
     GraphCollection,
     build_graph,
@@ -20,11 +21,13 @@ from rainbowpan.search import (
     find_rainbow_cycle,
     find_rainbow_ham_path,
     find_rainbow_path,
+    k_paths,
     rainbow_distance,
     shortest_rainbow_path,
 )
 from . import oracles
 from .strategies import collections, shaped_views, views
+from .sweeps import reference_k_paths, sweep_outcome
 
 
 def random_collection(seed: str, max_n: int = 6, max_m: int = 4, p: float = 0.5):
@@ -485,6 +488,117 @@ class TestShortestPath:
         coll = random_collection("short:self")
         assert shortest_rainbow_path(coll, 2, 2).vertices == (2,)
 
+    def test_asks_one_k_at_a_time_up_to_the_first_path(self, monkeypatch):
+        """The kernel queries are the first ones of the per-k sweep: one
+        `find_path` call per k, up to the first k with a path, and no walk."""
+        calls = []
+
+        def spy(*args):
+            calls.append(args[3:6])
+            return _kernel_py.find_path(*args)
+
+        monkeypatch.setattr(kernels, "find_path", spy)
+        monkeypatch.setattr(kernels, "find_paths", None)
+        deeper = 0
+        for seed in range(30):
+            coll = random_collection(f"short:queries:{seed}", max_n=7, p=0.25)
+            for view in (coll, restrict(coll, remove_colors=[seed % coll.m])):
+                for x in view.vertices:
+                    for y in view.vertices:
+                        if x == y:
+                            continue
+                        calls.clear()
+                        expect = next((path for _, path in reference_k_paths(view, x, y)), None)
+                        asked = calls.copy()
+                        calls.clear()
+                        assert shortest_rainbow_path(view, x, y) == expect
+                        assert calls == asked, (seed, x, y)
+                        deeper += len(asked) > 1
+        assert deeper > 10, deeper
+
+
+def _walk_views():
+    """(view, node limits): collections of random graphs on 5 to 11
+    vertices and Corollary 2.3's obstructions on 4 to 12, each with a view
+    without one vertex and one color. The obstructions' largest views, whose
+    unlimited sweeps exhaust big trees, are asked under node limits only."""
+    limits = (None, 3, 20, 200)
+    for seed in range(40):
+        rng = random.Random(f"walk:{seed}")
+        n = rng.randint(5, 11)
+        m = rng.randint(3, n)
+        p = rng.uniform(0.2, 0.6)
+        coll = GraphCollection(n, tuple(
+            build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            for _ in range(m)
+        ))
+        yield coll, limits
+        yield restrict(coll, remove_vertices=(rng.randrange(n),), remove_colors=(rng.randrange(m),)), limits
+    for n in range(4, 13, 2):
+        for case in ("ii", "iii"):
+            coll = gen_cor23_obstruction(n, case)
+            asked = limits if n <= 10 else limits[1:]
+            yield coll, asked
+            yield restrict(coll, remove_vertices=(0,), remove_colors=(1,)), asked
+
+
+@pytest.mark.parametrize("impl", ["python", "compiled"])
+def test_k_paths_walk_equals_the_per_k_sweep(impl, request, monkeypatch):
+    """On every pair of every view and under every node limit, `k_paths`
+    yields what one `find_rainbow_path` query per k yields and, when a
+    budget stops the sweep, raises the same BudgetExceeded message."""
+    kern = _kernel_py if impl == "python" else request.getfixturevalue("kernel")
+    monkeypatch.setattr(kernels, "find_path", kern.find_path)
+    monkeypatch.setattr(kernels, "find_paths", kern.find_paths)
+    sweeps = stops = 0
+    for view, limits in _walk_views():
+        alive = view.vertices
+        for i, x in enumerate(alive):
+            for y in alive[i + 1:]:
+                for limit in limits:
+                    budget = None if limit is None else SearchBudget(limit)
+                    want = sweep_outcome(reference_k_paths, view, x, y, budget)
+                    assert sweep_outcome(k_paths, view, x, y, budget) == want, (view, x, y, limit)
+                    sweeps += 1
+                    stops += bool(want) and isinstance(want[-1], str)
+    assert sweeps > 10_000 and stops > 2_000, (sweeps, stops)
+
+
+def test_k_paths_walk_gives_up_on_a_missing_short_length(monkeypatch):
+    """On a bipartite union graph a path between two vertices of one side
+    has an odd vertex count. The pair (0, 1) at distance 2 has a path on 3
+    vertices and none on 4, while every odd count up to 15 has one. Read up
+    to its first missing length, as the certificate reads it, one query per
+    length spends 12 nodes; a walk that exhausted the tree cut at 15
+    vertices would spend millions before it could tell 4 has no path."""
+    rng = random.Random("bipartite")
+    n = 16
+    coll = GraphCollection(n, tuple(
+        build_graph(n, [(u, v) for u in range(8) for v in range(8, n) if rng.random() < 0.5])
+        for _ in range(n - 1)
+    ))
+    spent = []
+
+    def path_spy(*args):
+        result = _kernel_py.find_path(*args)
+        spent.append(result[3])
+        return result
+
+    def walk_spy(*args):
+        result = _kernel_py.find_paths(*args)
+        spent.append(result[2])
+        return result
+
+    monkeypatch.setattr(kernels, "find_path", path_spy)
+    monkeypatch.setattr(kernels, "find_paths", walk_spy)
+    read = []
+    for k, path in k_paths(coll, 0, 1):
+        read.append((k, path is not None))
+        if path is None:
+            break
+    assert read == [(3, True), (4, False)]
+    assert sum(spent) < 200, spent  # a walk, then the query for 4 alone
+
 
 def test_pure_kernel_calls_leave_no_reference_cycles():
     """A pure kernel call leaves nothing in a reference cycle: its search
@@ -501,6 +615,9 @@ def test_pure_kernel_calls_leave_no_reference_cycles():
     full = (1 << n) - 1
     for adj in (ring * m, tuple(ring * m)):
         calls = [
+            (kp.FOUND, lambda: kp.find_paths(n, m, adj, 0, 3, 2, 6, full, 10**6)),
+            (kp.NONE, lambda: kp.find_paths(n, m, adj, 0, 1, 3, 3, full, 10**6)),
+            (kp.BUDGET, lambda: kp.find_paths(n, m, adj, 0, 1, 2, 6, full, 1)),
             (kp.FOUND, lambda: kp.find_path(n, m, adj, 0, 3, 4, full, 10**6)),
             (kp.NONE, lambda: kp.find_path(n, m, adj, 0, 1, 3, full, 10**6)),
             (kp.BUDGET, lambda: kp.find_path(n, m, adj, 0, 1, 6, full, 1)),

@@ -76,7 +76,10 @@ def test_kernel_c_compiles_without_warnings(tmp_path):
 
 # the search functions of `_kernel.c` and their twins in `_kernel_py`
 KERNEL_TWINS = {
+    "walk": "_walk",
     "path_extend": "_Search.path_extend",
+    "close_path": "_Search.close_path",
+    "own_nodes": "_Search.own_nodes",
     "cycle_extend": "_Search.cycle_extend",
     "try_candidates": "_Search.try_candidates",
     "push_edge": "_Search.push_edge",

@@ -104,6 +104,32 @@ def test_summary_marks_a_metric_the_base_spread_leaves_unresolved(bench_compare)
     assert "UNRESOLVED" not in time_line(before, bound=0.5)
 
 
+def test_summary_marks_a_gain_by_the_nine_in_ten_rule(bench_compare):
+    """A gain needs the after run better on at least nine of ten pairs,
+    ties counting for neither, and a median that moved further than the
+    before side's quartile spread over its median (here 4.5%)."""
+    before = [100.0, 96.0, 104.0, 98.0, 102.0, 97.0, 103.0, 99.0, 101.0, 100.0]
+
+    def rate_line(after):
+        seeds = {
+            str(seed): {"before": _run({"rate": b}), "after": _run({"rate": a})}
+            for seed, (b, a) in enumerate(zip(before, after))
+        }
+        specs = {"rate": {"better": "higher", "bound": 0.25}}
+        _, line = bench_compare.summary({"workloads": {"w": seeds}}, specs)
+        return line
+
+    up = [b * 1.10 for b in before]
+    assert rate_line(up).endswith("GAIN: BETTER ON 10 OF 10, BEYOND THE 4.5% BEFORE SPREAD")
+    nine = up[:9] + [before[9] - 1]  # one pair worse
+    assert "GAIN: BETTER ON 9 OF 10" in rate_line(nine)
+    tied = up[:8] + before[8:]  # two ties: better on 8 of 10
+    assert "better on 8 of 10" in rate_line(tied) and "GAIN" not in rate_line(tied)
+    small = [b + 1.0 for b in before]  # better on every pair, by less than the spread
+    assert "better on 10 of 10" in rate_line(small) and "GAIN" not in rate_line(small)
+    assert "GAIN" not in rate_line([b * 0.9 for b in before])
+
+
 def test_summary_reads_the_repo_declaration(bench_compare):
     specs = bench_compare.metric_specs()
     assert specs["items_per_s"]["better"] == "higher"

@@ -12,7 +12,9 @@ base first, odd seeds the working tree first, so a slow phase of the host
 does not always land on the same side. The file is rewritten after every
 pair, so an interrupted comparison keeps the pairs it finished. A summary
 goes to stderr: each side's failure share, and per metric each side's
-median and quartiles, marked when the change is worse than the metric's
+median and quartiles, marked as a gain when the working tree is better on
+at least nine tenths of the seeds and its median moved further than the
+base's own runs spread, marked when the change is worse than the metric's
 bound in BENCHMARK.json, and marked unresolved when the base's own runs
 spread wider than that bound.
 """
@@ -117,11 +119,14 @@ def summary(doc: dict, specs: dict[str, dict]) -> list[str]:
     """One line per workload with each side's failure share (failed items
     over attempted ones), then one per metric: each side's median with its
     quartiles in brackets, the change of the median, and on how many seeds
-    the metric moved in its `better` direction. A metric whose after-median
-    is worse than its before-median by more than its `bound` is marked. So
-    is one left unresolved: the distance between the before side's
-    quartiles, over its median, is wider than the `bound`, and not every
-    after run reads better than every before run."""
+    the metric moved in its `better` direction. A gain is marked when the
+    after run is better on at least nine tenths of the pairs, ties counting
+    for neither, and the median moved in the `better` direction by more
+    than the before side's spread: the distance between its quartiles,
+    over its median. A metric whose after-median is worse than its
+    before-median by more than its `bound` is marked. So is one left
+    unresolved: the before side's spread is wider than the `bound`, and not
+    every after run reads better than every before run."""
     lines = []
     for workload, seeds in doc["workloads"].items():
         pairs = list(seeds.values())
@@ -142,6 +147,8 @@ def summary(doc: dict, specs: dict[str, dict]) -> list[str]:
             bound = specs[metric]["bound"]
             q1, q3 = _quartiles(b)
             spread = (q3 - q1) / mb
+            if 10 * wins >= 9 * len(pairs) and sign * change > spread:
+                line += f"  GAIN: BETTER ON {wins} OF {len(pairs)}, BEYOND THE {spread:.1%} BEFORE SPREAD"
             every_run_better = min(a) > max(b) if sign > 0 else max(a) < min(b)
             if spread > bound and not every_run_better:
                 line += f"  UNRESOLVED: BEFORE SPREAD {spread:.0%} IS WIDER THAN ITS {bound:.0%} BOUND"
