@@ -10,16 +10,17 @@
  * walk gives up once it costs more than one query per length would have
  * (see path_extend and the pure kernel's module docstring).
  *
- * Written by hand against the CPython C API. Every input is checked before
- * it reaches a table: all tables are fixed 64-slot arrays, so n, m, the
- * length of adj, the vertex arguments and every mask must fit them. The
- * pure kernel raises the same errors for the same inputs.
+ * The input adj is one bytes object of m*n native-endian 64-bit words, word
+ * c*n + v holding v's row in the c-th color; init_state copies it with one
+ * memcpy. Written by hand against the limited C API (PEP 384), so the module
+ * reads no interpreter internals. Every input is checked before it reaches
+ * a table: all tables are fixed 64-slot arrays, so n, m, the length of adj,
+ * the vertex arguments and every mask must fit them. The pure kernel raises
+ * the same errors for the same inputs.
  */
 #define PY_SSIZE_T_CLEAN
+#define Py_LIMITED_API 0x030A0000
 #include <Python.h>
-#if PY_VERSION_HEX < 0x030B0000
-#include <longintrepr.h>  /* PyLongObject's digits, in Python.h from 3.11 */
-#endif
 #include <string.h>
 
 typedef unsigned long long u64;
@@ -59,32 +60,6 @@ typedef struct {
 } State;
 
 static inline u64 lowbit(u64 x) { return x & (~x + 1); }
-
-/* A non-negative int as a 64-bit word, or (u64)-1 with OverflowError when
- * it is negative or wider and TypeError when it is no int. Small ints are
- * read from their digits, as Cython's conversions do: an m*n input is
- * converted on every call, and the C API call costs more than the search
- * on small inputs. */
-static inline u64 as_u64(PyObject *obj)
-{
-#if PY_VERSION_HEX < 0x030C0000
-    if (PyLong_CheckExact(obj)) {
-        const digit *dg = ((PyLongObject *)obj)->ob_digit;
-        switch (Py_SIZE(obj)) {
-        case 0: return 0;
-        case 1: return dg[0];
-        case 2: return ((u64)dg[1] << PyLong_SHIFT) | dg[0];
-        }
-    }
-#else
-    if (PyLong_CheckExact(obj) && PyUnstable_Long_IsCompact((PyLongObject *)obj)) {
-        Py_ssize_t value = PyUnstable_Long_CompactValue((PyLongObject *)obj);
-        if (value >= 0)
-            return (u64)value;
-    }
-#endif
-    return PyLong_AsUnsignedLongLong(obj);
-}
 
 static void build_rows(State *st)
 {
@@ -333,32 +308,23 @@ static int init_state(State *st, int n, int m, PyObject *adj, long long node_lim
         PyErr_Format(PyExc_ValueError, "m=%d outside [0, %d]", m, MAXN);
         return -1;
     }
-    PyObject *seq = PySequence_Fast(adj, "adj must be a sequence");
-    if (seq == NULL)
+    char *bytes;
+    Py_ssize_t len;
+    if (PyBytes_AsStringAndSize(adj, &bytes, &len) < 0)
         return -1;
-    Py_ssize_t len = PySequence_Fast_GET_SIZE(seq);
-    if (len != (Py_ssize_t)m * n) {
-        PyErr_Format(PyExc_ValueError, "adj has %zd rows, not m*n = %d",
-                     len, m * n);
-        Py_DECREF(seq);
+    if (len != (Py_ssize_t)sizeof(u64) * m * n) {
+        PyErr_Format(PyExc_ValueError, "adj has %zd bytes, not 8*m*n = %d",
+                     len, 8 * m * n);
         return -1;
     }
-    PyObject **items = PySequence_Fast_ITEMS(seq);
-    for (Py_ssize_t i = 0; i < len; i++) {
-        u64 row = as_u64(items[i]);
-        if (row == (u64)-1 && PyErr_Occurred()) {
-            Py_DECREF(seq);
-            return -1;
-        }
-        if (n < MAXN && row >> n) {
-            PyErr_Format(PyExc_OverflowError,
-                         "adj[%zd] has a bit at or above n=%d", i, n);
-            Py_DECREF(seq);
-            return -1;
-        }
-        st->adj[i] = row;
+    memcpy(st->adj, bytes, len);
+    u64 bits = 0;
+    for (int i = 0; i < m * n; i++)
+        bits |= st->adj[i];
+    if (n < MAXN && bits >> n) {
+        PyErr_Format(PyExc_OverflowError, "adj has a bit at or above n=%d", n);
+        return -1;
     }
-    Py_DECREF(seq);
     st->n = n;
     st->m = m;
     st->node_limit = node_limit;
@@ -375,7 +341,7 @@ static int init_state(State *st, int n, int m, PyObject *adj, long long node_lim
 /* The vertex mask as an n-bit word. Returns 0, or -1 with an exception set. */
 static int vertex_mask(PyObject *vmask, int n, u64 *out)
 {
-    u64 vm = as_u64(vmask);
+    u64 vm = PyLong_AsUnsignedLongLong(vmask);
     if (vm == (u64)-1 && PyErr_Occurred())
         return -1;
     if (n < MAXN && vm >> n) {
@@ -397,7 +363,7 @@ static PyObject *int_list(const int *values, int count)
             Py_DECREF(list);
             return NULL;
         }
-        PyList_SET_ITEM(list, i, item);
+        PyList_SetItem(list, i, item);  /* steals item; cannot fail here */
     }
     return list;
 }

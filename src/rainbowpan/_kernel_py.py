@@ -43,34 +43,36 @@ pending length's so far. At a node that length's query would not visit,
 the walk gives up, as a budget stop, once its own count exceeds the two.
 
 Interface contract (shared by both kernels):
-  adj is a flat sequence of m*n ints, adj[c*n + v] = bitmask of v's neighbors
-  in color c, already restricted to surviving vertices and colors. Color
-  values in results are positions 0..m-1 into that array; the caller re-maps
-  them to base collection ids.
-  Both kernels raise ValueError when n or m is outside [0, 64], adj does not
-  hold exactly m*n rows, x or y is outside [0, n), k or k_hi exceeds n or
-  length is outside [3, n], and OverflowError when a row of adj or vmask is negative
-  or has a bit at or above n. The compiled kernel's tables are 64-slot
-  arrays, so these inputs would read or write outside them; a cycle below
-  3 vertices would read a second vertex the search never placed.
+  adj is one bytes object of m*n native-endian 64-bit words: word c*n + v is
+  the bitmask of v's neighbors in color c, already restricted to surviving
+  vertices and colors. Color values in results are positions 0..m-1 into
+  that array; the caller re-maps them to base collection ids.
+  Both kernels raise TypeError when adj is not bytes, ValueError when n or m
+  is outside [0, 64], adj does not hold exactly 8*m*n bytes, x or y is
+  outside [0, n), k or k_hi exceeds n or length is outside [3, n], and
+  OverflowError when a word of adj has a bit at or above n or vmask is
+  negative or has one. The compiled kernel's tables are 64-slot arrays, so
+  these inputs would read or write outside them; a cycle below 3 vertices
+  would read a second vertex the search never placed.
 
 Determinism: candidates are tried by (fewest colors carrying the new edge,
 then smallest vertex id); augmenting steps scan colors in ascending order.
 
 Tables: the search reads its input through tables that depend on the input
-alone: the union rows, the BFS distances by (source, scope), and for each
-vertex `last` an option row whose entry v is the mask of colors joining last
-and v. This kernel caches them (`_Tables`) where the compiled kernel
-recomputes them in C (rows and distances per call, option masks per
-search node). A one-slot cache keeps the tables of the last tuple `adj`
-together with that tuple: a tuple cannot change, and holding it keeps its
-id from being reused, so the same object means the same input. The search
-layer passes each view's cached kernel input, one tuple, so every query on
-one view reuses its tables. A list, which may change between calls, gets
-tables for one call only. The checks on n, m and adj run when tables are
-built, so a cache hit repeats none of them.
+alone: the words of adj as ints, the union rows, the BFS distances by
+(source, scope), and for each vertex `last` an option row whose entry v is
+the mask of colors joining last and v. This kernel caches them (`_Tables`)
+where the compiled kernel recomputes them in C (rows and distances per
+call, option masks per search node). A one-slot cache keeps the tables of
+the last input together with that bytes object: bytes cannot change, and
+holding the object keeps its id from being reused, so the same object means
+the same input. The search layer passes each view's cached kernel input, so
+every query on one view reuses its tables. The checks on n, m and adj run
+when tables are built, so a cache hit repeats none of them.
 """
 from __future__ import annotations
+
+from array import array
 
 FOUND = 0
 NONE = 1
@@ -83,11 +85,11 @@ _ABORT = -2  # a search result: the node budget ran out
 _MAXN = 64  # the compiled kernel's table width
 
 
-def _union_rows(n: int, adj) -> list[int]:
+def _union_rows(n: int, words: list[int]) -> list[int]:
     rows = []
     for v in range(n):
         row = 0
-        for r in adj[v::n]:  # v's row in each color
+        for r in words[v::n]:  # v's row in each color
             row |= r
         rows.append(row)
     return rows
@@ -125,21 +127,25 @@ class _Tables:
     so two calls that share the tables and fill one entry build the same
     value."""
 
-    __slots__ = ("n", "m", "adj", "rows", "dists", "options")
+    __slots__ = ("n", "m", "adj", "words", "rows", "dists", "options")
 
     def __init__(self, n, m, adj):
         if not 0 <= n <= _MAXN:
             raise ValueError(f"n={n} outside [0, {_MAXN}]")
         if not 0 <= m <= _MAXN:
             raise ValueError(f"m={m} outside [0, {_MAXN}]")
-        if len(adj) != m * n:
-            raise ValueError(f"adj has {len(adj)} rows, not m*n = {m * n}")
-        if adj and (min(adj) < 0 or max(adj) >> n):
-            raise OverflowError(f"adj has a row that is not an {n}-bit mask")
+        if not isinstance(adj, bytes):
+            raise TypeError(f"adj must be bytes, not {type(adj).__name__}")
+        if len(adj) != 8 * m * n:
+            raise ValueError(f"adj has {len(adj)} bytes, not 8*m*n = {8 * m * n}")
+        words = array("Q", adj).tolist()
+        if words and max(words) >> n:
+            raise OverflowError(f"adj has a bit at or above n={n}")
         self.n = n
         self.m = m
         self.adj = adj
-        self.rows = _union_rows(n, adj)
+        self.words = words
+        self.rows = _union_rows(n, words)
         self.dists: dict[tuple[int, int], list[int]] = {}
         self.options: list[list[int] | None] = [None] * n
 
@@ -156,7 +162,7 @@ class _Tables:
         if row is None:
             row = [0] * self.n
             bit = 1
-            for rest in self.adj[last::self.n]:  # last's row in each color
+            for rest in self.words[last::self.n]:  # last's row in each color
                 while rest:
                     low = rest & -rest
                     row[low.bit_length() - 1] |= bit
@@ -166,20 +172,18 @@ class _Tables:
         return row
 
 
-_cached: _Tables | None = None  # the tables of the last tuple input
+_cached: _Tables | None = None  # the tables of the last input
 
 
 def _tables(n: int, m: int, adj) -> _Tables:
-    """The cached tables when adj is the tuple the slot holds, else new ones,
-    which take the slot when adj is a tuple."""
+    """The cached tables when adj is the bytes object the slot holds, else
+    new ones, which take the slot."""
     global _cached
     tables = _cached
     if tables is not None and tables.adj is adj and tables.n == n and tables.m == m:
         return tables
-    tables = _Tables(n, m, adj)
-    if type(adj) is tuple:
-        _cached = tables
-    return tables
+    _cached = _Tables(n, m, adj)
+    return _cached
 
 
 class _Search:

@@ -7,6 +7,7 @@ graph indices into the collection.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence, Union
@@ -168,7 +169,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> SimpleGraph:
 
 
 def min_degree(g: SimpleGraph) -> int:
-    return min(g.degree(v) for v in range(g.n))
+    return min(map(int.bit_count, g.adj))
 
 
 def sigma2(g: SimpleGraph) -> int | None:
@@ -186,7 +187,7 @@ def sigma2(g: SimpleGraph) -> int | None:
 class _Snapshot:
     """The cached snapshot of a view: vertex mask, surviving colors,
     restricted rows per color, union rows with their components and twin
-    classes, and the flat kernel input.
+    classes, and the packed kernel input.
 
     Built on first use from `base`, `removed_vertices` and `removed_colors`
     and cached on the instance. Both `SubCollectionView` and
@@ -252,10 +253,11 @@ class _Snapshot:
         return tuple(row_groups(self.union_rows, self.vertex_mask).values())
 
     @cached_property
-    def kernel_adj(self) -> tuple[int, ...]:
-        """Flat kernel input over every surviving color: entry pos*n + v is
-        the row of v in the pos-th color of `colors`."""
-        return tuple(row for c in self.colors for row in self.color_rows[c])
+    def kernel_adj(self) -> bytes:
+        """The kernel input over every surviving color: m*n native-endian
+        64-bit words, word pos*n + v the row of v in the pos-th color of
+        `colors`."""
+        return array("Q", [row for c in self.colors for row in self.color_rows[c]]).tobytes()
 
     def has_edge(self, color: int, u: int, v: int) -> bool:
         return bool((self.color_rows[color][u] >> v) & 1)

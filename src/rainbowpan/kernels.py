@@ -3,7 +3,8 @@
 Prefers the compiled extension; falls back to the pure-Python twin when the
 extension is absent or RAINBOWPAN_PURE_PYTHON is set to a non-empty value.
 Both expose find_path/find_paths/find_cycle with identical semantics and
-witnesses.
+witnesses, and both read one input format: a view's rows as one bytes object
+of m*n native-endian 64-bit words (`core._Snapshot.kernel_adj`).
 """
 from __future__ import annotations
 

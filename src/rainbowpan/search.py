@@ -7,13 +7,13 @@ the kernel (one augmenting step per appended edge), so infeasible branches
 are pruned as soon as the partial edge set stops being assignable.
 
 The kernel input comes from the view's snapshot (`_Snapshot` in core):
-the flat adjacency over every surviving color is built once per view
-and reused by every query on it. A query over fewer colors runs on a view
-that removes the others (`restrict`). A collection is its own full view,
-so callers that pass the collection share its snapshot. The pure-Python
-kernel keeps the tables it derives from that tuple (union rows, distances,
-option rows) until it is given another tuple, so queries on one view share
-those too. Every witness a kernel returns is re-checked against the view.
+the adjacency over every surviving color, packed as one bytes object of
+64-bit words, is built once per view and reused by every query on it. A
+query over fewer colors runs on a view that removes the others
+(`restrict`). A collection is its own full view, so callers that pass the
+collection share its snapshot. The pure-Python kernel keeps the tables it
+derives from that bytes object (union rows, distances, option rows) until
+it is given another, so queries on one view share those too. Every witness a kernel returns is re-checked against the view.
 
 One pair's k-sweep (`k_paths`) covers every length from the union-graph
 distance + 1 up to `k_cap` with one kernel call, `find_paths`. The kernel

@@ -12,6 +12,8 @@ import pytest
 from rainbowpan import SearchBudget, _kernel_py, constructive_panconnect, restrict
 from rainbowpan.generate import GenSpec, generate
 
+from .kernel_input import pack
+
 
 def random_dense(seed: str):
     rng = random.Random(seed)
@@ -39,7 +41,8 @@ def survivors(vmask):
 class TestPathParity:
     def test_statuses_witnesses_nodes_agree(self, kernel):
         for seed in range(60):
-            n, m, adj, vmask = random_dense(f"pp:{seed}")
+            n, m, words, vmask = random_dense(f"pp:{seed}")
+            adj = pack(words)
             alive = survivors(vmask)
             rng = random.Random(f"pp:q:{seed}")
             for _ in range(6):
@@ -51,7 +54,8 @@ class TestPathParity:
 
     def test_budget_cutoffs_agree(self, kernel):
         for seed in range(20):
-            n, m, adj, vmask = random_dense(f"pb:{seed}")
+            n, m, words, vmask = random_dense(f"pb:{seed}")
+            adj = pack(words)
             alive = survivors(vmask)
             x, y = alive[0], alive[-1]
             k = min(len(alive), m + 1)
@@ -69,7 +73,8 @@ class TestPathsParity:
     def test_walks_agree(self, kernel):
         statuses = []
         for seed in range(60):
-            n, m, adj, vmask = random_dense(f"pw:{seed}")
+            n, m, words, vmask = random_dense(f"pw:{seed}")
+            adj = pack(words)
             alive = survivors(vmask)
             rng = random.Random(f"pw:q:{seed}")
             for _ in range(6):
@@ -98,7 +103,8 @@ class TestPathsParity:
         at the longest."""
         gave_up = 0
         for seed in range(60):
-            n, m, adj, vmask = random_dense(f"pg:{seed}")
+            n, m, words, vmask = random_dense(f"pg:{seed}")
+            adj = pack(words)
             alive = survivors(vmask)
             rng = random.Random(f"pg:q:{seed}")
             for _ in range(6):
@@ -119,7 +125,8 @@ class TestPathsParity:
 
     def test_wide_walks_agree(self, kernel):
         for seed in range(30):
-            n, m, adj, vmask, hubs = random_sparse(f"pws:{seed}")
+            n, m, words, vmask, hubs = random_sparse(f"pws:{seed}")
+            adj = pack(words)
             alive = survivors(vmask)
             rng = random.Random(f"pws:q:{seed}")
             x = rng.choice(hubs)
@@ -146,16 +153,17 @@ class TestPathsParity:
         for j in range(62):
             add(((j + 5) % 63, (j + 40) % 63), j, 63)
         vmask = (1 << 64) - 1
-        for args in ((adj, 0, 63, 2, 64), (tuple(adj), 0, 63, 30, 64), (adj, 0, 63, 64, 64)):
+        first, second = pack(adj), pack(adj)  # equal inputs, each with its own tables
+        for args in ((first, 0, 63, 2, 64), (second, 0, 63, 30, 64), (first, 0, 63, 64, 64)):
             a = _kernel_py.find_paths(n, m, *args, vmask, 10**6)
             assert a == kernel.find_paths(n, m, *args, vmask, 10**6)
             assert a[0] == _kernel_py.FOUND and sorted(a[1]) == list(range(args[3], 65))
         assert a[1][64][0] == list(range(64))
-        one = kernel.find_path(n, m, adj, 0, 63, 64, vmask, 10**6)
-        assert one == _kernel_py.find_path(n, m, adj, 0, 63, 64, vmask, 10**6)
+        one = kernel.find_path(n, m, first, 0, 63, 64, vmask, 10**6)
+        assert one == _kernel_py.find_path(n, m, first, 0, 63, 64, vmask, 10**6)
         assert one[:3] == (_kernel_py.FOUND, *a[1][64])
-        a = _kernel_py.find_paths(n, m, adj, 0, 63, 2, 64, vmask, 40)
-        assert a == kernel.find_paths(n, m, adj, 0, 63, 2, 64, vmask, 40)
+        a = _kernel_py.find_paths(n, m, first, 0, 63, 2, 64, vmask, 40)
+        assert a == kernel.find_paths(n, m, first, 0, 63, 2, 64, vmask, 40)
         assert a[0] == _kernel_py.BUDGET and a[1] and 64 not in a[1]
 
 
@@ -164,7 +172,8 @@ def test_compiled_kernel_keeps_no_reference_to_its_answers(kernel):
     container: its reference count is that of a fresh copy held the same
     way. A witness the walk's dict took without its own reference dropped
     would count one more and never be freed."""
-    n, m, adj, vmask = 6, 6, [0b100010, 0b000101, 0b001010, 0b010100, 0b101000, 0b010001] * 6, 0b111111
+    n, m, vmask = 6, 6, 0b111111
+    adj = pack([0b100010, 0b000101, 0b001010, 0b010100, 0b101000, 0b010001] * 6)
     status, paths, _ = kernel.find_paths(n, m, adj, 0, 3, 2, 6, vmask, 10**6)
     fresh = {k: (list(verts), list(cols)) for k, (verts, cols) in paths.items()}
     assert status == _kernel_py.FOUND and paths == fresh
@@ -183,7 +192,8 @@ def test_compiled_kernel_keeps_no_reference_to_its_answers(kernel):
 class TestCycleParity:
     def test_statuses_witnesses_nodes_agree(self, kernel):
         for seed in range(60):
-            n, m, adj, vmask = random_dense(f"cp:{seed}")
+            n, m, words, vmask = random_dense(f"cp:{seed}")
+            adj = pack(words)
             top = min(len(survivors(vmask)), m)
             for length in range(3, top + 1):
                 a = _kernel_py.find_cycle(n, m, adj, length, vmask, 10**9)
@@ -192,7 +202,8 @@ class TestCycleParity:
 
     def test_budget_cutoffs_agree(self, kernel):
         for seed in range(20):
-            n, m, adj, vmask = random_dense(f"cb:{seed}")
+            n, m, words, vmask = random_dense(f"cb:{seed}")
+            adj = pack(words)
             top = min(len(survivors(vmask)), m)
             if top < 3:
                 continue
@@ -216,8 +227,8 @@ class TestWideMasks:
         add(0, 0, 63)
         add(1, 63, 32)
         vmask = (1 << 64) - 1
-        a = _kernel_py.find_path(n, m, adj, 0, 32, 3, vmask, 10**6)
-        b = kernel.find_path(n, m, adj, 0, 32, 3, vmask, 10**6)
+        a = _kernel_py.find_path(n, m, pack(adj), 0, 32, 3, vmask, 10**6)
+        b = kernel.find_path(n, m, pack(adj), 0, 32, 3, vmask, 10**6)
         assert a == b
         assert a[0] == _kernel_py.FOUND and a[1] == [0, 63, 32]
 
@@ -237,7 +248,7 @@ class TestWideMasks:
                 for c in colors:
                     adj[c * n + u] |= 1 << v
                     adj[c * n + v] |= 1 << u
-            return adj
+            return pack(adj)
 
         def ask(m, adj, length):
             got = _kernel_py.find_cycle(n, m, adj, length, vmask, 10**6)
@@ -288,34 +299,42 @@ class TestReflectionBound:
 
 def bad_inputs():
     """(kernel function, case, error, arguments) for inputs that do not fit
-    the compiled kernel's 64-slot tables, most of them one change to a
-    query on a 5-vertex, 3-color input that both kernels answer."""
+    the compiled kernel's 64-slot tables or are not its one input format,
+    most of them one change to a query on a 5-vertex, 3-color input that
+    both kernels answer."""
     n, m, vm = 5, 3, 0b11111
-    adj = [0b00110, 0b00101, 0b00011, 0, 0] * m
+    words = [0b00110, 0b00101, 0b00011, 0, 0] * m
+    adj = pack(words)
+    # adj cases shared by every function: (case, error, adj)
+    inputs = [
+        ("adj tuple", TypeError, tuple(words)),
+        ("adj list", TypeError, words),
+        ("adj bytearray", TypeError, bytearray(adj)),
+        ("short adj", ValueError, pack(words[:-1])),
+        ("long adj", ValueError, pack(words + [0])),
+        ("adj not whole words", ValueError, adj[:-1]),
+    ]
     path = [
-        ("n above 64", ValueError, (65, 1, [0] * 65, 0, 1, 2, 3, 10)),
-        ("negative n", ValueError, (-1, m, [], 0, 1, 2, 0, 10)),
-        ("m above 64", ValueError, (2, 65, [0] * 130, 0, 1, 2, 3, 10)),
-        ("short adj", ValueError, (n, m, adj[:-1], 0, 1, 2, vm, 10)),
-        ("long adj", ValueError, (n, m, adj + [0], 0, 1, 2, vm, 10)),
+        ("n above 64", ValueError, (65, 1, pack([0] * 65), 0, 1, 2, 3, 10)),
+        ("negative n", ValueError, (-1, m, b"", 0, 1, 2, 0, 10)),
+        ("m above 64", ValueError, (2, 65, pack([0] * 130), 0, 1, 2, 3, 10)),
+        *((case, error, (n, m, bad, 0, 1, 2, vm, 10)) for case, error, bad in inputs),
         ("negative x", ValueError, (n, m, adj, -1, 1, 2, vm, 10)),
         ("x at n", ValueError, (n, m, adj, n, 1, 2, vm, 10)),
         ("y at n", ValueError, (n, m, adj, 0, n, 2, vm, 10)),
         ("k above n", ValueError, (n, m, adj, 0, 1, n + 1, vm, 10)),
         ("negative vmask", OverflowError, (n, m, adj, 0, 1, 2, -1, 10)),
         ("vmask bit n", OverflowError, (n, m, adj, 0, 1, 2, vm | 1 << n, 10)),
-        ("vmask bit 64", OverflowError, (64, 0, [], 0, 1, 2, 1 << 64, 10)),
-        ("negative row", OverflowError, (n, m, [-1] + adj[1:], 0, 1, 2, vm, 10)),
-        ("row bit n", OverflowError, (n, m, [1 << n] + adj[1:], 0, 1, 2, vm, 10)),
+        ("vmask bit 64", OverflowError, (64, 0, b"", 0, 1, 2, 1 << 64, 10)),
+        ("row bit n", OverflowError, (n, m, pack([1 << n] + words[1:]), 0, 1, 2, vm, 10)),
     ]
     cycle = [
-        ("n above 64", ValueError, (65, 1, [0] * 65, 3, 3, 10)),
-        ("short adj", ValueError, (n, m, adj[:-1], 3, vm, 10)),
+        ("n above 64", ValueError, (65, 1, pack([0] * 65), 3, 3, 10)),
+        *((case, error, (n, m, bad, 3, vm, 10)) for case, error, bad in inputs),
         ("length above n", ValueError, (n, m, adj, n + 1, vm, 10)),
         ("length below 3", ValueError, (n, m, adj, 1, vm, 10)),
         ("negative vmask", OverflowError, (n, m, adj, 3, -1, 10)),
         ("vmask bit n", OverflowError, (n, m, adj, 3, vm | 1 << n, 10)),
-        ("row bit 64", OverflowError, (64, 1, [1 << 64] + [0] * 63, 3, 7, 10)),
     ]
     # find_paths asks lengths 2 to k, so a k above n is its k_hi
     paths = [(case, error, args[:5] + (2,) + args[5:]) for case, error, args in path]
@@ -330,12 +349,10 @@ BAD_INPUTS = bad_inputs()
                          ids=[f"{kind}-{case}" for kind, case, _, _ in BAD_INPUTS])
 def test_both_kernels_reject_inputs_outside_their_tables(kernel, kind, case, error, args):
     """Both kernels raise the same error before any search; the compiled
-    kernel would otherwise read or write outside its tables. The tuple
-    input is the one the pure kernel caches tables for."""
+    kernel would otherwise read or write outside its tables."""
     for impl in (_kernel_py, kernel):
-        for adj in (args[2], tuple(args[2])):
-            with pytest.raises(error):
-                getattr(impl, kind)(*args[:2], adj, *args[3:])
+        with pytest.raises(error):
+            getattr(impl, kind)(*args)
 
 
 WORD_BITS = (31, 32, 63)
@@ -403,7 +420,8 @@ class TestWideParity:
     def test_paths_agree(self, kernel, tied_lists):
         statuses = []
         for seed in range(30):
-            n, m, adj, vmask, hubs = random_sparse(f"wp:{seed}")
+            n, m, words, vmask, hubs = random_sparse(f"wp:{seed}")
+            adj = pack(words)
             alive = survivors(vmask)
             rng = random.Random(f"wp:q:{seed}")
             for _ in range(4):
@@ -420,7 +438,7 @@ class TestWideParity:
     def test_cycles_agree(self, kernel, tied_lists):
         statuses = []
         for seed in range(20):
-            n, m, adj, vmask, _ = random_sparse(f"wc:{seed}")
+            n, m, words, vmask, _ = random_sparse(f"wc:{seed}")
             rng = random.Random(f"wc:q:{seed}")
             # the whole input, and the same input cut down to about ten
             # vertices, where exhaustive refutations end in NONE
@@ -428,8 +446,8 @@ class TestWideParity:
             keep = sum(1 << v for v in rng.sample(alive, min(10, len(alive))))
             for b in WORD_BITS:
                 keep |= vmask & (1 << b)
-            cut = [row & keep if (keep >> (i % n)) & 1 else 0 for i, row in enumerate(adj)]
-            for mask, rows in ((vmask, adj), (keep, cut)):
+            cut = [row & keep if (keep >> (i % n)) & 1 else 0 for i, row in enumerate(words)]
+            for mask, rows in ((vmask, pack(words)), (keep, pack(cut))):
                 top = min(len(survivors(mask)), m)
                 if top < 3:
                     continue
@@ -459,7 +477,7 @@ def test_ordered_candidates_skip_vertices_without_options():
             if (cand >> v) & 1 and om:
                 expect.append((om.bit_count(), v, om))
         expect.sort(key=lambda t: (t[0], t[1]))
-        tables = _kernel_py._tables(n, m, tuple(adj))
+        tables = _kernel_py._tables(n, m, pack(adj))
         got = _kernel_py._Search(tables, 10).ordered_candidates(last, cand)
         assert got == expect
 
@@ -481,20 +499,24 @@ def queries(seed: str, n: int, m: int, vmask: int):
 
 
 class TestCachedParity:
-    """The pure kernel keeps the tables of the last tuple input. Queries that
-    hit, miss or evict that cache give what the compiled kernel gives and
-    what a cold call (a list, whose tables last one call) gives."""
+    """The pure kernel keeps the tables of the last input. Queries that hit,
+    miss or evict that cache give what the compiled kernel gives and what a
+    cold call (an equal bytes object, which gets tables of its own) gives."""
 
     def ask(self, kernel, kind, n, m, adj, args):
         got = getattr(_kernel_py, kind)(n, m, adj, *args)
         assert got == getattr(kernel, kind)(n, m, adj, *args), (kind, args)
-        assert got == getattr(_kernel_py, kind)(n, m, list(adj), *args), (kind, args)
+        tables = _kernel_py._cached
+        fresh = bytes(bytearray(adj))  # equal to adj, another object
+        assert got == getattr(_kernel_py, kind)(n, m, fresh, *args), (kind, args)
+        assert _kernel_py._cached.adj is fresh
+        _kernel_py._cached = tables  # so the next query on adj hits again
         return got
 
     def test_queries_on_one_tuple_hit_the_cache(self, kernel):
         for seed in range(30):
-            n, m, adj, vmask = random_dense(f"tc:{seed}")
-            adj = tuple(adj)
+            n, m, words, vmask = random_dense(f"tc:{seed}")
+            adj = pack(words)
             for kind, args in queries(f"tc:q:{seed}", n, m, vmask):
                 self.ask(kernel, kind, n, m, adj, args)
                 tables = _kernel_py._cached
@@ -505,8 +527,8 @@ class TestCachedParity:
         """Cycle searches cache distances over the vertices above each start;
         a later path query to that start needs them over the whole mask."""
         for seed in range(30):
-            n, m, adj, vmask = random_dense(f"ts:{seed}")
-            adj = tuple(adj)
+            n, m, words, vmask = random_dense(f"ts:{seed}")
+            adj = pack(words)
             alive = survivors(vmask)
             for length in range(min(len(alive), m), 2, -1):
                 self.ask(kernel, "find_cycle", n, m, adj, (length, vmask, 10**9))
@@ -518,8 +540,8 @@ class TestCachedParity:
         for seed in range(20):
             inputs = []
             for side in "ab":
-                n, m, adj, vmask = random_dense(f"ti:{side}:{seed}")
-                inputs.append((n, m, tuple(adj), queries(f"ti:q:{side}:{seed}", n, m, vmask)))
+                n, m, words, vmask = random_dense(f"ti:{side}:{seed}")
+                inputs.append((n, m, pack(words), queries(f"ti:q:{side}:{seed}", n, m, vmask)))
             (na, ma, a, qa), (nb, mb, b, qb) = inputs
             for (ka, args_a), (kb, args_b) in zip(qa, qb):
                 self.ask(kernel, ka, na, ma, a, args_a)
@@ -529,28 +551,10 @@ class TestCachedParity:
 
     def test_equal_distinct_tuple_gets_its_own_tables(self, kernel):
         for seed in range(20):
-            n, m, adj, vmask = random_dense(f"te:{seed}")
-            first, second = tuple(adj), tuple(list(adj))
+            n, m, words, vmask = random_dense(f"te:{seed}")
+            first, second = pack(words), pack(words)
             assert first == second and first is not second
             for kind, args in queries(f"te:q:{seed}", n, m, vmask):
                 a = self.ask(kernel, kind, n, m, first, args)
                 assert self.ask(kernel, kind, n, m, second, args) == a
                 assert _kernel_py._cached.adj is second
-
-    def test_list_mutated_between_calls_is_never_served_stale(self, kernel):
-        for seed in range(20):
-            n, m, adj, vmask = random_dense(f"tm:{seed}")
-            alive = survivors(vmask)
-            rng = random.Random(f"tm:e:{seed}")
-            answered = []
-            for kind, args in queries(f"tm:q:{seed}", n, m, vmask):
-                got = getattr(_kernel_py, kind)(n, m, adj, *args)
-                answered.append((kind, args, list(adj), got))
-                for _ in range(3):  # toggle edges in place before the next call
-                    c = rng.randrange(m)
-                    u, v = rng.sample(alive, 2)
-                    adj[c * n + u] ^= 1 << v
-                    adj[c * n + v] ^= 1 << u
-            for kind, args, state, got in answered:
-                assert got == getattr(kernel, kind)(n, m, state, *args), (seed, kind, args)
-                assert got == getattr(_kernel_py, kind)(n, m, state, *args), (seed, kind, args)

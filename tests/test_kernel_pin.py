@@ -30,6 +30,7 @@ from rainbowpan.analysis import is_rainbow_panconnected
 from rainbowpan.core import GraphCollection, build_graph, distances, restrict
 from rainbowpan.search import k_paths
 
+from .kernel_input import pack
 from .sweeps import reference_k_paths
 
 DIGEST = "23b0fd7a686c43f8b6f61c77aaa8ff9d8ee51bdc12f8e3cf701e40466ef4d312"
@@ -38,7 +39,7 @@ LIMITS = (1, 4, 30, 400, 20000)
 
 def _instance(rng: random.Random):
     """(n, m, adj, vmask): dense at n <= 9 or sparse up to n = 64, with an
-    occasional dead vertex; adj is a list or a tuple."""
+    occasional dead vertex."""
     if rng.random() < 0.5:
         n = rng.randint(4, 9)
         m = rng.randint(2, min(6, n))
@@ -57,7 +58,8 @@ def _instance(rng: random.Random):
                 if (vmask >> u) & (vmask >> v) & 1 and rng.random() < p:
                     adj[c * n + u] |= 1 << v
                     adj[c * n + v] |= 1 << u
-    return n, m, tuple(adj) if rng.random() < 0.5 else adj, vmask
+    rng.random()  # the former list-or-tuple coin; drawn so that QUERIES keep their record
+    return n, m, pack(adj), vmask
 
 
 def _queries():

@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 from hypothesis import assume, given, settings
@@ -26,6 +27,7 @@ from rainbowpan.search import (
     shortest_rainbow_path,
 )
 from . import oracles
+from .kernel_input import pack
 from .strategies import collections, shaped_views, views
 from .sweeps import reference_k_paths, sweep_outcome
 
@@ -446,7 +448,7 @@ class TestKernelInput:
         ]
         assert sub.n == view.n
         assert list(sub.colors) == expect_active
-        assert list(sub.kernel_adj) == [
+        assert array("Q", sub.kernel_adj).tolist() == [
             row for c in expect_active for row in oracles.restricted_rows(sub, c)
         ]
         alive = [v for v in range(view.n) if v not in view.removed_vertices]
@@ -603,9 +605,9 @@ def test_k_paths_walk_gives_up_on_a_missing_short_length(monkeypatch):
 def test_pure_kernel_calls_leave_no_reference_cycles():
     """A pure kernel call leaves nothing in a reference cycle: its search
     state and the extenders it hands the candidate loop are freed by
-    reference counting, whatever the call ends in, on a list input (tables
-    for one call) and on a tuple input (cached tables, hit by every call
-    after the first)."""
+    reference counting, whatever the call ends in, on a new input each call
+    (tables built, the old ones dropped) and on one input (cached tables,
+    hit by every call after the first)."""
     import gc
 
     from rainbowpan import _kernel_py as kp
@@ -613,17 +615,18 @@ def test_pure_kernel_calls_leave_no_reference_cycles():
     n = m = 6
     ring = [(1 << (v + 1) % n) | (1 << (v - 1) % n) for v in range(n)]  # C6
     full = (1 << n) - 1
-    for adj in (ring * m, tuple(ring * m)):
+    one = pack(ring * m)
+    for adj in (lambda: pack(ring * m), lambda: one):
         calls = [
-            (kp.FOUND, lambda: kp.find_paths(n, m, adj, 0, 3, 2, 6, full, 10**6)),
-            (kp.NONE, lambda: kp.find_paths(n, m, adj, 0, 1, 3, 3, full, 10**6)),
-            (kp.BUDGET, lambda: kp.find_paths(n, m, adj, 0, 1, 2, 6, full, 1)),
-            (kp.FOUND, lambda: kp.find_path(n, m, adj, 0, 3, 4, full, 10**6)),
-            (kp.NONE, lambda: kp.find_path(n, m, adj, 0, 1, 3, full, 10**6)),
-            (kp.BUDGET, lambda: kp.find_path(n, m, adj, 0, 1, 6, full, 1)),
-            (kp.FOUND, lambda: kp.find_cycle(n, m, adj, 6, full, 10**6)),
-            (kp.NONE, lambda: kp.find_cycle(n, m, adj, 4, full, 10**6)),
-            (kp.BUDGET, lambda: kp.find_cycle(n, m, adj, 6, full, 1)),
+            (kp.FOUND, lambda: kp.find_paths(n, m, adj(), 0, 3, 2, 6, full, 10**6)),
+            (kp.NONE, lambda: kp.find_paths(n, m, adj(), 0, 1, 3, 3, full, 10**6)),
+            (kp.BUDGET, lambda: kp.find_paths(n, m, adj(), 0, 1, 2, 6, full, 1)),
+            (kp.FOUND, lambda: kp.find_path(n, m, adj(), 0, 3, 4, full, 10**6)),
+            (kp.NONE, lambda: kp.find_path(n, m, adj(), 0, 1, 3, full, 10**6)),
+            (kp.BUDGET, lambda: kp.find_path(n, m, adj(), 0, 1, 6, full, 1)),
+            (kp.FOUND, lambda: kp.find_cycle(n, m, adj(), 6, full, 10**6)),
+            (kp.NONE, lambda: kp.find_cycle(n, m, adj(), 4, full, 10**6)),
+            (kp.BUDGET, lambda: kp.find_cycle(n, m, adj(), 6, full, 1)),
         ]
         gc.collect()
         gc.disable()
@@ -634,4 +637,4 @@ def test_pure_kernel_calls_leave_no_reference_cycles():
                     assert gc.collect() == 0
         finally:
             gc.enable()
-    assert kp._cached.adj is adj
+    assert kp._cached.adj is one

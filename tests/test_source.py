@@ -55,11 +55,24 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     assert out.strip() == "False"
 
 
+def test_kernel_c_uses_the_limited_api_only():
+    """`_kernel.c` defines `Py_LIMITED_API` before it includes `Python.h`, so
+    the headers declare the stable C API alone and the compile test below
+    fails on any other call; and it reads no interpreter internals, which
+    would need a branch per Python version."""
+    source = (PACKAGE / "_kernel.c").read_text()
+    limited = re.search(r"^#define Py_LIMITED_API\b", source, re.MULTILINE)
+    include = re.search(r"^#include <Python\.h>", source, re.MULTILINE)
+    assert limited and include and limited.start() < include.start()
+    for name in ("PY_VERSION_HEX", "ob_digit", "PyUnstable_"):
+        assert name not in source, name
+
+
 def test_kernel_c_compiles_without_warnings(tmp_path):
-    """`_kernel.c` is written by hand against the CPython C API. It compiles
+    """`_kernel.c` is written by hand against the limited C API. It compiles
     with the C compiler this interpreter was built with and every warning of
-    `-Wall -Wextra` turned into an error; the test skips only when there is
-    no such compiler."""
+    `-Wall -Wextra` turned into an error, an undeclared function among them;
+    the test skips only when there is no such compiler."""
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
     if shutil.which(cc[0]) is None:
         pytest.skip(f"no C compiler ({cc[0]}) on PATH")
