@@ -93,9 +93,9 @@ class HypothesisViolation(Exception):
         self.fatal = fatal
 
 
-def _req(cond: bool, stage: str, claim: str, details: str, evidence=None, fatal=False):
+def _req(cond: bool, stage: str, claim: str, details: str):
     if not cond:
-        raise HypothesisViolation(stage, claim, details, evidence, fatal)
+        raise HypothesisViolation(stage, claim, details)
 
 
 @dataclass
@@ -523,13 +523,12 @@ def _near_cycle_attempt(coll, frame, x, y, z, w, k):
             f"off-cycle attachment fails ({tag})",
         )
     pos_a = {i for i in range(1, length + 1) if coll.has_edge(f_a, w, u(i))}
-    pos_b = {i for i in range(1, length + 1) if coll.has_edge(f_b, w, u(i))}
     _req(
-        pos_a == pos_b,
+        pos_a == b_raw,
         stage,
         "wheel-neighborhood",
         f"w's cycle neighborhoods differ between the free colors: "
-        f"{sorted(pos_a)} vs {sorted(pos_b)} ({tag})",
+        f"{sorted(pos_a)} vs {sorted(b_raw)} ({tag})",
     )
     # normal form: rotate/reflect so the neighbors sit on odd positions
     target = set(range(1, length - 1, 2))
@@ -539,7 +538,7 @@ def _near_cycle_attempt(coll, frame, x, y, z, w, k):
             mapped = {
                 i
                 for i in range(1, length + 1)
-                if _m1(1 + r + d * (i - 1), length) in pos_b
+                if _m1(1 + r + d * (i - 1), length) in b_raw
             }
             if mapped == target:
                 norm = (r, d)
@@ -550,7 +549,7 @@ def _near_cycle_attempt(coll, frame, x, y, z, w, k):
         norm is not None,
         stage,
         "normalization",
-        f"neighbor positions {sorted(pos_b)} admit no relabeling onto the "
+        f"neighbor positions {sorted(b_raw)} admit no relabeling onto the "
         f"alternating pattern {sorted(target)} ({tag})",
     )
     rel = frame.relabeled(*norm)

@@ -18,17 +18,13 @@ BUDGET = _kernel_py.BUDGET
 
 if os.environ.get("RAINBOWPAN_PURE_PYTHON"):
     _impl = _kernel_py
-    COMPILED = False
 else:
     try:
         from . import _kernel as _impl  # type: ignore[attr-defined]
-
-        COMPILED = True
     except ImportError:
         _impl = _kernel_py
-        COMPILED = False
 
-IMPLEMENTATION = "compiled" if COMPILED else "python"
+IMPLEMENTATION = "python" if _impl is _kernel_py else "compiled"
 
 find_path = _impl.find_path
 find_paths = _impl.find_paths

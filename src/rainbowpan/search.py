@@ -31,12 +31,12 @@ per length. `shortest_rainbow_path` needs only the first length with a
 path and deepens one k at a time: a walk would decide the whole range,
 which can cost far more.
 
-A query for a path or cycle through every surviving vertex is refuted at the
-root, without a kernel call, when the view's union graph is disconnected or
-one of its twin classes (vertices with one shared union row, an independent
-set) is too large to alternate with the other vertices; see
-`_spanning_refuted`. The collections of Corollary 2.3's cases (ii) and
-(iii) are refuted this way.
+Every path and cycle query is refuted at the root, without a kernel call,
+when the union graph rules out its length: the component it lies in is
+too small, or a twin class (vertices with one shared union row, an
+independent set) is too large to alternate with the rest; see `_refuted`.
+This decides Corollary 2.3's case (ii) at every length above the half
+size, but case (iii) only at its longest lengths.
 """
 from __future__ import annotations
 
@@ -53,6 +53,7 @@ from .core import (
     check_colored_cycle,
     check_colored_path,
     distances,
+    mask_of,
 )
 
 DEFAULT_NODE_LIMIT = 50_000_000
@@ -101,27 +102,26 @@ class BudgetExceeded(Exception):
         self.nodes = nodes
 
 
-def _spanning_refuted(view, ends: tuple[int, ...]) -> bool:
-    """Whether the union graph alone rules out every rainbow path through all
-    surviving vertices joining the two `ends`, or every spanning rainbow
-    cycle when `ends` is empty.
+def _refuted(view, ends: tuple[int, ...], k: int) -> bool:
+    """Whether the union graph alone rules out every rainbow k-path joining
+    the two `ends`, or every rainbow k-cycle when `ends` is empty.
 
-    Such a path or cycle is connected, so a disconnected union graph has
-    none. A twin class I is independent, so its members are pairwise
-    non-consecutive: a path needs one vertex outside I in each of the
-    |I| - 1 gaps between them and at each end outside I, and a cycle needs
-    |I| vertices outside I.
+    Either lies in one union component, which must hold the ends and at
+    least k vertices. A twin class I is independent, so a path needs a
+    vertex outside I between any two of its members and at each end
+    outside I: it has room for 2|V - I| + 1 vertices, less one per end
+    outside I, and a cycle for 2|V - I|.
     """
-    if len(view.union_components) > 1:
+    comps = view.union_components
+    held = (c.bit_count() for c in comps if all((c >> v) & 1 for v in ends))
+    if len(comps) > 1 and max(held, default=0) < k:
         return True
-    total = view.n_surviving
+    total, ends_mask = view.n_surviving, mask_of(ends)
     for eye in view.union_twin_classes:
-        size = eye.bit_count()
+        room = 2 * (total - eye.bit_count())
         if ends:
-            need = size - 1 + sum(not (eye >> v) & 1 for v in ends)
-        else:
-            need = size
-        if total - size < need:
+            room += (eye & ends_mask).bit_count() - 1
+        if room < k:
             return True
     return False
 
@@ -201,7 +201,7 @@ def find_rainbow_path(
     active = view.colors
     if k - 1 > len(active):
         raise ValueError(f"k={k} needs {k - 1} colors, only {len(active)} available")
-    if k == view.n_surviving and _spanning_refuted(view, (x, y)):
+    if _refuted(view, (x, y), k):
         return None
     if budget is None:
         budget = default_budget()
@@ -266,8 +266,8 @@ def k_paths(
     """
     lengths = _lengths(view, x, y)
     top = lengths.stop - 1
-    if top == view.n_surviving and _spanning_refuted(view, (x, y)):
-        top -= 1  # no spanning path, as find_rainbow_path would answer
+    while top >= lengths.start and _refuted(view, (x, y), top):
+        top -= 1
     status, paths, nodes = kernels.NONE, {}, 0
     if lengths.start <= top:
         if budget is None:
@@ -341,7 +341,7 @@ def find_rainbow_cycle(
     active = view.colors
     if length > len(active):
         raise ValueError(f"length={length} exceeds {len(active)} available colors")
-    if length == view.n_surviving and _spanning_refuted(view, ()):
+    if _refuted(view, (), length):
         return None
     if budget is None:
         budget = default_budget()

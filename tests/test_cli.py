@@ -92,6 +92,15 @@ def test_check_failing_family(f6, tmp_path, capsys):
     assert payload["failure"]["k"] == 4
 
 
+def test_check_decides_two_half_cliques(tmp_path, capsys):
+    # a pair inside one half clique has no path on more than 14 vertices
+    inst = write_instance_via_gen(tmp_path, "--family", "cor23_ii", "--n", "28", "--seed", "0")
+    cert = tmp_path / "cert.json"
+    assert main(["check", "--in", str(inst), "--cert", str(cert)]) == EXIT_FAIL
+    failure = json.loads(cert.read_text())["failure"]
+    assert (failure["x"], failure["y"], failure["k"]) == (0, 1, 15)
+
+
 def test_check_passing_instance(rand7, capsys):
     assert main(["check", "--in", str(rand7)]) == EXIT_PASS
     assert "yes" in capsys.readouterr().out
@@ -475,8 +484,8 @@ def test_lem5_budget_stop_keeps_its_spec(seed, variant):
 
 
 def test_cor2_3_budget_stop_keeps_its_spec(monkeypatch):
-    # the spanning refutation answers both obstruction families without the
-    # kernel, so the budget stop is simulated in the spanning-path loop
+    # the root refutation answers both obstruction families' spanning paths
+    # without the kernel, so the budget stop is simulated in that loop
     def stopped(*args, **kwargs):
         raise cli.BudgetExceeded("path", 1)
 

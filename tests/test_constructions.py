@@ -96,6 +96,18 @@ def test_five_vertex_4path_all_pairs():
                 assert trace.case in ("direct", "recolored", "shifted")
 
 
+@pytest.mark.parametrize(
+    "seed, pair, case", [(25, (1, 2), "recolored"), (194, (0, 2), "shifted")]
+)
+def test_five_vertex_4path_late_exits(seed, pair, case):
+    """The exits after the direct closing fails: y reached in the interior
+    edge's own color, from u2 or, shifting the path by one, from u3."""
+    coll = gen_random_collection(5, 4, 3, seed=seed)
+    trace = five_vertex_4path(coll, *pair)
+    assert trace.case == case
+    check_path(coll, trace.path, *pair, 4)
+
+
 # -- rotation around a spanning cycle ---------------------------------------------
 
 
@@ -293,6 +305,38 @@ def test_join_partition_inner_route():
         )
         check_path(coll, trace.path, h["x"], h["y"], k)
         assert trace.subcase == "1"
+
+
+def _join_shape(n: int, end: str) -> tuple:
+    """The lem8 join shape, unrelabeled: the independent half (n - 1) / 2
+    joined in every color to the rest, the small half (n - 5) / 2 and z a
+    clique, x and y adjacent, and the witness edge from `end` ("x" or "y")
+    to z planted in color 1. Returns the collection and its (f, i, x, y, z)
+    handles."""
+    big, small = (n - 1) // 2, (n - 5) // 2
+    eye, eff = list(range(big)), list(range(big, big + small))
+    x, y, z = n - 3, n - 2, n - 1
+    edge_sets = [set() for _ in range(n - 1)]
+    for edges in edge_sets:
+        edges.update((w, t) for w in eye for t in eff + [x, y, z])
+        edges.update((a, b) for i, a in enumerate(eff + [z]) for b in (eff + [z])[i + 1 :])
+        edges.add((x, y))
+    edge_sets[1].add((x if end == "x" else y, z))
+    graphs = tuple(build_graph(n, sorted(edges)) for edges in edge_sets)
+    return GraphCollection(n, graphs), (tuple(eff), tuple(eye), x, y, z)
+
+
+@pytest.mark.parametrize("n", [7, 9, 11])
+@pytest.mark.parametrize("end", ["x", "y"])
+def test_join_partition_witness_through_z(n, end):
+    """A witness edge from x to z opens every even length through z; from
+    y to z it does too, the row built from y and then reversed."""
+    coll, (f, i, x, y, z) = _join_shape(n, end)
+    for k in range(4, n, 2):
+        trace = join_partition_k_path(coll, f, i, x, y, z, k)
+        assert trace.subcase == "2.1", k
+        check_path(coll, trace.path, x, y, k)
+        assert trace.path.vertices[0] == x and z in trace.path.vertices, k
 
 
 def test_join_partition_family_verdict():

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rainbowpan import _kernel_py, kernels
+from rainbowpan.analysis import is_rainbow_panconnected
 from rainbowpan.core import (
     GraphCollection,
     build_graph,
@@ -14,7 +15,7 @@ from rainbowpan.core import (
 )
 from rainbowpan.generate import gen_cor23_obstruction
 from rainbowpan.search import (
-    _spanning_refuted,
+    _refuted,
     BudgetExceeded,
     SearchBudget,
     assign_colors,
@@ -22,6 +23,7 @@ from rainbowpan.search import (
     find_rainbow_cycle,
     find_rainbow_ham_path,
     find_rainbow_path,
+    k_cap,
     k_paths,
     rainbow_distance,
     shortest_rainbow_path,
@@ -304,21 +306,24 @@ def _complete_bipartite(a: int, b: int, m: int) -> GraphCollection:
 
 
 class TestSpanningRefutation:
-    """Spanning queries refuted at the root, before any kernel call: a node
-    limit of 1 shows that no search ran."""
+    """Queries refuted at the root, before any kernel call: a node limit of
+    1, or a kernel that raises, shows that no search ran."""
 
     @settings(deadline=None)
     @given(shaped_views())
     def test_refutation_agrees_with_oracle(self, view):
-        k = view.n_surviving
-        assume(k <= 9)
+        """Wherever the root rule refutes a path or cycle length, exhaustive
+        enumeration finds none."""
+        assume(view.n_surviving <= 9)
         alive = view.vertices
         for i, x in enumerate(alive):
             for y in alive[i + 1 :]:
-                if _spanning_refuted(view, (x, y)):
-                    assert not oracles.rainbow_path_exists(view, x, y, k), (x, y)
-        if k >= 3 and _spanning_refuted(view, ()):
-            assert not oracles.rainbow_cycle_exists(view, k)
+                for k in range(2, k_cap(view) + 1):
+                    if _refuted(view, (x, y), k):
+                        assert not oracles.rainbow_path_exists(view, x, y, k), (x, y, k)
+        for length in range(3, view.n_surviving + 1):
+            if _refuted(view, (), length):
+                assert not oracles.rainbow_cycle_exists(view, length), length
 
     @settings(deadline=None)
     @given(shaped_views(), st.data())
@@ -374,6 +379,40 @@ class TestSpanningRefutation:
         sub = restrict(coll, remove_colors=[5])
         assert find_rainbow_ham_path(sub, 0, 61, budget=one) is None
         assert find_rainbow_cycle(coll, 62, budget=one) is None
+
+    @pytest.mark.parametrize("case", ["ii", "iii"])
+    def test_refuted_queries_never_reach_a_kernel(self, case, monkeypatch):
+        def no_kernel(*args):
+            raise AssertionError("a refuted query reached the kernel")
+
+        for name in ("find_path", "find_paths", "find_cycle"):
+            monkeypatch.setattr(kernels, name, no_kernel)
+        coll = gen_cor23_obstruction(12, case)
+        refuted = 0
+        for x in range(12):
+            for y in range(x + 1, 12):
+                for k in range(2, 13):
+                    if _refuted(coll, (x, y), k):
+                        assert find_rainbow_path(coll, x, y, k) is None, (x, y, k)
+                        refuted += 1
+        for length in range(3, 13):
+            if _refuted(coll, (), length):
+                assert find_rainbow_cycle(coll, length) is None, length
+                refuted += 1
+        assert refuted > 67  # more than the 66 spanning paths and one cycle
+
+    @pytest.mark.parametrize("impl", ["python", "compiled"])
+    @pytest.mark.parametrize(
+        "n, failure", [(28, (0, 1, 15)), (30, (0, 1, 16)), (40, (0, 1, None)), (62, (0, 1, None))]
+    )
+    def test_cor23_case_ii_decides(self, n, failure, impl, request, monkeypatch):
+        """Two half cliques: a pair on one side has no path longer than its
+        half, and the certificate says so without searching the clique."""
+        kern = _kernel_py if impl == "python" else request.getfixturevalue("kernel")
+        for name in ("find_path", "find_paths", "find_cycle"):
+            monkeypatch.setattr(kernels, name, getattr(kern, name))
+        cert = is_rainbow_panconnected(gen_cor23_obstruction(n, "ii", 0))
+        assert (cert.verdict, cert.failure) == (False, failure)
 
 
 class TestViewsAndValidation:
