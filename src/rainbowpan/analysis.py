@@ -322,8 +322,6 @@ def join_partition(
     only candidate in O(n), and checking it in the other colors costs
     O(m·n) only when one exists.
     """
-    if not view.colors:
-        return None
     keep = view.vertex_mask
     i_size = view.n_surviving // 2 + 1
     rows = view.color_rows

@@ -50,7 +50,7 @@ def _emit_json(obj, path: str | None) -> None:
     text = format_json(obj)
     if path:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            print(text, file=fh)
     else:
         print(text)
 

@@ -668,43 +668,33 @@ def _near_cycle_sweep(coll, frame, x, y, w, k, sets):
 def endpoint_bound_report(
     coll: GraphCollection,
     ham_path: ColoredPath,
-    excluded_color: int | None = None,
+    excluded_color: int,
     budget: SearchBudget | None = None,
 ) -> EndpointBoundReport:
     """Bound the free-color degrees of a spanning path's endpoints.
 
     The path must cover all but three vertices and miss exactly three colors.
-    One missing color is put aside (the smallest workable when not supplied);
-    the view without it must carry no rainbow cycle through all, or all but
-    one, of its vertices; both facts are checked by exhaustive search and a
-    found cycle rejects the candidate. The two remaining free colors measure
-    the endpoints, and the disjointness of the two index sets pins the degree
+    One missing color, `excluded_color`, is put aside; the view without it
+    must carry no rainbow cycle through all, or all but one, of its
+    vertices; both facts are checked by exhaustive search, and a found cycle
+    is a fatal violation. The two remaining free colors measure the
+    endpoints, and the disjointness of the two index sets pins the degree
     sum. They are disjoint once the searches found no cycle: an index in both
     would splice the path, f1 and f2 into a rainbow (n-3)-cycle of that view.
     """
     n = coll.n
     free = _check_inputs(coll, (), None, ham_path, cover=n - 3, free=3)
+    if excluded_color not in free:
+        raise ValueError(f"excluded_color {excluded_color} is not free")
     off = tuple(sorted(set(range(n)) - set(ham_path.vertices)))
-    if excluded_color is not None:
-        if excluded_color not in free:
-            raise ValueError(f"excluded_color {excluded_color} is not free")
-        candidates = [excluded_color]
-    else:
-        candidates = free
-    rejections = []
-    first_cycle = None
-    for c_star in candidates:
-        view = restrict(coll, remove_vertices=off, remove_colors=(c_star,))
-        bad = find_rainbow_cycle(view, n - 3, budget=budget)
-        if bad is None:
-            bad = find_rainbow_cycle(view, n - 4, budget=budget)
-        if bad is not None:
-            rejections.append(f"excluding {c_star} leaves a {bad.length}-cycle")
-            if first_cycle is None:
-                first_cycle = bad
-            continue
-        return _endpoint_bounds_with(coll, ham_path, c_star, free)
-    _fatal_cycle(coll, "endpoint_bounds", "cycle-free", first_cycle, "; ".join(rejections))
+    view = restrict(coll, remove_vertices=off, remove_colors=(excluded_color,))
+    bad = find_rainbow_cycle(view, n - 3, budget=budget)
+    if bad is None:
+        bad = find_rainbow_cycle(view, n - 4, budget=budget)
+    if bad is not None:
+        _fatal_cycle(coll, "endpoint_bounds", "cycle-free", bad,
+                     f"excluding {excluded_color} leaves a {bad.length}-cycle")
+    return _endpoint_bounds_with(coll, ham_path, excluded_color, free)
 
 
 def _endpoint_bounds_with(coll, ham_path, c_star, free):

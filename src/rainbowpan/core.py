@@ -247,10 +247,12 @@ class _Snapshot:
 
     @cached_property
     def union_twin_classes(self) -> tuple[int, ...]:
-        """Masks of the surviving vertices grouped by union row. Each class
-        is independent in the union graph: no vertex is its own neighbor,
-        and every member has the row the others are missing from."""
-        return tuple(row_groups(self.union_rows, self.vertex_mask).values())
+        """Masks of the surviving vertices grouped by union row, largest
+        class first. Each class is independent in the union graph: no
+        vertex is its own neighbor, and every member has the row the others
+        are missing from."""
+        groups = row_groups(self.union_rows, self.vertex_mask).values()
+        return tuple(sorted(groups, key=int.bit_count, reverse=True))
 
     @cached_property
     def kernel_adj(self) -> bytes:

@@ -31,10 +31,13 @@ per length. `shortest_rainbow_path` needs only the first length with a
 path and deepens one k at a time: a walk would decide the whole range,
 which can cost far more.
 
-Every path and cycle query is refuted at the root, without a kernel call,
-when the union graph rules out its length: the component it lies in is
-too small, or a twin class (vertices with one shared union row, an
-independent set) is too large to alternate with the rest; see `_refuted`.
+Every path and cycle query is bounded at the root, without a kernel call:
+`_longest` reads from the union graph the most vertices a rainbow path
+joining the query's ends, or a rainbow cycle, can have. That is the size
+of the component holding the ends, lowered to what each twin class
+(vertices with one shared union row, an independent set) leaves room for
+when it alternates with the rest. A query above the bound has no answer,
+a pair's walk stops at it, and `shortest_rainbow_path` deepens up to it.
 This decides Corollary 2.3's case (ii) at every length above the half
 size, but case (iii) only at its longest lengths.
 """
@@ -102,28 +105,30 @@ class BudgetExceeded(Exception):
         self.nodes = nodes
 
 
-def _refuted(view, ends: tuple[int, ...], k: int) -> bool:
-    """Whether the union graph alone rules out every rainbow k-path joining
-    the two `ends`, or every rainbow k-cycle when `ends` is empty.
+def _longest(view, ends: tuple[int, ...]) -> int:
+    """The most vertices a rainbow path joining the two `ends` can have, or
+    a rainbow cycle when `ends` is empty, judged from the union graph alone.
 
-    Either lies in one union component, which must hold the ends and at
-    least k vertices. A twin class I is independent, so a path needs a
-    vertex outside I between any two of its members and at each end
-    outside I: it has room for 2|V - I| + 1 vertices, less one per end
-    outside I, and a cycle for 2|V - I|.
+    Either lies in one union component, which must hold the ends: 0 when
+    they lie apart, and the largest component for a cycle. A twin class I
+    is independent, so a path needs a vertex outside I between any two of
+    its members and at each end outside I: it has room for 2|V - I| + 1
+    vertices, less one per end outside I, and a cycle for 2|V - I|. The
+    three largest classes (`union_twin_classes` comes largest first) leave
+    the least room: the ends move a class's room by at most 2, a smaller
+    class has 2 more, and of three largest classes one holds no end.
     """
-    comps = view.union_components
-    held = (c.bit_count() for c in comps if all((c >> v) & 1 for v in ends))
-    if len(comps) > 1 and max(held, default=0) < k:
-        return True
-    total, ends_mask = view.n_surviving, mask_of(ends)
-    for eye in view.union_twin_classes:
-        room = 2 * (total - eye.bit_count())
-        if ends:
-            room += (eye & ends_mask).bit_count() - 1
-        if room < k:
-            return True
-    return False
+    ends_mask = mask_of(ends)
+    longest = 0
+    for c in view.union_components:
+        if c & ends_mask == ends_mask and c.bit_count() > longest:
+            longest = c.bit_count()
+    total = view.n_surviving
+    for eye in view.union_twin_classes[:3]:
+        room = 2 * (total - eye.bit_count()) + (eye & ends_mask).bit_count() - (1 if ends else 0)
+        if room < longest:
+            longest = room
+    return longest
 
 
 def _require_vertex(view, v: int, name: str) -> None:
@@ -201,7 +206,7 @@ def find_rainbow_path(
     active = view.colors
     if k - 1 > len(active):
         raise ValueError(f"k={k} needs {k - 1} colors, only {len(active)} available")
-    if _refuted(view, (x, y), k):
+    if k > _longest(view, (x, y)):
         return None
     if budget is None:
         budget = default_budget()
@@ -255,19 +260,18 @@ def k_paths(
     for every longer k; it yields nothing when no rainbow path joins x and
     y. A budget stop raises BudgetExceeded from the query that ran out.
 
-    One `find_paths` walk decides the whole range. When it stops
-    undecided, on the budget or giving up, every k it found a path for
-    keeps that path, and every other k is asked by `find_rainbow_path`
-    when the sweep reaches it. That gives what one query per k gives,
-    budget stops included: the walk's tree holds every node of each k's
-    own search tree, in the same order, so a k the walk decided within the
-    budget's L nodes is decided the same way by a query for k alone within
-    L nodes.
+    One `find_paths` walk decides the range up to `_longest`; no longer k
+    has a path. When the walk stops undecided, on the budget or giving up,
+    every k it found a path for keeps that path, and every other k is
+    asked by `find_rainbow_path` when the sweep reaches it. That gives what
+    one query per k gives, budget stops included: the walk's tree holds
+    every node of each k's own search tree, in the same order, so a k the
+    walk decided within the budget's L nodes is decided the same way by a
+    query for k alone within L nodes. A walk over one length is that
+    length's own query, so its budget stop is raised at once.
     """
     lengths = _lengths(view, x, y)
-    top = lengths.stop - 1
-    while top >= lengths.start and _refuted(view, (x, y), top):
-        top -= 1
+    top = min(lengths.stop - 1, _longest(view, (x, y)))
     status, paths, nodes = kernels.NONE, {}, 0
     if lengths.start <= top:
         if budget is None:
@@ -276,6 +280,9 @@ def k_paths(
             view.n, len(view.colors), view.kernel_adj, x, y, lengths.start, top,
             view.vertex_mask, budget.node_limit,
         )
+    if status == kernels.BUDGET and lengths.start == top:
+        _witness(view, (status, None, None, nodes), ColoredPath, check_colored_path,
+                 "path x={} y={} k={}", x, y, top)
     found = False
     for k in lengths:
         if k in paths:
@@ -299,7 +306,8 @@ def shortest_rainbow_path(
 ) -> ColoredPath | None:
     """A shortest rainbow path joining x and y, or None if there is none:
     the first path of their k-sweep, asked one k at a time up to the first
-    that has one. For x == y it is the one-vertex path.
+    that has one, and no further than `_longest`. For x == y it is the
+    one-vertex path.
 
     `k_paths` would answer the same, but its walk decides every length up
     to k_cap before the first is read: over all pairs of Corollary 2.3's
@@ -308,7 +316,8 @@ def shortest_rainbow_path(
     if x == y:
         _require_vertex(view, x, "x")
         return ColoredPath((x,), ())
-    for k in _lengths(view, x, y):
+    lengths = _lengths(view, x, y)
+    for k in range(lengths.start, min(lengths.stop, _longest(view, (x, y)) + 1)):
         path = find_rainbow_path(view, x, y, k, budget=budget)
         if path is not None:
             return path
@@ -341,7 +350,7 @@ def find_rainbow_cycle(
     active = view.colors
     if length > len(active):
         raise ValueError(f"length={length} exceeds {len(active)} available colors")
-    if _refuted(view, (), length):
+    if length > _longest(view, ()):
         return None
     if budget is None:
         budget = default_budget()

@@ -54,6 +54,17 @@ class TestSimpleGraph:
         with pytest.raises(ValueError):
             SimpleGraph(2, (0b10, 0b00))
 
+    @pytest.mark.parametrize("n, adj, message", [
+        (0, (), "vertex count 0"),
+        (65, (0,) * 65, "vertex count 65"),
+        (3, (0, 0), "row count"),
+        (2, (0b100, 0), "bits outside"),
+        (2, (0b1, 0), "loop at vertex 0"),
+    ], ids=["n=0", "n=65", "row-count", "bits-outside-n", "loop"])
+    def test_rejects_malformed_rows(self, n, adj, message):
+        with pytest.raises(ValueError, match=message):
+            SimpleGraph(n, adj)
+
     def test_with_without_edge_roundtrip(self):
         g = build_graph(4, [(0, 1)])
         g2 = g.with_edge(2, 3)
@@ -93,6 +104,10 @@ class TestGraphCollection:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             GraphCollection(3, ())
+
+    def test_rejects_more_than_63_graphs(self):
+        with pytest.raises(ValueError, match="exceeds 63 graphs"):
+            GraphCollection(2, (build_graph(2, [(0, 1)]),) * 64)
 
     @given(collections())
     def test_min_degree_matches_per_graph_minimum(self, coll):
@@ -153,6 +168,14 @@ class TestColoredCycle:
     def test_rejects_color_count_mismatch(self):
         with pytest.raises(ValueError):
             ColoredCycle((0, 1, 2), (0, 1))
+
+    @pytest.mark.parametrize("vertices, colors, message", [
+        ((0, 1, 0), (0, 1, 2), "repeated vertex"),
+        ((0, 1, 2), (0, 1, 1), "repeated color"),
+    ], ids=["vertex", "color"])
+    def test_rejects_repeats(self, vertices, colors, message):
+        with pytest.raises(ValueError, match=message):
+            ColoredCycle(vertices, colors)
 
 
 def _demo_collection() -> GraphCollection:
@@ -418,5 +441,7 @@ def test_union_components_and_twin_classes_match_reference(view):
         twins.setdefault(frozenset(s), set()).add(v)
     classes = [set(bits(c)) for c in view.union_twin_classes]
     assert sorted(map(sorted, classes)) == sorted(map(sorted, twins.values()))
+    sizes = [len(eye) for eye in classes]
+    assert sizes == sorted(sizes, reverse=True)  # largest first
     for eye in classes:
         assert not any(nbr[u] & eye for u in eye)

@@ -64,6 +64,9 @@ def test_file_roundtrip(tmp_path):
         ("3 1\ngraph 0\n0 3\nend\n", "graph 0"),
         ("3 1\ngraph 0\n1 1\nend\n", "graph 0"),
         ("3 1\ngraph 0\nend\ngraph 1\nend\n", "trailing"),
+        pytest.param("3 0\n", "at least one graph", id="m=0"),
+        pytest.param("2 64\n" + "".join(f"graph {i}\nend\n" for i in range(64)),
+                     "exceeds 63 graphs", id="m=64"),
     ],
 )
 def test_malformed_instances_rejected(text, fragment):

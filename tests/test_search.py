@@ -10,12 +10,13 @@ from rainbowpan.analysis import is_rainbow_panconnected
 from rainbowpan.core import (
     GraphCollection,
     build_graph,
+    mask_of,
     restrict,
     verify_colored_path,
 )
 from rainbowpan.generate import gen_cor23_obstruction
 from rainbowpan.search import (
-    _refuted,
+    _longest,
     BudgetExceeded,
     SearchBudget,
     assign_colors,
@@ -318,12 +319,28 @@ class TestSpanningRefutation:
         alive = view.vertices
         for i, x in enumerate(alive):
             for y in alive[i + 1 :]:
-                for k in range(2, k_cap(view) + 1):
-                    if _refuted(view, (x, y), k):
-                        assert not oracles.rainbow_path_exists(view, x, y, k), (x, y, k)
-        for length in range(3, view.n_surviving + 1):
-            if _refuted(view, (), length):
-                assert not oracles.rainbow_cycle_exists(view, length), length
+                for k in range(max(2, _longest(view, (x, y)) + 1), k_cap(view) + 1):
+                    assert not oracles.rainbow_path_exists(view, x, y, k), (x, y, k)
+        for length in range(max(3, _longest(view, ()) + 1), view.n_surviving + 1):
+            assert not oracles.rainbow_cycle_exists(view, length), length
+
+    @given(shaped_views(max_n=12))
+    def test_longest_is_the_least_room_of_every_class(self, view):
+        """`_longest` reads only the three largest twin classes; the bound
+        is the one every component and class gives."""
+        def reference(ends):
+            held = [c.bit_count() for c in view.union_components
+                    if all((c >> v) & 1 for v in ends)]
+            rooms = [2 * (view.n_surviving - eye.bit_count())
+                     + ((eye & mask_of(ends)).bit_count() - 1 if ends else 0)
+                     for eye in view.union_twin_classes]
+            return min([max(held, default=0), *rooms])
+
+        alive = view.vertices
+        assert _longest(view, ()) == reference(())
+        for i, x in enumerate(alive):
+            for y in alive[i + 1 :]:
+                assert _longest(view, (x, y)) == reference((x, y)), (x, y)
 
     @settings(deadline=None)
     @given(shaped_views(), st.data())
@@ -391,14 +408,12 @@ class TestSpanningRefutation:
         refuted = 0
         for x in range(12):
             for y in range(x + 1, 12):
-                for k in range(2, 13):
-                    if _refuted(coll, (x, y), k):
-                        assert find_rainbow_path(coll, x, y, k) is None, (x, y, k)
-                        refuted += 1
-        for length in range(3, 13):
-            if _refuted(coll, (), length):
-                assert find_rainbow_cycle(coll, length) is None, length
-                refuted += 1
+                for k in range(max(2, _longest(coll, (x, y)) + 1), 13):
+                    assert find_rainbow_path(coll, x, y, k) is None, (x, y, k)
+                    refuted += 1
+        for length in range(max(3, _longest(coll, ()) + 1), 13):
+            assert find_rainbow_cycle(coll, length) is None, length
+            refuted += 1
         assert refuted > 67  # more than the 66 spanning paths and one cycle
 
     @pytest.mark.parametrize("impl", ["python", "compiled"])
@@ -442,6 +457,15 @@ class TestViewsAndValidation:
         coll = GraphCollection(5, (g, g))
         with pytest.raises(ValueError):
             find_rainbow_path(coll, 0, 1, 4)  # 3 edges, 2 colors
+
+    @pytest.mark.parametrize("query, message", [
+        (lambda view: find_rainbow_path(view, 0, view.n, 2), "outside vertex range"),
+        (lambda view: list(k_paths(view, 1, 1)), "endpoints must differ"),
+        (lambda view: find_rainbow_cycle(view, 2), "cycle length below 3"),
+    ], ids=["vertex-out-of-range", "k-paths-one-endpoint", "cycle-below-3"])
+    def test_rejects_malformed_queries(self, query, message):
+        with pytest.raises(ValueError, match=message):
+            query(random_collection("val:3"))
 
     def test_rejects_removed_endpoint(self):
         coll = random_collection("val:2")
@@ -639,6 +663,32 @@ def test_k_paths_walk_gives_up_on_a_missing_short_length(monkeypatch):
             break
     assert read == [(3, True), (4, False)]
     assert sum(spent) < 200, spent  # a walk, then the query for 4 alone
+
+
+@pytest.mark.parametrize("view, x, y", [
+    # k_cap ends the range: a 6-cycle in 3 colors, pair at distance 3
+    (GraphCollection(6, (build_graph(6, [(i, (i + 1) % 6) for i in range(6)]),) * 3), 0, 3),
+    # the twin bound ends it: K_{2,4}, both ends on the side of 2
+    (_complete_bipartite(2, 4, 5), 0, 1),
+], ids=["k_cap", "twin_bound"])
+@pytest.mark.parametrize("limit", [1, 2])
+def test_one_length_walk_budget_stop_is_final(view, x, y, limit, monkeypatch):
+    """A walk over a single length is that length's own query, so its
+    budget stop is raised from the walk: one `find_paths` call and no
+    `find_path` call, with the per-k sweep's message."""
+    calls = []
+
+    def spy(name):
+        real = getattr(kernels, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    budget = SearchBudget(limit)
+    want = sweep_outcome(reference_k_paths, view, x, y, budget)
+    assert len(want) == 1 and "budget exhausted" in want[0]
+    for name in ("find_path", "find_paths"):
+        monkeypatch.setattr(kernels, name, spy(name))
+    assert sweep_outcome(k_paths, view, x, y, budget) == want
+    assert calls == ["find_paths"]
 
 
 def test_pure_kernel_calls_leave_no_reference_cycles():

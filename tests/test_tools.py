@@ -1,6 +1,10 @@
 """The benchmark comparison script's command line."""
 import argparse
 import importlib.util
+import io
+import json
+import subprocess
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -134,3 +138,46 @@ def test_summary_reads_the_repo_declaration(bench_compare):
     specs = bench_compare.metric_specs()
     assert specs["items_per_s"]["better"] == "higher"
     assert all(spec["bound"] > 0 for spec in specs.values())
+
+
+def test_neither_side_reads_bytecode_from_a_tree(bench_compare, tmp_path, monkeypatch):
+    """Every benchmark run gets a `PYTHONPYCACHEPREFIX` of its side's own,
+    fresh at the side's first run and outside both trees, so a
+    `__pycache__` left in the working tree cannot speed up one side."""
+    archive = io.BytesIO()
+    with tarfile.open(fileobj=archive, mode="w") as tar:
+        tar.addfile(tarfile.TarInfo("perfbench/run.py"))
+    metrics = [m["name"] for m in bench_compare.metric_specs().values()]
+    result = {"correct": True, "failed": 0, "attempted": 1,
+              "metrics": {name: {"value": 1.0, "unit": "u"} for name in metrics}}
+    runs = []
+
+    def fake_run(cmd, **kwargs):
+        if cmd[:2] == ["git", "archive"]:
+            out = archive.getvalue()
+        elif cmd[:2] == ["git", "rev-parse"]:
+            out = "abc1234\n"
+        elif "perfbench/run.py" in cmd:
+            prefix = Path(kwargs["env"]["PYTHONPYCACHEPREFIX"])
+            runs.append((Path(kwargs["cwd"]), prefix, prefix.exists()))
+            out = json.dumps(result) + "\n"
+        else:
+            out = "cc 1.0\n"
+        return subprocess.CompletedProcess(cmd, 0, out, "")
+
+    (tmp_path / "BENCHMARK.json").write_text((SCRIPT.parents[1] / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_compare, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_compare.subprocess, "run", fake_run)
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "inherited"))
+    argv = ["--label", "t", "--before", "HEAD", "--workloads", "replay", "--seeds", "0-1"]
+    assert bench_compare.main(argv) == 0
+
+    assert len(runs) == 4
+    trees = {tree for tree, _, _ in runs}
+    assert tmp_path in trees and len(trees) == 2
+    prefixes = {tree: prefix for tree, prefix, _ in runs}
+    assert len(set(prefixes.values())) == 2
+    for tree, prefix, existed in runs:
+        assert prefix == prefixes[tree]
+        assert not any(prefix.is_relative_to(t) for t in trees), (prefix, trees)
+    assert [existed for _, _, existed in runs[:2]] == [False, False]

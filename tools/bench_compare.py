@@ -7,7 +7,9 @@ For every workload and seed it runs
 `python3 perfbench/run.py --workload W --seed S --seconds 20 --trace 0` once
 in an export of REV's committed files (`git archive`, in a temporary
 directory under $TMPDIR) and once in the working tree, one run at a time,
-and keeps each run's last output line, its JSON result. Even seeds run the
+and keeps each run's last output line, its JSON result. Each side keeps
+its bytecode in its own fresh `PYTHONPYCACHEPREFIX` in that directory, so
+neither reads a `__pycache__` from inside a tree. Even seeds run the
 base first, odd seeds the working tree first, so a slow phase of the host
 does not always land on the same side. The file is rewritten after every
 pair, so an interrupted comparison keeps the pairs it finished. A summary
@@ -57,10 +59,11 @@ def _compiler() -> str:
     return out.splitlines()[0].strip() if out else "unknown"
 
 
-def _run(tree: Path, workload: str, seed: int) -> dict:
+def _run(tree: Path, pycache: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache))
+    done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     try:
         return json.loads(lines[-1])
@@ -193,12 +196,13 @@ def main(argv=None) -> int:
         base = Path(tmp) / "tree"
         _export(before_commit, base)
         trees = {"before": base, "after": ROOT}
+        pycaches = {side: Path(tmp) / f"pycache-{side}" for side in trees}
         for workload in workloads:
             for seed in args.seeds:
                 order = ("before", "after") if seed % 2 == 0 else ("after", "before")
                 pair = {}
                 for side in order:
-                    pair[side] = _run(trees[side], workload, seed)
+                    pair[side] = _run(trees[side], pycaches[side], workload, seed)
                     print(f"{workload} seed {seed} {side}: "
                           f"{json.dumps(pair[side]['metrics'])}", file=sys.stderr)
                 doc["workloads"][workload][str(seed)] = {s: pair[s] for s in ("before", "after")}
