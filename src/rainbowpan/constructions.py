@@ -35,6 +35,7 @@ from .core import (
     ColoredCycle,
     ColoredPath,
     GraphCollection,
+    bits,
     check_colored_cycle,
     check_colored_path,
     clique_split,
@@ -401,41 +402,77 @@ def rotation_k_path(
     vertex attaches to x through c_star, i_0 those attaching to y through
     j, and s is the smallest common position, the one the path pivots on.
     """
+    _check_inputs(coll, (x, y), k)
+    return _rotation_table(coll, cycle, x, y)(k)
+
+
+def _rotation_table(coll: GraphCollection, cycle: ColoredCycle, x: int, y: int):
+    """`rotation_k_path` for one pair, as build(k) for k in [4, n-1].
+
+    Everything but the shift by k-3 is checked and computed here, once: the
+    input cycle, z, the c_star candidates, and per candidate two bitmasks
+    over the cycle positions (bit p-1 for position p), the vertices meeting
+    x in c_star and those meeting y in j. Position i is in i_k when
+    position i+k-3 meets x, so i_k is the first mask rotated down by k-3
+    modulo the cycle length, and keeps its size. A failed free-color check
+    is raised by every build(k).
+    """
     n = coll.n
     length = n - 3
-    missing = _check_inputs(coll, (x, y), k, cycle, cover=length, free=2)
+    missing = _check_inputs(coll, (x, y), None, cycle, cover=length, free=2)
     z = next(iter(set(range(n)) - set(cycle.vertices) - {x, y}))
-    candidates = _star_colors(
-        coll, missing, x, z, "rotation",
-        f"both unused colors {missing} join x={x} to the removed vertex "
-        f"z={z}; no attach color is available",
-    )
-    cyc = _Frame(cycle.vertices, cycle.colors)
-    tried = []
+    try:
+        candidates = _star_colors(
+            coll, missing, x, z, "rotation",
+            f"both unused colors {missing} join x={x} to the removed vertex "
+            f"z={z}; no attach color is available",
+        )
+    except HypothesisViolation as hv:
+        failed = hv.stage, hv.claim, hv.details
+
+        def refuse(k):
+            raise HypothesisViolation(*failed)
+
+        return refuse
+    table = []
     for c_star in candidates:
         j = missing[0] if missing[1] == c_star else missing[1]
-        i_k = tuple(
-            i for i in range(1, length + 1) if coll.has_edge(c_star, x, cyc.u(i + k - 3))
-        )
-        i_0 = tuple(i for i in range(1, length + 1) if coll.has_edge(j, y, cyc.u(i)))
-        common = sorted(set(i_k) & set(i_0))
-        if not common:
-            tried.append(
-                f"c_star={c_star}: |i_k|={len(i_k)}, |i_0|={len(i_0)}, no overlap"
-            )
-            continue
-        s = common[0]
-        # walk the cycle backwards from position s+k-3 down to s
-        verts = (x,) + tuple(cyc.u(s + k - 3 - t) for t in range(k - 2)) + (y,)
-        cols = (c_star,) + tuple(cyc.sig(s + k - 4 - t) for t in range(k - 3)) + (j,)
-        sets = {"i_k": list(i_k), "i_0": list(i_0), "s": s, "c_star": c_star, "j": j}
-        return BranchTrace("rotation", None, None, sets, k, _emit(coll, "rotation", verts, cols))
-    raise HypothesisViolation(
-        "rotation",
-        "pivot-overlap",
-        "the two attachment sets never overlap although their sizes must sum "
-        f"past the cycle length: {'; '.join(tried)}",
+        to_x = mask_of(b for b, v in enumerate(cycle.vertices) if coll.has_edge(c_star, x, v))
+        to_y = mask_of(b for b, v in enumerate(cycle.vertices) if coll.has_edge(j, y, v))
+        table.append((c_star, j, to_x, to_y, [b + 1 for b in bits(to_y)]))
+    tried = "; ".join(
+        f"c_star={c_star}: |i_k|={to_x.bit_count()}, |i_0|={len(i_0)}, no overlap"
+        for c_star, _, to_x, _, i_0 in table
     )
+    full = (1 << length) - 1
+    # the cycle twice over, so that every walk below is one slice
+    verts, cols = cycle.vertices * 2, cycle.colors * 2
+
+    def build(k):
+        r = (k - 3) % length
+        for c_star, j, to_x, to_y, i_0 in table:
+            i_k = (to_x >> r | to_x << (length - r)) & full
+            common = i_k & to_y
+            if not common:
+                continue
+            q = (common & -common).bit_length() - 1
+            # walk the cycle backwards from position s+k-3 down to s = q+1
+            path = _emit(
+                coll, "rotation",
+                (x, *verts[q : q + k - 2][::-1], y),
+                (c_star, *cols[q : q + k - 3][::-1], j),
+            )
+            sets = {"i_k": [b + 1 for b in bits(i_k)], "i_0": list(i_0), "s": q + 1,
+                    "c_star": c_star, "j": j}
+            return BranchTrace("rotation", None, None, sets, k, path)
+        raise HypothesisViolation(
+            "rotation",
+            "pivot-overlap",
+            "the two attachment sets never overlap although their sizes must sum "
+            f"past the cycle length: {tried}",
+        )
+
+    return build
 
 
 # ---------------------------------------------------------------------------
@@ -1667,7 +1704,7 @@ def _pan_lengths(coll, x, y, spanning, report, budget):
             "vertex in any color"
         )
     view = restrict(coll, remove_vertices=(x, y, z), remove_colors=(c_star,))
-    build = _pan_route(coll, view, budget)
+    build = _pan_route(coll, view, x, y, z, budget)
     for k in range(4, n):
         if build is None:
             report.flag(
@@ -1675,7 +1712,7 @@ def _pan_lengths(coll, x, y, spanning, report, budget):
             )
             _pan_fallback(coll, k, report, budget, "structure")
         else:
-            _pan_one_k(coll, k, partial(build, x, y, z, k), report, budget)
+            _pan_one_k(coll, k, partial(build, k), report, budget)
 
 
 def _pan_universal(coll, x, report, spanning):
@@ -1693,8 +1730,8 @@ def _pan_universal(coll, x, report, spanning):
         )
 
 
-def _pan_route(coll, view, budget):
-    """The builder, called as build(x, y, z, k), that the spanning structure
+def _pan_route(coll, view, x, y, z, budget):
+    """The pair's builder, called as build(k), that the spanning structure
     of the reduced view drives for every k in [4, n-1], or None."""
     n = coll.n
     # Test the join shape first: when it is present, every search below is an
@@ -1707,14 +1744,14 @@ def _pan_route(coll, view, budget):
     # route is the same as when the join is tested last.
     join = join_partition(view)
     if join is not None:
-        return lambda x, y, z, k: join_partition_k_path(coll, *join, x, y, z, k)
+        return partial(join_partition_k_path, coll, *join, x, y, z)
     cyc = find_rainbow_cycle(view, n - 3, budget=budget)
     if cyc is not None:
-        return lambda x, y, z, k: rotation_k_path(coll, cyc, x, y, k)
+        return _rotation_table(coll, cyc, x, y)
     near = find_rainbow_cycle(view, n - 4, budget=budget)
     if near is not None:
         w = next(v for v in view.vertices if v not in set(near.vertices))
-        return lambda x, y, z, k: near_cycle_k_path(coll, near, x, y, z, w, k)
+        return partial(near_cycle_k_path, coll, near, x, y, z, w)
     keep = view.vertices
     for j in view.colors:
         sub = restrict(view, remove_colors=(j,))
@@ -1722,11 +1759,11 @@ def _pan_route(coll, view, budget):
             for b in keep[ai + 1 :]:
                 found = find_rainbow_path(sub, a, b, n - 3, budget=budget)
                 if found is not None:
-                    return lambda x, y, z, k: ham_path_k_path(coll, found, x, y, z, k)
+                    return partial(ham_path_k_path, coll, found, x, y, z)
     for j in view.colors:
         split = two_clique_partition(restrict(view, remove_colors=(j,)))
         if split is not None:
-            return lambda x, y, z, k: two_clique_k_path(coll, *split, x, y, z, j, k)
+            return partial(two_clique_k_path, coll, *split, x, y, z, j)
     return None
 
 

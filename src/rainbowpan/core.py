@@ -186,8 +186,8 @@ def sigma2(g: SimpleGraph) -> int | None:
 
 class _Snapshot:
     """The cached snapshot of a view: vertex mask, surviving colors,
-    restricted rows per color, union rows with their components and twin
-    classes, and the packed kernel input.
+    restricted rows per color, union rows with their components, twin
+    classes and per-source distances, and the packed kernel input.
 
     Built on first use from `base`, `removed_vertices` and `removed_colors`
     and cached on the instance. Both `SubCollectionView` and
@@ -255,6 +255,18 @@ class _Snapshot:
         return tuple(sorted(groups, key=int.bit_count, reverse=True))
 
     @cached_property
+    def _union_distance_rows(self) -> dict[int, tuple[int | None, ...]]:
+        return {}
+
+    def union_distances(self, src: int) -> tuple[int | None, ...]:
+        """`distances` from src over the union rows, computed on first use
+        per source and kept, so a view runs at most one BFS per vertex."""
+        rows = self._union_distance_rows
+        if src not in rows:
+            rows[src] = tuple(distances(self.union_rows, src))
+        return rows[src]
+
+    @cached_property
     def kernel_adj(self) -> bytes:
         """The kernel input over every surviving color: m*n native-endian
         64-bit words, word pos*n + v the row of v in the pos-th color of
@@ -299,9 +311,14 @@ class GraphCollection(_Snapshot):
     def __getitem__(self, color: int) -> SimpleGraph:
         return self.graphs[color]
 
+    @cached_property
+    def min_color_degree(self) -> int:
+        """The least degree of a vertex in any of the graphs, computed once."""
+        return min(min_degree(g) for g in self.graphs)
+
 
 def collection_min_degree(coll: GraphCollection) -> int:
-    return min(min_degree(g) for g in coll.graphs)
+    return coll.min_color_degree
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,6 @@ from .core import (
     bits,
     check_colored_cycle,
     check_colored_path,
-    distances,
     mask_of,
 )
 
@@ -243,7 +242,7 @@ def _lengths(view: CollectionLike, x: int, y: int) -> range:
     _require_vertex(view, y, "y")
     if x == y:
         raise ValueError("endpoints must differ")
-    lower = distances(view.union_rows, x)[y]
+    lower = view.union_distances(x)[y]
     return range(0) if lower is None else range(lower + 1, k_cap(view) + 1)
 
 

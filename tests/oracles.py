@@ -5,13 +5,15 @@ search internals: simple paths by DFS over explicit neighbor sets, color
 assignments by trying every injective mapping. Views are read through their
 base graphs and removal sets, never through a view's cached snapshot, so the
 oracles can check that snapshot. Exponential on purpose; only run on small
-instances.
+instances. `rotation_reference` is the constructive rotation builder written
+as one loop per k, the reference that its per-pair table must equal.
 """
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from rainbowpan.core import CollectionLike
+from rainbowpan.constructions import BranchTrace, HypothesisViolation
+from rainbowpan.core import CollectionLike, ColoredPath
 
 
 def neighbor_sets(coll: CollectionLike) -> list[set[int]]:
@@ -253,3 +255,51 @@ def f_partitions(coll) -> list[tuple[tuple, tuple, tuple]]:
         if all(len(c) > 1 for c in comps) and singles:
             found.append((q1, q2, min(singles)))
     return found
+
+
+def rotation_reference(coll, cycle, x: int, y: int, k: int) -> BranchTrace:
+    """`constructions.rotation_k_path` as one loop per k: the c_star
+    candidates picked again, and both attachment sets read position by
+    position, at every k. Takes a valid cycle on all but x, y and z that
+    misses two colors; returns the same trace, or raises the same
+    violation, as the builder."""
+    n = coll.n
+    length = n - 3
+    used = set(cycle.colors)
+    missing = [c for c in range(coll.m) if c not in used]
+    z = next(iter(set(range(n)) - set(cycle.vertices) - {x, y}))
+    graphs = coll.base.graphs
+    candidates = [c for c in missing if not graphs[c].has_edge(x, z)]
+    if not candidates:
+        raise HypothesisViolation(
+            "rotation", "free-color",
+            f"both unused colors {missing} join x={x} to the removed vertex "
+            f"z={z}; no attach color is available",
+        )
+
+    def u(i):
+        return cycle.vertices[(i - 1) % length]
+
+    def sig(i):
+        return cycle.colors[(i - 1) % length]
+
+    tried = []
+    for c_star in candidates:
+        j = missing[0] if missing[1] == c_star else missing[1]
+        i_k = tuple(i for i in range(1, length + 1) if graphs[c_star].has_edge(x, u(i + k - 3)))
+        i_0 = tuple(i for i in range(1, length + 1) if graphs[j].has_edge(y, u(i)))
+        common = sorted(set(i_k) & set(i_0))
+        if not common:
+            tried.append(f"c_star={c_star}: |i_k|={len(i_k)}, |i_0|={len(i_0)}, no overlap")
+            continue
+        s = common[0]
+        verts = (x,) + tuple(u(s + k - 3 - t) for t in range(k - 2)) + (y,)
+        cols = (c_star,) + tuple(sig(s + k - 4 - t) for t in range(k - 3)) + (j,)
+        sets = {"i_k": list(i_k), "i_0": list(i_0), "s": s, "c_star": c_star, "j": j}
+        return BranchTrace("rotation", None, None, sets, k, ColoredPath(verts, cols))
+    raise HypothesisViolation(
+        "rotation",
+        "pivot-overlap",
+        "the two attachment sets never overlap although their sizes must sum "
+        f"past the cycle length: {'; '.join(tried)}",
+    )

@@ -5,6 +5,8 @@ one branch needs, so the expected (case, subcase) labels are known constants;
 a builder drifting to a different branch is a regression even when the path
 it emits is still valid.
 """
+import itertools
+
 import pytest
 
 from rainbowpan import constructions
@@ -16,6 +18,7 @@ from rainbowpan.constructions import (
     _hp_close,
     _pan_route,
     _retry,
+    _rotation_table,
     construct_short_paths,
     constructive_panconnect,
     endpoint_bound_report,
@@ -39,14 +42,16 @@ from rainbowpan.core import (
 )
 from rainbowpan.generate import (
     LEMMA_SHAPES,
+    GenSpec,
     gen_extremal_F,
     gen_lemma_shape,
     gen_random_collection,
+    generate,
 )
 
 from rainbowpan.search import find_rainbow_cycle, find_rainbow_path
 
-from .oracles import rainbow_path_exists
+from .oracles import rainbow_path_exists, rotation_reference
 
 
 def complete_collection(n: int, m: int) -> GraphCollection:
@@ -128,8 +133,78 @@ def test_rotation_all_lengths(n):
 
 def test_rotation_rejects_wrong_cycle():
     coll, h = gen_lemma_shape("lem2", 7, seed=1)
-    with pytest.raises((HypothesisViolation, ValueError)):
+    with pytest.raises(HypothesisViolation) as exc:
         rotation_k_path(coll, h["cycle"], h["x"], h["z"], 5)
+    assert exc.value.claim == "pivot-overlap"
+    assert exc.value.details == (
+        "the two attachment sets never overlap although their sizes must sum past the "
+        "cycle length: c_star=4: |i_k|=4, |i_0|=0, no overlap; "
+        "c_star=5: |i_k|=0, |i_0|=0, no overlap"
+    )
+
+
+def rotation_outcomes(build, n):
+    """What build(k) gives for every k in [4, n-1]: the trace, or the
+    violation's stage, claim, details, evidence and fatal flag."""
+    out = []
+    for k in range(4, n):
+        try:
+            out.append(build(k))
+        except HypothesisViolation as hv:
+            out.append((hv.stage, hv.claim, hv.details, hv.evidence, hv.fatal))
+    return out
+
+
+@pytest.mark.parametrize("n", [7, 9, 11, 13])
+def test_rotation_table_matches_the_per_k_loop_on_lemma_shapes(n):
+    """One pair's table gives, at every k, the trace or violation of the
+    per-k loop: for each ordered pair of the three vertices off the cycle
+    (two take the rotation, four overlap nowhere), and with x joined to z
+    in both unused colors, where the free-color claim fails."""
+    coll, h = gen_lemma_shape("lem2", n)
+    cycle = h["cycle"]
+    unused = set(range(coll.m)) - set(cycle.colors)
+    joined = GraphCollection(n, tuple(
+        g.with_edge(h["x"], h["z"]) if c in unused else g for c, g in enumerate(coll.graphs)
+    ))
+    cases = [(coll, x, y) for x, y in itertools.permutations((h["x"], h["y"], h["z"]), 2)]
+    cases.append((joined, h["x"], h["y"]))
+    claims = set()
+    for inst, x, y in cases:
+        want = rotation_outcomes(lambda k: rotation_reference(inst, cycle, x, y, k), n)
+        assert rotation_outcomes(_rotation_table(inst, cycle, x, y), n) == want, (x, y)
+        claims |= {out[1] for out in want if isinstance(out, tuple)}
+    assert claims == {"pivot-overlap", "free-color"}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_rotation_table_matches_the_per_k_loop_on_replay_pairs(seed):
+    """On every pair of a replay instance whose reduced view takes the
+    rotation route, its table gives the per-k loop's traces."""
+    coll = generate(GenSpec(13, 12, seed, "random", min_degree=7))
+    rotations = 0
+    for x, y, z, view in reduced_views(coll):
+        cycle = None if join_partition(view) else find_rainbow_cycle(view, coll.n - 3)
+        if cycle is None:
+            continue
+        rotations += 1
+        want = rotation_outcomes(lambda k: rotation_reference(coll, cycle, x, y, k), coll.n)
+        assert rotation_outcomes(_rotation_table(coll, cycle, x, y), coll.n) == want, (x, y)
+    assert rotations
+
+
+def test_replay_checks_a_rotation_cycle_once(monkeypatch):
+    """A pair's replay checks its spanning cycle once for all n - 4
+    lengths the rotation builds."""
+    coll = generate(GenSpec(13, 12, 0, "random", min_degree=7))
+    checked = []
+    check = constructions.check_colored_cycle
+    monkeypatch.setattr(
+        constructions, "check_colored_cycle", lambda *args: checked.append(args) or check(*args)
+    )
+    rep = constructive_panconnect(coll, 0, 1)
+    assert [t.lemma for t in rep.traces if 4 <= t.k < coll.n] == ["rotation"] * (coll.n - 4)
+    assert len(checked) == 1
 
 
 # -- cycle one vertex short of spanning --------------------------------------------
@@ -544,7 +619,7 @@ def test_join_route_excludes_the_searched_routes(n):
         if join is None:
             continue
         joins += 1
-        trace = _pan_route(coll, view, None)(x, y, z, 5)
+        trace = _pan_route(coll, view, x, y, z, None)(5)
         assert trace.lemma == "join_partition"
         assert (tuple(trace.sets["f"]), tuple(trace.sets["i"])) == join
         assert all(clique_split(view.color_rows[c], view.vertex_mask) is None for c in view.colors)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rainbowpan import _kernel_py, kernels
+from rainbowpan import _kernel_py, core, kernels
 from rainbowpan.analysis import is_rainbow_panconnected
 from rainbowpan.core import (
     GraphCollection,
@@ -663,6 +663,21 @@ def test_k_paths_walk_gives_up_on_a_missing_short_length(monkeypatch):
             break
     assert read == [(3, True), (4, False)]
     assert sum(spent) < 200, spent  # a walk, then the query for 4 alone
+
+
+def test_union_distances_run_one_bfs_per_source(monkeypatch):
+    """The union distances are kept on the view per source, computed when a
+    source is first asked: one pair's sweep runs one BFS, and a certificate
+    over every pair one per source, not one per pair."""
+    sources = []
+    bfs = core.distances
+    monkeypatch.setattr(core, "distances", lambda rows, src: sources.append(src) or bfs(rows, src))
+    complete = build_graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+    list(k_paths(GraphCollection(6, (complete,) * 5), 0, 1))
+    assert sources == [0]
+    sources.clear()
+    cert = is_rainbow_panconnected(GraphCollection(6, (complete,) * 5))
+    assert cert.verdict and len(cert.pairs) == 15 and sources == [0, 1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("view, x, y", [
