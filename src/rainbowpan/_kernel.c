@@ -1,14 +1,19 @@
 /* Compiled search kernel. Mirrors rainbowpan._kernel_py function for
  * function (`State` is its `_Search`; path_extend, own_nodes, close_path,
- * cycle_extend, try_candidates, push_edge, kuhn and result are `_Search`
- * methods, bfs is `_bfs` and walk is `_walk`) and operation for operation:
- * identical candidate ordering, augmenting order, node counting, witnesses.
- * The parity tests compare both on the same queries.
+ * cycle_extend, try_candidates, order_candidates, push_edge, kuhn and result
+ * are `_Search` methods, order_candidates as `ordered_candidates`; build_rows
+ * is `_union_rows`, bfs is `_bfs`, vertex_mask is `_check_vertex_mask` and
+ * walk is `_walk`) and operation for operation: identical candidate
+ * ordering, augmenting order, node counting, witnesses. The parity tests
+ * compare both on the same queries.
  *
  * Path queries walk the tree of paths from x that avoid y once for a set of
- * pending lengths k (see walk); find_path is that walk with one length. A
- * walk gives up once it costs more than one query per length would have
- * (see path_extend and the pure kernel's module docstring).
+ * pending lengths k (see walk); find_path is that walk with one length. The
+ * step to y is one more candidate of try_candidates, which reaches
+ * close_path, so every edge a walk admits is admitted and undone there. A
+ * walk gives up once it has spent more nodes than `allowance`, what one
+ * query per length would have spent (see path_extend and the pure kernel's
+ * module docstring).
  *
  * The input adj is one bytes object of m*n native-endian 64-bit words, word
  * c*n + v holding v's row in the c-th color; init_state copies it with one
@@ -54,8 +59,7 @@ typedef struct {
     int wcols[MAXN - 1][MAXN - 1];  /* k-2 -> its k-1 edge colors */
     int low;               /* smallest pending path length */
     long long own[MAXN + 1];  /* s -> walk nodes whose shortest own length is s */
-    long long paid;        /* nodes the queries for the found lengths alone spend */
-    long long low_nodes;   /* walk nodes a query for `low` alone visits */
+    long long allowance;   /* nodes the queries for the found lengths and `low` alone spend */
     u64 higher;
 } State;
 
@@ -207,23 +211,16 @@ static long long own_nodes(const State *st, int k)
     return total;
 }
 
-/* The step from `last` to y, for the pending length k = depth + 1. When the
- * matching admits its edge, this counts one node, records the path plus y
- * and the matching's colors as k's witness and drops k. Returns ABORT, 1
- * when no length is left pending, else 0 with the matching restored. */
-static int close_path(State *st, int last)
+/* The node that try_candidates reaches by the step to y: it counts one node,
+ * records the path and the matching's colors as the witness of k = depth and
+ * drops k. Returns ABORT, 1 when no length is left pending, else 0. */
+static int close_path(State *st, u64 used)
 {
-    int snap_ce[MAXN], snap_ec[MAXN];
-    int snap_ne = st->n_edges;
-    memcpy(snap_ce, st->color_edge, st->m * sizeof(int));
-    memcpy(snap_ec, st->edge_color, snap_ne * sizeof(int));
-    if (!push_edge(st, option_mask(st, last, st->y)))
-        return 0;
+    (void)used;
     if (++st->nodes > st->node_limit)
         return ABORT;
-    int k = st->depth + 1;
-    memcpy(st->wverts[k - 2], st->path, st->depth * sizeof(int));
-    st->wverts[k - 2][k - 1] = st->y;
+    int k = st->depth;
+    memcpy(st->wverts[k - 2], st->path, k * sizeof(int));
     memcpy(st->wcols[k - 2], st->edge_color, (k - 1) * sizeof(int));
     st->found |= 1ULL << (k - 2);
     st->pending &= ~(1ULL << (k - 2));
@@ -231,25 +228,19 @@ static int close_path(State *st, int last)
         return 1;
     st->k = 65 - __builtin_clzll(st->pending);
     if (k == st->low) {
-        st->paid += st->low_nodes + 1;
         st->low = __builtin_ctzll(st->pending) + 2;
-        for (int s = k + 1; s <= st->low; s++)
-            st->low_nodes += st->own[s];
+        st->allowance += 1 + own_nodes(st, st->low);
     } else {
-        st->paid += own_nodes(st, k) + 1;
+        st->allowance += own_nodes(st, k) + 1;
     }
-    memcpy(st->color_edge, snap_ce, st->m * sizeof(int));
-    memcpy(st->edge_color, snap_ec, snap_ne * sizeof(int));
-    st->n_edges = snap_ne;
     return 0;
 }
 
-/* A node with d edges placed: the step to y when k = d + 2 is pending, then
- * the children, kept while they can still reach y within the largest
- * pending length. The walk gives up, as a budget stop, at a node that a
- * query for the smallest pending length would not visit once it has spent
- * more nodes than the queries for the lengths it found and for that one
- * would have. */
+/* A node with d edges placed: the step to y, as a candidate, when k = d + 2
+ * is pending, then the children, kept while they can still reach y within
+ * the largest pending length. The walk gives up, as a budget stop, at a
+ * node that a query for the smallest pending length would not visit once it
+ * has spent more than `allowance` nodes. */
 static int path_extend(State *st, u64 used)
 {
     if (++st->nodes > st->node_limit)
@@ -259,11 +250,11 @@ static int path_extend(State *st, u64 used)
     int s = st->dist[last] + d + 1;  /* the shortest length whose query visits this node */
     st->own[s]++;
     if (s <= st->low)
-        st->low_nodes++;
-    else if (st->nodes > st->paid + st->low_nodes)
+        st->allowance++;
+    else if (st->nodes > st->allowance)
         return ABORT;
     if ((st->pending >> d) & (st->rows[last] >> st->y) & 1) {
-        int r = close_path(st, last);
+        int r = try_candidates(st, used, last, 1ULL << st->y, d + 2, close_path);
         if (r != 0)
             return r;
     }
@@ -423,8 +414,7 @@ static int walk(State *st, int n, int m, PyObject *adj, int x, int y, int k_lo,
     st->k = k_hi;
     st->low = lo;
     memset(st->own, 0, sizeof st->own);
-    st->paid = 0;
-    st->low_nodes = 0;
+    st->allowance = 0;
     st->y = y;
     st->path[0] = x;
     st->depth = 1;

@@ -11,18 +11,20 @@ Structure: the two kernels match function for function. `_Search` holds a
 call's state, as `State` does in C. `find_cycle` checks its input, sets up
 the state and calls `_Search.cycle_extend`; `find_path` and `find_paths`
 call `_walk`, which checks a path query and calls `_Search.path_extend`.
-Both extenders go through the one candidate loop `_Search.try_candidates`,
-which snapshots the matching, admits an edge with `push_edge` (an
-augmenting step, `kuhn`), recurses and undoes. A search returns 1 (found),
-0 (refuted) or `_ABORT` (budget), and `_Search.result` turns that into a
-cycle query's answer. `_bfs` is C's `bfs`.
+Every edge a search admits goes through the one candidate loop
+`_Search.try_candidates`, which snapshots the matching, admits the edge with
+`push_edge` (an augmenting step, `kuhn`), recurses and undoes. A search
+returns 1 (found), 0 (refuted) or `_ABORT` (budget), and `_Search.result`
+turns that into a cycle query's answer. `_bfs` is C's `bfs`.
 
 Path walk: a path query holds a set of pending lengths k and walks the tree
 of paths from x that avoid y once for all of them. At a node with d edges
-placed, when k = d + 2 is pending and the last vertex is adjacent to y,
-`_Search.close_path` tries the step to y; when the matching admits it, that
-counts one node, records the path plus y and the matching's colors as k's
-witness and drops k. Children are kept while their distance to y fits the
+placed, when k = d + 2 is pending and the last vertex is adjacent to y, the
+step to y is tried as the one candidate of `try_candidates`, with
+`_Search.close_path` as the node it reaches: when the matching admits the
+edge, that counts one node, records the path and the matching's colors as
+k's witness and drops k, and `try_candidates` then undoes the step as it
+does every other. Children are kept while their distance to y fits the
 largest pending length, and the walk stops once nothing is pending.
 Candidates come in the same order at every length, the matching at a node
 depends only on the path to it, and the distance prune removes only
@@ -37,10 +39,13 @@ the longest pending length decides it, where its own query exhausts a
 small tree. So the walk keeps the node count each length's own query would
 have: a node with d edges placed and distance t to y is one that every
 query for a length of at least t + d + 1 visits (distances change by at
-most one a step, so that bound never drops along a path). `paid` sums the
-counts of the lengths found so far and `low_nodes` counts the smallest
-pending length's so far. At a node that length's query would not visit,
-the walk gives up, as a budget stop, once its own count exceeds the two.
+most one a step, so that bound never drops along a path). `allowance` is
+the sum of the counts of the lengths found so far and of the smallest
+pending length `low`'s so far: a node with that bound at most `low` adds
+one, finding a length k other than `low` adds k's count plus its own node,
+and finding `low` moves `low` to the next pending length and adds one plus
+the new `low`'s count. At a node that `low`'s query would not visit, the
+walk gives up, as a budget stop, once its own count exceeds `allowance`.
 
 Interface contract (shared by both kernels):
   adj is one bytes object of m*n native-endian 64-bit words: word c*n + v is
@@ -192,7 +197,7 @@ class _Search:
 
     __slots__ = ("tables", "node_limit", "nodes", "color_edge", "edge_color", "opts",
                  "path", "dist", "k", "start", "y", "pending", "found", "low", "own",
-                 "paid", "low_nodes", "higher")
+                 "allowance", "higher")
 
     def __init__(self, tables: _Tables, node_limit):
         self.tables = tables
@@ -210,8 +215,7 @@ class _Search:
         self.found: dict[int, tuple[list[int], list[int]]] = {}  # k -> (vertices, colors)
         self.low = 0  # smallest pending path length
         self.own = [0] * (_MAXN + 1)  # s -> walk nodes whose shortest own length is s
-        self.paid = 0  # nodes the queries for the found lengths alone spend
-        self.low_nodes = 0  # walk nodes a query for `low` alone visits
+        self.allowance = 0  # nodes the queries for the found lengths and `low` alone spend
         self.higher = 0
 
     # -- incremental injective assignment (augmenting step per new edge) --
@@ -292,34 +296,25 @@ class _Search:
             del self.opts[len(snap_ec):]
         return 0
 
-    def close_path(self, last: int) -> int:
-        """The step from `last` to y, for the pending length k = len(path) + 1.
-        When the matching admits its edge, this counts one node, records the
-        path plus y and the matching's colors as k's witness and drops k.
-        Returns _ABORT, 1 when no length is left pending, else 0 with the
-        matching restored."""
-        snap_ce = self.color_edge.copy()
-        snap_ec = self.edge_color.copy()
-        if not self.push_edge(self.tables.option_row(last)[self.y]):
-            return 0
+    def close_path(self, used: int) -> int:
+        """The node that `try_candidates` reaches by the step to y: it counts
+        one node, records the path and the matching's colors as the witness
+        of k = len(path) and drops k. Returns _ABORT, 1 when no length is
+        left pending, else 0."""
         self.nodes += 1
         if self.nodes > self.node_limit:
             return _ABORT
-        k = len(self.path) + 1
-        self.found[k] = (self.path + [self.y], self.edge_color.copy())
+        k = len(self.path)
+        self.found[k] = (self.path.copy(), self.edge_color.copy())
         self.pending &= ~(1 << (k - 2))
         if not self.pending:
             return 1
         self.k = self.pending.bit_length() + 1
         if k == self.low:
-            self.paid += self.low_nodes + 1
             self.low = (self.pending & -self.pending).bit_length() + 1
-            self.low_nodes += sum(self.own[k + 1:self.low + 1])
+            self.allowance += 1 + self.own_nodes(self.low)
         else:
-            self.paid += self.own_nodes(k) + 1
-        self.color_edge[:] = snap_ce
-        self.edge_color[:] = snap_ec
-        del self.opts[len(snap_ec):]
+            self.allowance += self.own_nodes(k) + 1
         return 0
 
     def own_nodes(self, k: int) -> int:
@@ -327,12 +322,11 @@ class _Search:
         return sum(self.own[:k + 1])
 
     def path_extend(self, used: int) -> int:
-        """A node with d edges placed: the step to y when k = d + 2 is
-        pending, then the children, kept while they can still reach y
-        within the largest pending length. The walk gives up, as a budget
-        stop, at a node that a query for the smallest pending length would
-        not visit once it has spent more nodes than the queries for the
-        lengths it found and for that one would have."""
+        """A node with d edges placed: the step to y, as a candidate, when
+        k = d + 2 is pending, then the children, kept while they can still
+        reach y within the largest pending length. The walk gives up, as a
+        budget stop, at a node that a query for the smallest pending length
+        would not visit once it has spent more than `allowance` nodes."""
         self.nodes += 1
         if self.nodes > self.node_limit:
             return _ABORT
@@ -341,12 +335,12 @@ class _Search:
         s = self.dist[last] + d + 1  # the shortest length whose query visits this node
         self.own[s] += 1
         if s <= self.low:
-            self.low_nodes += 1
-        elif self.nodes > self.paid + self.low_nodes:
+            self.allowance += 1
+        elif self.nodes > self.allowance:
             return _ABORT
         rows = self.tables.rows
         if (self.pending >> d) & (rows[last] >> self.y) & 1:
-            r = self.close_path(last)
+            r = self.try_candidates(used, last, 1 << self.y, d + 2, self.close_path)
             if r:
                 return r
         if d + 2 >= self.k:

@@ -1380,19 +1380,18 @@ def join_partition_k_path(
         a, b = inner[0]
         ws = tuple(v for v in eye if v not in (a, b)) + (a, b)
         if k % 2 == 1:
-            verts, reserved = _alt_row(x, y, ws, eff, k)
+            r = (k - 3) // 2
+            verts, reserved = (x, *_interleave(ws, eff, r), ws[r], y), {}
         else:
             r = (k - 4) // 2
-            mids = []
-            for idx in range(r):
-                mids += [ws[idx], eff[idx]]
-            verts = (x,) + tuple(mids) + (a, b, y)
+            verts = (x, *_interleave(ws, eff, r), a, b, y)
             reserved = {2 * r + 1: c_star}
         return fired("1", verts, _fill_colors(k - 1, reserved, h_colors))
     if k % 2 == 1:
         # odd lengths never need a same-side edge
-        verts, reserved = _alt_row(x, y, eye, eff, k)
-        return fired("2.1", verts, _fill_colors(k - 1, reserved, h_colors))
+        r = (k - 3) // 2
+        verts = (x, *_interleave(eye, eff, r), eye[r], y)
+        return fired("2.1", verts, _fill_colors(k - 1, {}, h_colors))
     witness = None
     for i in h_colors:
         for b0 in (x, y):
@@ -1409,40 +1408,24 @@ def join_partition_k_path(
         return BranchTrace(stage, "2", "2.2", dict(sets, verdict=verdict), k, None)
     i0, b0, a0 = witness
     start, end = (x, y) if b0 == x else (y, x)
+    vs = (a0,) + tuple(v for v in eff if v != a0)
     if a0 == z:
         r = (k - 4) // 2
-        mids = [z]
-        for idx in range(r):
-            mids += [eye[idx], eff[idx]]
-        mids.append(eye[r])
-        verts = (start,) + tuple(mids) + (end,)
+        mids = [z, *_interleave(eye, eff, r), eye[r]]
     elif k <= n - 3:
-        vs = (a0,) + tuple(v for v in eff if v != a0)
-        mids = []
-        for idx in range((k - 2) // 2):
-            mids += [vs[idx], eye[idx]]
-        verts = (start,) + tuple(mids) + (end,)
+        mids = _interleave(vs, eye, (k - 2) // 2)
     else:  # k == n - 1 through the whole partition and z
-        vs = (a0,) + tuple(v for v in eff if v != a0)
-        mids = []
-        for idx in range((n - 5) // 2):
-            mids += [vs[idx], eye[idx]]
-        mids += [z, eye[(n - 3) // 2 - 1]]
-        verts = (start,) + tuple(mids) + (end,)
+        mids = [*_interleave(vs, eye, (n - 5) // 2), z, eye[(n - 3) // 2 - 1]]
+    verts = (start, *mids, end)
     cols = _fill_colors(k - 1, {0: i0}, h_colors)
     if start != x:
         verts, cols = verts[::-1], cols[::-1]
     return fired("2.1", verts, cols)
 
 
-def _alt_row(x, y, ws, vs, k):
-    """Odd-length alternation: x, w_1, v_1, ..., w_r, v_r, w_{r+1}, y."""
-    r = (k - 3) // 2
-    mids = []
-    for idx in range(r):
-        mids += [ws[idx], vs[idx]]
-    mids.append(ws[r])
-    return (x,) + tuple(mids) + (y,), {}
+def _interleave(a, b, p):
+    """a_0, b_0, a_1, b_1, ..., a_{p-1}, b_{p-1}."""
+    return [v for idx in range(p) for v in (a[idx], b[idx])]
 
 
 def _join_family_verdict(coll, eye, eff, x, y, z, stage):
@@ -1753,15 +1736,15 @@ def _pan_route(coll, view, x, y, z, budget):
         w = next(v for v in view.vertices if v not in set(near.vertices))
         return partial(near_cycle_k_path, coll, near, x, y, z, w)
     keep = view.vertices
-    for j in view.colors:
-        sub = restrict(view, remove_colors=(j,))
+    subs = [(j, restrict(view, remove_colors=(j,))) for j in view.colors]
+    for _, sub in subs:
         for ai, a in enumerate(keep):
             for b in keep[ai + 1 :]:
                 found = find_rainbow_path(sub, a, b, n - 3, budget=budget)
                 if found is not None:
                     return partial(ham_path_k_path, coll, found, x, y, z)
-    for j in view.colors:
-        split = two_clique_partition(restrict(view, remove_colors=(j,)))
+    for j, sub in subs:
+        split = two_clique_partition(sub)
         if split is not None:
             return partial(two_clique_k_path, coll, *split, x, y, z, j)
     return None

@@ -19,17 +19,19 @@ One pair's k-sweep (`k_paths`) covers every length from the union-graph
 distance + 1 up to `k_cap` with one kernel call, `find_paths`. The kernel
 walks the tree of paths from x that avoid y once for the whole range: at a
 node with d edges placed it tries the step to y for k = d + 2 while that k
-is pending, prunes children by the largest pending k and stops once every
-k has a path. Each k's witness is the one a query for that k alone returns.
+is pending, as one more candidate of the kernel's one candidate loop,
+prunes children by the largest pending k and stops once every k has a
+path. Each k's witness is the one a query for that k alone returns.
 The walk pays off when the lengths have paths; while a short length has
 none, only exhausting the tree cut at the longest pending length decides
-it. So the kernel gives the walk up once it has spent more nodes than the
-queries for the lengths it found, and for the smallest pending one, would
-have. A walk that gave up or ran out of budget leaves the lengths it had
-not decided to one query each, in order, so budget stops read as they do
-per length. `shortest_rainbow_path` needs only the first length with a
-path and deepens one k at a time: a walk would decide the whole range,
-which can cost far more.
+it. So the kernel keeps one counter, `allowance`, of the nodes the queries
+for the lengths it found, and for the smallest pending one, would have
+spent, and gives the walk up once it has spent more. A walk that gave up or
+ran out of budget leaves the lengths it had not decided to one query each,
+in order, so budget stops read as they do per length.
+`shortest_rainbow_path` needs only the first length with a path and
+deepens one k at a time: a walk would decide the whole range, which can
+cost far more.
 
 Every path and cycle query is bounded at the root, without a kernel call:
 `_longest` reads from the union graph the most vertices a rainbow path

@@ -160,7 +160,7 @@ def test_criterion_8_proof_replay():
                     for k, path in rep.paths.items():
                         assert len(path.vertices) == k
                         assert {path.vertices[0], path.vertices[-1]} == {x, y}
-                        verify_colored_path(coll, path)
+                        assert verify_colored_path(coll, path)
     elapsed = time.perf_counter() - start
     assert elapsed < 1200, f"took {elapsed:.1f}s"
 

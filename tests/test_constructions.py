@@ -62,7 +62,7 @@ def complete_collection(n: int, m: int) -> GraphCollection:
 def check_path(coll, path, x, y, k):
     assert len(path.vertices) == k
     assert {path.vertices[0], path.vertices[-1]} == {x, y}
-    verify_colored_path(coll, path)
+    assert verify_colored_path(coll, path)
 
 
 # -- short paths ---------------------------------------------------------------
@@ -315,6 +315,24 @@ def test_ham_path_cases(variant, n):
         assert trace.case == h["case"]
         if k in expected:
             assert (trace.case, trace.subcase) == expected[k], k
+
+
+# the planted path of case a or b handed backwards: case c finds its one gap
+# above the lowest admissible position and reverses the frame back, landing
+# in the planted case
+HAM_PATH_REVERSED_TAGS = {
+    "a": {4: "claim5", 5: "claim5", 6: "u2", 7: "u2", 8: "full"},
+    "b": {4: "bridge", 5: "claim5", 6: "u2", 7: "long", 8: "long"},
+}
+
+
+@pytest.mark.parametrize("variant", sorted(HAM_PATH_REVERSED_TAGS))
+def test_ham_path_case_c_hands_off_by_reversal(variant):
+    coll, h = gen_lemma_shape("lem6", 9, 0, variant)
+    for k, subcase in HAM_PATH_REVERSED_TAGS[variant].items():
+        trace = ham_path_k_path(coll, h["path"].reversed(), h["x"], h["y"], h["z"], k)
+        assert (trace.case, trace.subcase) == ("c", f"3.2->rev:{variant}:{subcase}"), k
+        check_path(coll, trace.path, h["x"], h["y"], k)
 
 
 def test_ham_path_recolor_redispatch():
@@ -696,7 +714,7 @@ def test_row_closer_reversed():
     coll = four_vertex_row((2, 0, 3), (0, 2, 1))
     path = close_row(coll)
     assert (path.vertices, path.colors) == ((0, 3, 2, 1), (2, 1, 0))
-    verify_colored_path(coll, path)
+    assert verify_colored_path(coll, path)
 
 
 def test_row_closer_reversed_after_half_forward():

@@ -22,6 +22,7 @@ from rainbowpan.core import (
     row_groups,
     sigma2,
     union_adjacency,
+    verify_colored_cycle,
     verify_colored_path,
 )
 from . import oracles
@@ -154,11 +155,13 @@ class TestColoredCycle:
         empty = build_graph(3, [])
         graphs = [empty] * 8
         graphs[5], graphs[6] = build_graph(3, [(0, 1)]), build_graph(3, [(1, 2)])
-        assert check_colored_cycle(GraphCollection(3, tuple(graphs)), c) == (
-            "edge (2, 0) missing from graph 7"
-        )
+        open_coll = GraphCollection(3, tuple(graphs))
+        assert check_colored_cycle(open_coll, c) == "edge (2, 0) missing from graph 7"
+        assert not verify_colored_cycle(open_coll, c)
         graphs[7] = build_graph(3, [(2, 0)])
-        assert check_colored_cycle(GraphCollection(3, tuple(graphs)), c) is None
+        closed_coll = GraphCollection(3, tuple(graphs))
+        assert check_colored_cycle(closed_coll, c) is None
+        assert verify_colored_cycle(closed_coll, c)
         assert c.length == 3
 
     def test_rejects_short_cycle(self):
@@ -192,6 +195,9 @@ class TestSubCollectionView:
         view = restrict(coll, remove_vertices=[4])
         assert coll.base is coll and view.base is coll
         assert restrict(coll) == coll and restrict(view) == view
+        # anything else is left to its own comparison, and so unequal
+        assert view.__eq__(coll.graphs) is NotImplemented
+        assert view != coll.graphs and view != (coll, frozenset({4}), frozenset())
 
     def test_full_view_surfaces_everything(self):
         view = _demo_collection()
@@ -215,7 +221,8 @@ class TestSubCollectionView:
         coll = _demo_collection()
         twice = restrict(restrict(coll, remove_vertices=[0]), remove_vertices=[3])
         once = restrict(coll, remove_vertices=[0, 3])
-        assert twice == once
+        assert twice == once and hash(twice) == hash(once) != hash(coll)
+        assert len({twice, once, restrict(coll, remove_colors=[0])}) == 2
         assert twice.base is coll
 
     def test_rejects_total_removal(self):
