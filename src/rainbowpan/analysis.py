@@ -56,14 +56,16 @@ class PairReport:
     distance: int | None
     witnesses: dict[int, ColoredPath] = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, *, leaves: bool = False) -> dict:
+        """The pair's JSON; with `leaves`, each witness stays its
+        `ColoredPath`, which `io.write_json` writes as its to_json_dict()."""
+        ws = self.witnesses
         return {
             "x": self.x,
             "y": self.y,
             "distance": self.distance,
             "witnesses": {
-                str(k): self.witnesses[k].to_json_dict()
-                for k in sorted(self.witnesses)
+                str(k): ws[k] if leaves else ws[k].to_json_dict() for k in sorted(ws)
             },
         }
 
@@ -87,12 +89,13 @@ class PanconnectivityCertificate:
     extremal: ExtremalWitness | None
     k_cap: int
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, *, leaves: bool = False) -> dict:
+        """The certificate's JSON; `leaves` as in PairReport.to_json_dict."""
         return {
             "n": self.n,
             "m": self.m,
             "verdict": self.verdict if self.verdict is not None else "unknown",
-            "pairs": [p.to_json_dict() for p in self.pairs],
+            "pairs": [p.to_json_dict(leaves=leaves) for p in self.pairs],
             "failure": (
                 None
                 if self.failure is None

@@ -10,8 +10,10 @@ infeasible input, 3 inconclusive under the search budget.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
@@ -29,7 +31,7 @@ from .analysis import (
 from .constructions import HypothesisViolation, constructive_panconnect, endpoint_bound_report
 from .core import GraphCollection, collection_min_degree
 from .generate import GenSpec, gen_lemma_shape, generate
-from .io import InstanceFormatError, format_instance, format_json, read_instance
+from .io import InstanceFormatError, format_instance, read_instance, write_json
 from .search import (
     BudgetExceeded,
     SearchBudget,
@@ -47,12 +49,30 @@ EXIT_INCONCLUSIVE = 3
 
 
 def _emit_json(obj, path: str | None) -> None:
-    text = format_json(obj)
+    """Write `obj` as JSON to the file at `path`, or to stdout."""
     if path:
-        with open(path, "w") as fh:
-            print(text, file=fh)
+        with _output(path) as fh:
+            write_json(obj, fh)
     else:
-        print(text)
+        write_json(obj, sys.stdout)
+
+
+@contextmanager
+def _output(path: str):
+    """The text file at `path`, opened for writing. A file that cannot be
+    opened is a usage error; a regular file that an error leaves half
+    written is removed before the error goes on."""
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise SystemExit(_usage_exit(f"cannot write output: {exc}"))
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if os.path.isfile(path):
+            os.remove(path)
+        raise
 
 
 def _say(msg: str) -> None:
@@ -129,10 +149,9 @@ def cmd_gen(args) -> int:
         return EXIT_USAGE
     text = format_instance(coll)
     if args.out:
-        with open(args.out, "w") as fh:
+        with _output(args.out) as fh:
             fh.write(text)
-        with open(args.out + ".spec.json", "w") as fh:
-            fh.write(format_json(spec.to_json_dict()) + "\n")
+        _emit_json(spec.to_json_dict(), args.out + ".spec.json")
         _say(f"wrote {args.out} ({coll.n} vertices, {coll.m} graphs)")
     else:
         sys.stdout.write(text)
@@ -175,7 +194,7 @@ def cmd_check(args) -> int:
         return _check_pair(coll, *pair, args.k, budget, args.cert)
     cert = is_rainbow_panconnected(coll, budget=budget)
     if args.cert:
-        _emit_json(cert.to_json_dict(), args.cert)
+        _emit_json(cert.to_json_dict(leaves=True), args.cert)
     if cert.verdict is True:
         print(f"panconnected: yes (k capped at {cert.k_cap})")
     elif cert.verdict is False:
@@ -196,7 +215,7 @@ def _check_pair(coll, x, y, k, budget, cert_path) -> int:
             "pair": [x, y],
             "k": k,
             "found": path is not None,
-            "path": None if path is None else path.to_json_dict(),
+            "path": path,
         }
         _emit_json(result, cert_path)
         if cert_path:
@@ -210,8 +229,9 @@ def _check_pair(coll, x, y, k, budget, cert_path) -> int:
 
 
 def _pair_sweep(coll, x, y, budget) -> tuple[dict, bool]:
-    """The k-sweep of one pair as `check --pair` writes it, and whether it
-    found a path for every k from the distance to the cap."""
+    """The k-sweep of one pair as `check --pair` writes it, its witnesses
+    left as path objects for the JSON writer, and whether it found a path
+    for every k from the distance to the cap."""
     found = dict(k_paths(coll, x, y, budget=budget))
     missing = [kk for kk, p in found.items() if p is None]
     result = {
@@ -219,7 +239,7 @@ def _pair_sweep(coll, x, y, budget) -> tuple[dict, bool]:
         "distance": min(found) - 1 if found else None,
         "k_cap": k_cap(coll),
         "missing": missing,
-        "witnesses": {str(kk): p.to_json_dict() for kk, p in found.items() if p is not None},
+        "witnesses": {str(kk): p for kk, p in found.items() if p is not None},
     }
     return result, bool(found) and not missing
 
@@ -513,7 +533,7 @@ def cmd_replay(args) -> int:
         if pair is None:
             note += "emitting a search certificate only"
             cert = is_rainbow_panconnected(coll, budget=budget)
-            body, verdict = {"certificate": cert.to_json_dict()}, cert.verdict
+            body, verdict = {"certificate": cert.to_json_dict(leaves=True)}, cert.verdict
         else:
             note += "emitting the pair's search k-sweep only"
             body, verdict = _pair_sweep(coll, *pair, budget)

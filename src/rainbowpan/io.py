@@ -3,14 +3,23 @@
 Layout: first line ``n m``; then for each color i in 0..m-1 a block starting
 ``graph i``, followed by one ``u v`` edge per line, closed by ``end``.
 Blank lines and ``#`` comments are ignored anywhere.
+
+Every JSON output is written by one writer: `write_json` streams it to a
+file in chunks, and `format_json` returns the same text as a string. Both
+give the bytes of ``json.dumps(obj, indent=2, sort_keys=True)``, and both
+take a `ColoredPath` or `ColoredCycle` as a leaf, written from its two
+tuples as its ``to_json_dict()``, so a report need not build a dict per
+witness.
 """
 from __future__ import annotations
 
+from functools import cache
+from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Union
+from typing import TextIO, Union
 
-from .core import GraphCollection, SimpleGraph, build_graph
+from .core import ColoredCycle, ColoredPath, GraphCollection, SimpleGraph, build_graph
 
 
 class InstanceFormatError(ValueError):
@@ -87,25 +96,39 @@ def format_instance(coll: GraphCollection) -> str:
     return "\n".join(lines) + "\n"
 
 
-_INT_ONLY = {int}
-_INF = float("inf")
+# the scalar types the stdlib's C encoder writes exactly as `json.dumps`
+_FLAT = {str, int, float, bool, type(None)}
+# write_json hands its buffer to the file once it holds this many pieces
+_FLUSH_PIECES = 4096
 
 
 def format_json(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
 
-    With any ``indent`` the stdlib falls back to its pure-Python encoder;
-    this writer recurses over dicts and lists itself, quotes strings with the
-    C string encoder and writes a list of plain ints with one join. Only
-    str, int, float, bool, None, list, tuple and str-keyed dict are accepted;
-    anything else raises TypeError.
+    A `ColoredPath` or `ColoredCycle` is also accepted, anywhere, and
+    written as its ``to_json_dict()``. Besides those, only str, int, float,
+    bool, None, list, tuple and str-keyed dict are accepted; anything else
+    raises TypeError.
     """
     out: list[str] = []
-    _write_json(obj, "\n", out)
+    _write_json(obj, "\n", out, None)
     return "".join(out)
 
 
-def _write_json(obj, newline: str, out: list[str]) -> None:
+def write_json(obj, fh: TextIO) -> None:
+    """Write ``format_json(obj) + "\\n"`` to the text file `fh`, in chunks:
+    the buffer goes to `fh` after any list element that leaves it large, so
+    a certificate is never held whole as one string."""
+    out: list[str] = []
+    _write_json(obj, "\n", out, fh.write)
+    out.append("\n")
+    fh.write("".join(out))
+
+
+def _write_json(obj, newline: str, out: list[str], write) -> None:
+    # With any indent the stdlib falls back to its pure-Python encoder; this
+    # writer recurses over dicts and lists itself and leaves scalars, flat
+    # lists of scalars and path witnesses to the C encoder.
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -117,47 +140,57 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
         sep = "{" + inner
         for key in sorted(obj):
             out.append(sep + _quote(key) + ": ")
-            _write_json(obj[key], inner, out)
+            _write_json(obj[key], inner, out, write)
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
+        if {*map(type, obj)} <= _FLAT:
+            out.append(_flat(obj, newline))
             return
         inner = newline + "  "
-        if {*map(type, obj)} == _INT_ONLY:
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]")
-            return
         sep = "[" + inner
         for v in obj:
             out.append(sep)
-            _write_json(v, inner, out)
+            _write_json(v, inner, out, write)
             sep = "," + inner
+            if write is not None and len(out) >= _FLUSH_PIECES:
+                write("".join(out))
+                out.clear()
         out.append(newline + "]")
+    elif isinstance(obj, (ColoredPath, ColoredCycle)):
+        out.append(_path_text(obj, newline))
     else:
-        out.append(_scalar_text(obj))
+        out.append(_encoder(newline)(obj, 0)[0])
 
 
-def _scalar_text(obj) -> str:
-    # the stdlib's order: str, None, bools, then int and float subclasses
-    if isinstance(obj, str):
-        return _quote(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if obj != obj:
-            return "NaN"
-        if obj == _INF:
-            return "Infinity"
-        if obj == -_INF:
-            return "-Infinity"
-        return float.__repr__(obj)
+def _path_text(path: ColoredPath | ColoredCycle, newline: str) -> str:
+    """The ``to_json_dict()`` of a path or cycle, from its two tuples."""
+    inner = newline + "  "
+    return (
+        "{" + inner + '"colors": ' + _flat(path.colors, inner)
+        + "," + inner + '"vertices": ' + _flat(path.vertices, inner)
+        + newline + "}"
+    )
+
+
+def _flat(seq, newline: str) -> str:
+    """A list or tuple of JSON scalars, one item per line."""
+    if not seq:
+        return "[]"
+    inner = newline + "  "
+    # the C encoder writes "[a,<inner>b]"; its brackets get their own lines
+    return "[" + inner + _encoder(inner)(seq, 0)[0][1:-1] + newline + "]"
+
+
+@cache
+def _encoder(inner: str):
+    """The stdlib's C encoder with `"," + inner` between list items. It
+    writes every scalar as `json.dumps` does but does not indent, so the
+    item separator carries the indentation."""
+    return c_make_encoder(None, _unencodable, _quote, None, ": ", "," + inner, True, False, True)
+
+
+def _unencodable(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 

@@ -618,6 +618,31 @@ def test_check_cert_bytes_equal_stdlib(rand9, tmp_path, capsys):
     assert text == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize(
+    "instance,budget,code",
+    [("f6", None, EXIT_FAIL), ("rand9", 1, EXIT_INCONCLUSIVE)],
+    ids=["false", "unknown"],
+)
+def test_check_cert_bytes_equal_stdlib_when_not_true(instance, budget, code, request, tmp_path,
+                                                     capsys):
+    """A false certificate keeps its failing triple and the pairs swept
+    before it; a budget-stopped one is "unknown". Both are written as the
+    stdlib writes their plain to_json_dict()."""
+    from rainbowpan.analysis import is_rainbow_panconnected
+    from rainbowpan.io import read_instance
+    from rainbowpan.search import SearchBudget
+
+    inst = request.getfixturevalue(instance)
+    cert = tmp_path / "cert.json"
+    extra = [] if budget is None else ["--budget", str(budget)]
+    assert main(["check", "--in", str(inst), "--cert", str(cert), *extra]) == code
+    want = is_rainbow_panconnected(
+        read_instance(inst), budget=None if budget is None else SearchBudget(node_limit=budget)
+    ).to_json_dict()
+    assert want["verdict"] == ("unknown" if budget else False)
+    assert cert.read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("k", [None, "5"])
 def test_check_pair_bytes(rand9, tmp_path, capsys, k):
     args = ["check", "--in", str(rand9), "--pair", "0", "4"] + (["--k", k] if k else [])
@@ -657,3 +682,57 @@ def test_gen_sidecar_bytes(tmp_path):
     out = write_instance_via_gen(tmp_path, "--family", "lemma_shape:lem5", "--n", "9",
                                  "--variant", "lo-hi", "--seed", "3")
     assert_stdlib_bytes((tmp_path / (out.name + ".spec.json")).read_text())
+
+
+# -- output files ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--in", "{inst}", "--cert", "{out}"],
+        ["check", "--in", "{inst}", "--pair", "0", "1", "--cert", "{out}"],
+        ["classify", "--in", "{inst}", "--out", "{out}"],
+        ["replay", "--in", "{inst}", "--out", "{out}"],
+        ["verify", "--theorem", "lem1", "--n", "5", "--trials", "1", "--report", "{out}"],
+        ["gen", "--family", "f", "--n", "7", "--out", "{out}"],
+    ],
+    ids=["check", "check-pair", "classify", "replay", "verify", "gen"],
+)
+def test_unwritable_output_is_usage(rand7, tmp_path, capsys, argv):
+    out = tmp_path / "no" / "such" / "dir" / "out.json"
+    args = [a.format(inst=rand7, out=out) for a in argv]
+    assert main(args) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output:") and err.count("\n") == 1
+
+
+def test_writer_error_removes_the_partial_file(rand9, tmp_path, monkeypatch):
+    """The certificate streams to its file, so an error part way through
+    would leave a truncated report; the file is removed instead, and the
+    error goes on."""
+    from rainbowpan import analysis, io
+
+    real_cert, real_write = cli.is_rainbow_panconnected, cli.write_json
+
+    def cert_with_a_bad_last_pair(coll, budget=None):
+        cert = real_cert(coll, budget=budget)
+        cert.pairs.append(analysis.PairReport(0, 1, 0, {2: object()}))
+        return cert
+
+    written = []
+
+    def spy(obj, fh):
+        try:
+            real_write(obj, fh)
+        finally:
+            written.append(fh.tell())
+
+    monkeypatch.setattr(io, "_FLUSH_PIECES", 1)
+    monkeypatch.setattr(cli, "is_rainbow_panconnected", cert_with_a_bad_last_pair)
+    monkeypatch.setattr(cli, "write_json", spy)
+    cert = tmp_path / "cert.json"
+    cert.write_text("an older certificate\n")
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        main(["check", "--in", str(rand9), "--cert", str(cert)])
+    assert written[0] > 0 and not cert.exists()

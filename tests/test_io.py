@@ -1,9 +1,13 @@
 import json
+from io import StringIO
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rainbowpan import io
+from rainbowpan.core import ColoredCycle, ColoredPath
 from rainbowpan.io import (
     InstanceFormatError,
     format_instance,
@@ -11,6 +15,7 @@ from rainbowpan.io import (
     parse_instance,
     read_instance,
     write_instance,
+    write_json,
 )
 from .strategies import collections
 
@@ -114,6 +119,62 @@ def test_format_json_matches_stdlib(value):
 def test_format_json_special_scalars():
     value = {"floats": _SPECIAL_FLOATS, "ints": [2**64 + 1, -(2**63)], "mixed": [1, True, None, 2.0]}
     assert format_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+# Path witnesses as leaves: entries the C encoder must spell as the stdlib
+# does (bools, negatives, ints past 63 and past 64 bits), and a one-vertex
+# path with no colors
+_entries = st.booleans() | st.integers(-3, 3) | st.integers(60, 70) | st.just(2**70)
+
+
+@st.composite
+def _witnesses(draw):
+    cycle = draw(st.booleans())
+    vertices = draw(st.lists(_entries, min_size=3 if cycle else 1, max_size=6, unique=True))
+    size = len(vertices) if cycle else len(vertices) - 1
+    colors = draw(st.lists(_entries, min_size=size, max_size=size, unique=True))
+    return (ColoredCycle if cycle else ColoredPath)(tuple(vertices), tuple(colors))
+
+
+_leaves = _witnesses() | st.just(ColoredPath((5,), ()))
+_trees = st.recursive(
+    _scalars | _leaves,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(_text, inner, max_size=5),
+    max_leaves=20,
+)
+
+
+def _plain(value):
+    """`value` with every path witness replaced by its to_json_dict()."""
+    if isinstance(value, (ColoredPath, ColoredCycle)):
+        return value.to_json_dict()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+@given(_trees)
+def test_path_leaves_match_stdlib(tree):
+    text = json.dumps(_plain(tree), indent=2, sort_keys=True)
+    assert format_json(tree) == text
+    fh = StringIO()
+    write_json(tree, fh)
+    assert fh.getvalue() == text + "\n"
+
+
+def test_write_json_streams_a_long_list():
+    """A list longer than the buffer goes to the file in several writes,
+    which join to the one text."""
+    doc = {"pairs": [{"k": i, "path": ColoredPath((-1, 64, 100 + i), (True, 2**70))}
+                     for i in range(io._FLUSH_PIECES)]}
+    chunks = []
+    write_json(doc, SimpleNamespace(write=chunks.append))
+    assert len(chunks) > 2
+    assert "".join(chunks) == json.dumps(_plain(doc), indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize(
