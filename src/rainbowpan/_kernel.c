@@ -2,10 +2,9 @@
  * function (`State` is its `_Search`; path_extend, own_nodes, close_path,
  * cycle_extend, try_candidates, order_candidates, push_edge, kuhn and result
  * are `_Search` methods, order_candidates as `ordered_candidates`; build_rows
- * is `_union_rows`, bfs is `_bfs`, vertex_mask is `_check_vertex_mask` and
- * walk is `_walk`) and operation for operation: identical candidate
- * ordering, augmenting order, node counting, witnesses. The parity tests
- * compare both on the same queries.
+ * is `_union_rows`, bfs is `_bfs` and walk is `_walk`) and operation for
+ * operation: identical candidate ordering, augmenting order, node counting,
+ * witnesses. The parity tests compare both on the same queries.
  *
  * Path queries walk the tree of paths from x that avoid y once for a set of
  * pending lengths k (see walk); find_path is that walk with one length. The
@@ -16,12 +15,13 @@
  * module docstring).
  *
  * The input adj is one bytes object of m*n native-endian 64-bit words, word
- * c*n + v holding v's row in the c-th color; init_state copies it with one
- * memcpy. Written by hand against the limited C API (PEP 384), so the module
- * reads no interpreter internals. Every input is checked before it reaches
- * a table: all tables are fixed 64-slot arrays, so n, m, the length of adj,
- * the vertex arguments and every mask must fit them. The pure kernel raises
- * the same errors for the same inputs.
+ * c*n + v holding v's row in the c-th color; init_state reads m from its
+ * length and copies it with one memcpy. The vertices a search may visit are
+ * `live`, those with an edge in some color. Written by hand against the
+ * limited C API (PEP 384), so the module reads no interpreter internals.
+ * Every input is checked before it reaches a table: all tables are fixed
+ * 64-slot arrays, so n, m, the vertex arguments and every bit of adj must
+ * fit them. The pure kernel raises the same errors for the same inputs.
  */
 #define PY_SSIZE_T_CLEAN
 #define Py_LIMITED_API 0x030A0000
@@ -41,6 +41,7 @@ typedef struct {
     int m;
     u64 adj[MAXN * MAXN];  /* m*n rows, adj[c*n + v] */
     u64 rows[MAXN];        /* union adjacency */
+    u64 live;              /* vertices with an edge in some color */
     int dist[MAXN];
     long long node_limit;
     long long nodes;
@@ -67,11 +68,14 @@ static inline u64 lowbit(u64 x) { return x & (~x + 1); }
 
 static void build_rows(State *st)
 {
+    st->live = 0;
     for (int v = 0; v < st->n; v++) {
         u64 row = 0;
         for (int c = 0; c < st->m; c++)
             row |= st->adj[c * st->n + v];
         st->rows[v] = row;
+        if (row)
+            st->live |= 1ULL << v;
     }
 }
 
@@ -287,25 +291,23 @@ static int cycle_extend(State *st, u64 used)
                           d + 1, cycle_extend);
 }
 
-/* Check n and m, then copy adj into st and build the union rows. Returns 0,
- * or -1 with an exception set. */
-static int init_state(State *st, int n, int m, PyObject *adj, long long node_limit)
+/* Check n and the length of adj, which gives m, then copy adj into st and
+ * build the union rows. Returns 0, or -1 with an exception set. */
+static int init_state(State *st, int n, PyObject *adj, long long node_limit)
 {
     if (n < 0 || n > MAXN) {
         PyErr_Format(PyExc_ValueError, "n=%d outside [0, %d]", n, MAXN);
-        return -1;
-    }
-    if (m < 0 || m > MAXN) {
-        PyErr_Format(PyExc_ValueError, "m=%d outside [0, %d]", m, MAXN);
         return -1;
     }
     char *bytes;
     Py_ssize_t len;
     if (PyBytes_AsStringAndSize(adj, &bytes, &len) < 0)
         return -1;
-    if (len != (Py_ssize_t)sizeof(u64) * m * n) {
-        PyErr_Format(PyExc_ValueError, "adj has %zd bytes, not 8*m*n = %d",
-                     len, 8 * m * n);
+    Py_ssize_t m = n ? len / ((Py_ssize_t)sizeof(u64) * n) : 0;
+    if (m > MAXN || len != (Py_ssize_t)sizeof(u64) * m * n) {
+        PyErr_Format(PyExc_ValueError,
+                     "adj has %zd bytes, not 8*m*n for n=%d and some m in [0, %d]",
+                     len, n, MAXN);
         return -1;
     }
     memcpy(st->adj, bytes, len);
@@ -317,7 +319,7 @@ static int init_state(State *st, int n, int m, PyObject *adj, long long node_lim
         return -1;
     }
     st->n = n;
-    st->m = m;
+    st->m = (int)m;
     st->node_limit = node_limit;
     st->nodes = 0;
     st->n_edges = 0;
@@ -326,20 +328,6 @@ static int init_state(State *st, int n, int m, PyObject *adj, long long node_lim
     for (int c = 0; c < m; c++)
         st->color_edge[c] = -1;
     build_rows(st);
-    return 0;
-}
-
-/* The vertex mask as an n-bit word. Returns 0, or -1 with an exception set. */
-static int vertex_mask(PyObject *vmask, int n, u64 *out)
-{
-    u64 vm = PyLong_AsUnsignedLongLong(vmask);
-    if (vm == (u64)-1 && PyErr_Occurred())
-        return -1;
-    if (n < MAXN && vm >> n) {
-        PyErr_Format(PyExc_OverflowError, "vmask has a bit at or above n=%d", n);
-        return -1;
-    }
-    *out = vm;
     return 0;
 }
 
@@ -385,11 +373,10 @@ static PyObject *result(const State *st, int r)
  * the first in preorder, the path a walk for that length alone records.
  * Sets *r to the search result (1 when every length got a path) and returns
  * 0, or returns -1 with an exception set. */
-static int walk(State *st, int n, int m, PyObject *adj, int x, int y, int k_lo,
-                int k_hi, PyObject *vmask, long long node_limit, int *r)
+static int walk(State *st, int n, PyObject *adj, int x, int y, int k_lo, int k_hi,
+                long long node_limit, int *r)
 {
-    u64 vm;
-    if (init_state(st, n, m, adj, node_limit) < 0)
+    if (init_state(st, n, adj, node_limit) < 0)
         return -1;
     if (x < 0 || x >= n || y < 0 || y >= n) {
         PyErr_Format(PyExc_ValueError, "x=%d or y=%d outside [0, %d)", x, y, n);
@@ -399,9 +386,7 @@ static int walk(State *st, int n, int m, PyObject *adj, int x, int y, int k_lo,
         PyErr_Format(PyExc_ValueError, "k=%d exceeds n=%d", k_hi, n);
         return -1;
     }
-    if (vertex_mask(vmask, n, &vm) < 0)
-        return -1;
-    bfs(st, y, vm);
+    bfs(st, y, st->live);
     int lo = st->dist[x] + 1;
     if (lo < k_lo)
         lo = k_lo;
@@ -423,23 +408,22 @@ static int walk(State *st, int n, int m, PyObject *adj, int x, int y, int k_lo,
 }
 
 PyDoc_STRVAR(find_path_doc,
-"find_path(n, m, adj, x, y, k, vmask, node_limit)\n\n"
+"find_path(n, adj, x, y, k, node_limit)\n\n"
 "Exact k-vertex rainbow path from x to y. Returns (status, vertices,\n"
 "colors, nodes); vertices/colors are None unless status == FOUND.");
 
 static PyObject *find_path(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "m", "adj", "x", "y", "k", "vmask",
-                             "node_limit", NULL};
-    int n, m, x, y, k, r;
-    PyObject *adj, *vmask;
+    static char *kwlist[] = {"n", "adj", "x", "y", "k", "node_limit", NULL};
+    int n, x, y, k, r;
+    PyObject *adj;
     long long node_limit;
     State st;
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOiiiOL:find_path", kwlist,
-                                     &n, &m, &adj, &x, &y, &k, &vmask, &node_limit))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOiiiL:find_path", kwlist,
+                                     &n, &adj, &x, &y, &k, &node_limit))
         return NULL;
-    if (walk(&st, n, m, adj, x, y, k, k, vmask, node_limit, &r) < 0)
+    if (walk(&st, n, adj, x, y, k, k, node_limit, &r) < 0)
         return NULL;
     if (r == 1)
         return Py_BuildValue("(iNNL)", FOUND, int_list(st.wverts[k - 2], k),
@@ -448,7 +432,7 @@ static PyObject *find_path(PyObject *self, PyObject *args, PyObject *kwargs)
 }
 
 PyDoc_STRVAR(find_paths_doc,
-"find_paths(n, m, adj, x, y, k_lo, k_hi, vmask, node_limit)\n\n"
+"find_paths(n, adj, x, y, k_lo, k_hi, node_limit)\n\n"
 "Rainbow paths from x to y on every k in [k_lo, k_hi], from one walk of\n"
 "the search tree. Returns (status, {k: (vertices, colors)}, nodes), each\n"
 "witness the one find_path gives for its k. status is BUDGET when the\n"
@@ -458,18 +442,17 @@ PyDoc_STRVAR(find_paths_doc,
 
 static PyObject *find_paths(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "m", "adj", "x", "y", "k_lo", "k_hi", "vmask",
-                             "node_limit", NULL};
-    int n, m, x, y, k_lo, k_hi, r;
-    PyObject *adj, *vmask;
+    static char *kwlist[] = {"n", "adj", "x", "y", "k_lo", "k_hi", "node_limit",
+                             NULL};
+    int n, x, y, k_lo, k_hi, r;
+    PyObject *adj;
     long long node_limit;
     State st;
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOiiiiOL:find_paths", kwlist,
-                                     &n, &m, &adj, &x, &y, &k_lo, &k_hi, &vmask,
-                                     &node_limit))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOiiiiL:find_paths", kwlist,
+                                     &n, &adj, &x, &y, &k_lo, &k_hi, &node_limit))
         return NULL;
-    if (walk(&st, n, m, adj, x, y, k_lo, k_hi, vmask, node_limit, &r) < 0)
+    if (walk(&st, n, adj, x, y, k_lo, k_hi, node_limit, &r) < 0)
         return NULL;
     PyObject *paths = PyDict_New();
     if (paths == NULL)
@@ -493,7 +476,7 @@ static PyObject *find_paths(PyObject *self, PyObject *args, PyObject *kwargs)
 }
 
 PyDoc_STRVAR(find_cycle_doc,
-"find_cycle(n, m, adj, length, vmask, node_limit)\n\n"
+"find_cycle(n, adj, length, node_limit)\n\n"
 "Rainbow cycle on exactly `length` vertices. Start vertex is the cycle\n"
 "minimum; reflections are broken by second < last vertex id, and a branch\n"
 "stops once no unvisited neighbour of the start above the second vertex is\n"
@@ -501,27 +484,23 @@ PyDoc_STRVAR(find_cycle_doc,
 
 static PyObject *find_cycle(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "m", "adj", "length", "vmask", "node_limit",
-                             NULL};
-    int n, m, length;
-    PyObject *adj, *vmask;
+    static char *kwlist[] = {"n", "adj", "length", "node_limit", NULL};
+    int n, length;
+    PyObject *adj;
     long long node_limit;
     State st;
-    u64 vm;
     int r = 0;
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOiOL:find_cycle", kwlist,
-                                     &n, &m, &adj, &length, &vmask, &node_limit))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOiL:find_cycle", kwlist,
+                                     &n, &adj, &length, &node_limit))
         return NULL;
-    if (init_state(&st, n, m, adj, node_limit) < 0)
+    if (init_state(&st, n, adj, node_limit) < 0)
         return NULL;
     if (length < 3 || length > n)
         return PyErr_Format(PyExc_ValueError, "length=%d outside [3, %d]", length, n);
-    if (vertex_mask(vmask, n, &vm) < 0)
-        return NULL;
-    for (u64 rest = vm; rest; rest ^= lowbit(rest)) {
+    for (u64 rest = st.live; rest; rest ^= lowbit(rest)) {
         int s = __builtin_ctzll(rest);
-        st.higher = vm & ~((2ULL << s) - 1);
+        st.higher = st.live & ~((2ULL << s) - 1);
         if (__builtin_popcountll(st.higher) + 1 < length)
             break;
         bfs(&st, s, st.higher | (1ULL << s));

@@ -50,29 +50,32 @@ walk gives up, as a budget stop, once its own count exceeds `allowance`.
 Interface contract (shared by both kernels):
   adj is one bytes object of m*n native-endian 64-bit words: word c*n + v is
   the bitmask of v's neighbors in color c, already restricted to surviving
-  vertices and colors. Color values in results are positions 0..m-1 into
-  that array; the caller re-maps them to base collection ids.
-  Both kernels raise TypeError when adj is not bytes, ValueError when n or m
-  is outside [0, 64], adj does not hold exactly 8*m*n bytes, x or y is
-  outside [0, n), k or k_hi exceeds n or length is outside [3, n], and
-  OverflowError when a word of adj has a bit at or above n or vmask is
-  negative or has one. The compiled kernel's tables are 64-slot arrays, so
-  these inputs would read or write outside them; a cycle below 3 vertices
-  would read a second vertex the search never placed.
+  vertices and colors. The kernel reads m from its length, m =
+  len(adj) // (8*n), and takes as its vertex set `live`, the vertices with
+  an edge in some color: no other vertex lies on a cycle or on a path of two
+  or more vertices. Color values in results are positions 0..m-1 into that
+  array; the caller re-maps them to base collection ids.
+  Both kernels raise TypeError when adj is not bytes, ValueError when n is
+  outside [0, 64], adj does not hold 8*m*n bytes for some m in [0, 64], x or
+  y is outside [0, n), k or k_hi exceeds n or length is outside [3, n], and
+  OverflowError when a word of adj has a bit at or above n. The compiled
+  kernel's tables are 64-slot arrays, so these inputs would read or write
+  outside them; a cycle below 3 vertices would read a second vertex the
+  search never placed.
 
 Determinism: candidates are tried by (fewest colors carrying the new edge,
 then smallest vertex id); augmenting steps scan colors in ascending order.
 
 Tables: the search reads its input through tables that depend on the input
-alone: the words of adj as ints, the union rows, the BFS distances by
-(source, scope), and for each vertex `last` an option row whose entry v is
-the mask of colors joining last and v. This kernel caches them (`_Tables`)
+alone: the words of adj as ints, the union rows and `live`, the BFS
+distances by (source, scope), and for each vertex `last` an option row whose
+entry v is the mask of colors joining last and v. This kernel caches them (`_Tables`)
 where the compiled kernel recomputes them in C (rows and distances per
 call, option masks per search node). A one-slot cache keeps the tables of
 the last input together with that bytes object: bytes cannot change, and
 holding the object keeps its id from being reused, so the same object means
 the same input. The search layer passes each view's cached kernel input, so
-every query on one view reuses its tables. The checks on n, m and adj run
+every query on one view reuses its tables. The checks on n and adj run
 when tables are built, so a cache hit repeats none of them.
 """
 from __future__ import annotations
@@ -100,8 +103,8 @@ def _union_rows(n: int, words: list[int]) -> list[int]:
     return rows
 
 
-def _bfs(n: int, rows: list[int], src: int, vmask: int) -> list[int]:
-    """Distance from src over the union graph restricted to vmask."""
+def _bfs(n: int, rows: list[int], src: int, scope: int) -> list[int]:
+    """Distance from src over the union graph restricted to scope."""
     dist = [_INF] * n
     dist[src] = 0
     frontier = 1 << src
@@ -115,7 +118,7 @@ def _bfs(n: int, rows: list[int], src: int, vmask: int) -> list[int]:
             low = rest & -rest
             nxt |= rows[low.bit_length() - 1]
             rest ^= low
-        nxt &= vmask & ~seen
+        nxt &= scope & ~seen
         rest = nxt
         while rest:
             low = rest & -rest
@@ -127,22 +130,22 @@ def _bfs(n: int, rows: list[int], src: int, vmask: int) -> list[int]:
 
 
 class _Tables:
-    """The tables of one input: union rows built at once, BFS distances and
-    option rows built on first use. Each entry depends on the input alone,
-    so two calls that share the tables and fill one entry build the same
-    value."""
+    """The tables of one input: union rows and `live` built at once, BFS
+    distances and option rows built on first use. Each entry depends on the
+    input alone, so two calls that share the tables and fill one entry build
+    the same value."""
 
-    __slots__ = ("n", "m", "adj", "words", "rows", "dists", "options")
+    __slots__ = ("n", "m", "adj", "words", "rows", "live", "dists", "options")
 
-    def __init__(self, n, m, adj):
+    def __init__(self, n, adj):
         if not 0 <= n <= _MAXN:
             raise ValueError(f"n={n} outside [0, {_MAXN}]")
-        if not 0 <= m <= _MAXN:
-            raise ValueError(f"m={m} outside [0, {_MAXN}]")
         if not isinstance(adj, bytes):
             raise TypeError(f"adj must be bytes, not {type(adj).__name__}")
-        if len(adj) != 8 * m * n:
-            raise ValueError(f"adj has {len(adj)} bytes, not 8*m*n = {8 * m * n}")
+        m = len(adj) // (8 * n) if n else 0
+        if m > _MAXN or len(adj) != 8 * m * n:
+            raise ValueError(
+                f"adj has {len(adj)} bytes, not 8*m*n for n={n} and some m in [0, {_MAXN}]")
         words = array("Q", adj).tolist()
         if words and max(words) >> n:
             raise OverflowError(f"adj has a bit at or above n={n}")
@@ -151,6 +154,7 @@ class _Tables:
         self.adj = adj
         self.words = words
         self.rows = _union_rows(n, words)
+        self.live = sum(1 << v for v, row in enumerate(self.rows) if row)
         self.dists: dict[tuple[int, int], list[int]] = {}
         self.options: list[list[int] | None] = [None] * n
 
@@ -180,14 +184,14 @@ class _Tables:
 _cached: _Tables | None = None  # the tables of the last input
 
 
-def _tables(n: int, m: int, adj) -> _Tables:
+def _tables(n: int, adj) -> _Tables:
     """The cached tables when adj is the bytes object the slot holds, else
     new ones, which take the slot."""
     global _cached
     tables = _cached
-    if tables is not None and tables.adj is adj and tables.n == n and tables.m == m:
+    if tables is not None and tables.adj is adj and tables.n == n:
         return tables
-    _cached = _Tables(n, m, adj)
+    _cached = _Tables(n, adj)
     return _cached
 
 
@@ -377,24 +381,18 @@ class _Search:
         return (FOUND, self.path, self.edge_color, self.nodes)
 
 
-def _check_vertex_mask(vmask: int, n: int) -> None:
-    if vmask < 0 or vmask >> n:
-        raise OverflowError(f"vmask is not an {n}-bit mask")
-
-
-def _walk(n, m, adj, x, y, k_lo, k_hi, vmask, node_limit) -> tuple[_Search, int]:
+def _walk(n, adj, x, y, k_lo, k_hi, node_limit) -> tuple[_Search, int]:
     """Check a path query and walk the tree of paths from x that avoid y
     once, for every length in [k_lo, k_hi] that the distance from x to y
     allows: the search state and its result, 1 when every length got a
     path."""
-    tables = _tables(n, m, adj)
+    tables = _tables(n, adj)
     if not (0 <= x < n and 0 <= y < n):
         raise ValueError(f"x={x} or y={y} outside [0, {n})")
     if k_hi > n:
         raise ValueError(f"k={k_hi} exceeds n={n}")
-    _check_vertex_mask(vmask, n)
     st = _Search(tables, node_limit)
-    st.dist = tables.dist(y, vmask)
+    st.dist = tables.dist(y, tables.live)
     lo = max(st.dist[x] + 1, k_lo, 2)
     if lo > k_hi:
         return st, 0
@@ -406,45 +404,44 @@ def _walk(n, m, adj, x, y, k_lo, k_hi, vmask, node_limit) -> tuple[_Search, int]
     return st, st.path_extend(1 << x)
 
 
-def find_path(n, m, adj, x, y, k, vmask, node_limit):
+def find_path(n, adj, x, y, k, node_limit):
     """Exact k-vertex rainbow path from x to y. Returns (status, vertices,
     colors, nodes); vertices/colors are None unless status == FOUND."""
-    st, r = _walk(n, m, adj, x, y, k, k, vmask, node_limit)
+    st, r = _walk(n, adj, x, y, k, k, node_limit)
     if r == 1:
         return (FOUND, *st.found[k], st.nodes)
     return st.result(r)
 
 
-def find_paths(n, m, adj, x, y, k_lo, k_hi, vmask, node_limit):
+def find_paths(n, adj, x, y, k_lo, k_hi, node_limit):
     """Rainbow paths from x to y on every k in [k_lo, k_hi], from one walk
     of the search tree. Returns (status, {k: (vertices, colors)}, nodes),
     each witness the one find_path gives for its k. status is BUDGET when
     the walk stopped undecided, on the node limit or giving up, else FOUND
     or NONE as some k has a path or none has; a k missing from the dict of
     a decided walk has no path."""
-    st, r = _walk(n, m, adj, x, y, k_lo, k_hi, vmask, node_limit)
+    st, r = _walk(n, adj, x, y, k_lo, k_hi, node_limit)
     status = BUDGET if r == _ABORT else FOUND if st.found else NONE
     return status, dict(sorted(st.found.items())), st.nodes
 
 
-def find_cycle(n, m, adj, length, vmask, node_limit):
+def find_cycle(n, adj, length, node_limit):
     """Rainbow cycle on exactly `length` vertices. Start vertex is the cycle
     minimum; reflections are broken by second < last vertex id, and a branch
     stops once no unvisited neighbour of the start above the second vertex
     is left to close the cycle."""
-    tables = _tables(n, m, adj)
+    tables = _tables(n, adj)
     if not 3 <= length <= n:
         raise ValueError(f"length={length} outside [3, {n}]")
-    _check_vertex_mask(vmask, n)
     st = _Search(tables, node_limit)
     st.k = length
     r = 0
-    rest = vmask
+    live = rest = tables.live
     while rest:
         low = rest & -rest
         rest ^= low
         s = low.bit_length() - 1
-        st.higher = vmask & ~((low << 1) - 1)
+        st.higher = live & ~((low << 1) - 1)
         if st.higher.bit_count() + 1 < length:
             break
         st.dist = tables.dist(s, st.higher | low)

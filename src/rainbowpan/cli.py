@@ -75,6 +75,22 @@ def _output(path: str):
         raise
 
 
+def _check_output(path: str | None) -> None:
+    """Reject, before any work, an output path that the late open in
+    `_output` could not write: a directory, or one in a directory that does
+    not exist. The file itself is neither created nor truncated here."""
+    if not path:
+        return
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        problem = f"{path} is a directory"
+    elif not os.path.isdir(folder):
+        problem = f"{path}: {folder} is not a directory"
+    else:
+        return
+    raise SystemExit(_usage_exit(f"cannot write output: {problem}"))
+
+
 def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -625,6 +641,10 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# the option that names each command's output file
+_OUTPUT_OPTION = {"gen": "out", "check": "cert", "classify": "out", "verify": "report", "replay": "out"}
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     # looked up per call, so a replaced cmd_* function takes effect
@@ -636,6 +656,7 @@ def main(argv=None) -> int:
         "replay": cmd_replay,
     }[args.command]
     try:
+        _check_output(getattr(args, _OUTPUT_OPTION[args.command]))
         return command(args)
     except BudgetExceeded as exc:
         # a query ran out of budget, so the verdict is unknown

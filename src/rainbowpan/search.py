@@ -204,17 +204,13 @@ def find_rainbow_path(
         raise ValueError("endpoints must differ")
     if not 2 <= k <= view.n_surviving:
         raise ValueError(f"k={k} outside [2, {view.n_surviving}]")
-    active = view.colors
-    if k - 1 > len(active):
-        raise ValueError(f"k={k} needs {k - 1} colors, only {len(active)} available")
+    if k - 1 > len(view.colors):
+        raise ValueError(f"k={k} needs {k - 1} colors, only {len(view.colors)} available")
     if k > _longest(view, (x, y)):
         return None
     if budget is None:
         budget = default_budget()
-    result = kernels.find_path(
-        view.n, len(active), view.kernel_adj, x, y, k, view.vertex_mask,
-        budget.node_limit,
-    )
+    result = kernels.find_path(view.n, view.kernel_adj, x, y, k, budget.node_limit)
     return _witness(view, result, ColoredPath, check_colored_path, "path x={} y={} k={}", x, y, k)
 
 
@@ -278,8 +274,7 @@ def k_paths(
         if budget is None:
             budget = default_budget()
         status, paths, nodes = kernels.find_paths(
-            view.n, len(view.colors), view.kernel_adj, x, y, lengths.start, top,
-            view.vertex_mask, budget.node_limit,
+            view.n, view.kernel_adj, x, y, lengths.start, top, budget.node_limit,
         )
     if status == kernels.BUDGET and lengths.start == top:
         _witness(view, (status, None, None, nodes), ColoredPath, check_colored_path,
@@ -348,17 +343,13 @@ def find_rainbow_cycle(
         raise ValueError("cycle length below 3")
     if length > view.n_surviving:
         return None
-    active = view.colors
-    if length > len(active):
-        raise ValueError(f"length={length} exceeds {len(active)} available colors")
+    if length > len(view.colors):
+        raise ValueError(f"length={length} exceeds {len(view.colors)} available colors")
     if length > _longest(view, ()):
         return None
     if budget is None:
         budget = default_budget()
-    result = kernels.find_cycle(
-        view.n, len(active), view.kernel_adj, length, view.vertex_mask,
-        budget.node_limit,
-    )
+    result = kernels.find_cycle(view.n, view.kernel_adj, length, budget.node_limit)
     return _witness(view, result, ColoredCycle, check_colored_cycle, "cycle length={}", length)
 
 

@@ -96,9 +96,9 @@ def test_certificate_asks_each_query_once(monkeypatch):
     asked = []
     real = kernels.find_path
 
-    def recording(n, m, adj, x, y, k, vmask, node_limit):
+    def recording(n, adj, x, y, k, node_limit):
         asked.append((x, y, k))
-        return real(n, m, adj, x, y, k, vmask, node_limit)
+        return real(n, adj, x, y, k, node_limit)
 
     monkeypatch.setattr(kernels, "find_path", recording)
     cert = is_rainbow_panconnected(coll)

@@ -1,7 +1,9 @@
 """Exit codes, JSON outputs and determinism of the command line front end."""
+import dataclasses
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -160,7 +162,7 @@ def test_replay_bad_pair_is_usage(rand7, capsys, pair):
     assert "bad pair" in captured.err and not captured.out
 
 
-@pytest.mark.parametrize("budget", ["-5", "0"])
+@pytest.mark.parametrize("budget", ["-5", "0", "abc"])
 @pytest.mark.parametrize("command", ["check", "classify", "verify", "replay"])
 def test_nonpositive_budget_is_usage(rand7, capsys, command, budget):
     if command == "verify":
@@ -195,6 +197,23 @@ def test_check_missing_file(tmp_path):
 
 def test_check_tiny_budget_inconclusive(rand7):
     assert main(["check", "--in", str(rand7), "--budget", "1"]) == EXIT_INCONCLUSIVE
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--pair", "0", "1", "--k", "7", "--cert"],
+    ["check", "--pair", "0", "1", "--cert"],
+    ["replay", "--out"],
+], ids=["check-pair-k", "check-pair", "replay"])
+def test_budget_stop_exits_inconclusive_without_output(rand7, tmp_path, capsys, argv):
+    """A query that runs out of budget reaches `main`: exit 3, one stderr
+    line naming the query and the nodes it spent, and no output file. The
+    replay is constructive here (odd n, m = n - 1, degree at the threshold)."""
+    out = tmp_path / "out.json"
+    code = main([argv[0], "--in", str(rand7), *argv[1:], str(out), "--budget", "1"])
+    err = capsys.readouterr().err
+    assert code == EXIT_INCONCLUSIVE
+    assert re.fullmatch(r"inconclusive: path x=0 y=1 k=\d+: budget exhausted after \d+ nodes\n", err), err
+    assert not out.exists()
 
 
 def test_check_env_budget(rand7, monkeypatch):
@@ -459,6 +478,30 @@ def test_failing_campaign_embeds_reproducer(monkeypatch):
     assert entry["spec"]["n"] == 5
 
 
+def test_false_certificate_on_a_threshold_instance_violates_theorem_1_5(monkeypatch):
+    """A threshold instance whose certificate fails and which is not the F
+    family violates Theorem 1.5. Its n - 1 graphs are one random threshold
+    graph, so only the join shape can reject it; the certificate is made
+    false by hand, since a true instance is all the theorem allows."""
+    from rainbowpan import analysis
+    from rainbowpan.core import GraphCollection
+    from rainbowpan.generate import GenSpec, generate
+
+    real = analysis.is_rainbow_panconnected
+
+    def failing(coll, budget=None):
+        return dataclasses.replace(real(coll, budget=budget), verdict=False, failure=(0, 1, 3))
+
+    monkeypatch.setattr(analysis, "is_rainbow_panconnected", failing)
+    graph = generate(GenSpec(9, 1, 0, "random", min_degree=5))[0]
+    res = analysis.verify_theorem_1_5(GraphCollection(9, (graph,) * 8))
+    assert (res.outcome, res.via) == ("violated", None)
+    assert res.rejection_reason == "no partition matches the join-family shape"
+    assert res.to_json_dict()["certificate"]["failure"] == {"x": 0, "y": 1, "k": 3}
+    verdict, detail = cli._decide_t1_5(cli._threshold_spec(9, 0), cli.SearchBudget())
+    assert verdict is False and detail.startswith("failure=(0, 1, 3) graphs 0 and ")
+
+
 def test_t1_1_budget_stop_is_inconclusive_with_its_spec():
     spec_of, decide, _ = cli._THEOREMS["t1_1"]
     spec = spec_of(5, 0)
@@ -553,9 +596,9 @@ def test_replay_search_mode_sweeps_only_the_pair(rand8, tmp_path, monkeypatch, c
     asked = []
 
     def spy(original):
-        def ask(n, m, adj, x, y, *rest):
+        def ask(n, adj, x, y, *rest):
             asked.append({x, y})
-            return original(n, m, adj, x, y, *rest)
+            return original(n, adj, x, y, *rest)
 
         return ask
 
@@ -583,6 +626,50 @@ def test_replay_search_mode_without_pair_is_the_certificate(rand8, capsys):
     want = {"mode": "search", "note": note, "certificate": cert.to_json_dict()}
     assert capsys.readouterr().out == json.dumps(want, indent=2, sort_keys=True) + "\n"
     assert code == cli._exit_for(cert.verdict)
+
+
+def test_replay_branch_violation_is_a_discrepancy(rand7, monkeypatch, capsys):
+    """A branch builder that raises HypothesisViolation at k = 4 leaves a
+    discrepancy in the pair and the 4-path the fallback search found; the
+    replay exits 1 and says so."""
+    from rainbowpan import constructions
+
+    real = constructions._pan_route
+
+    def route(coll, view, x, y, z, budget):
+        build = real(coll, view, x, y, z, budget)
+
+        def failing(k):
+            if k == 4:
+                raise constructions.HypothesisViolation("rotation", "claim", "patched to fail")
+            return build(k)
+
+        return failing
+
+    monkeypatch.setattr(constructions, "_pan_route", route)
+    code = main(["replay", "--in", str(rand7), "--pair", "0", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_FAIL and "DISCREPANCIES FOUND" in captured.err
+    (pair,) = json.loads(captured.out)["pairs"]
+    assert pair["discrepancies"] == [
+        {"k": 4, "stage": "rotation", "claim": "claim", "detail": "patched to fail"}
+    ]
+    assert [t["lemma"] for t in pair["traces"] if t["k"] == 4] == ["search"]
+    assert pair["paths"]["4"] and pair["missing_k"] == []
+
+
+def test_replay_missing_spanning_path_is_a_discrepancy(rand7, monkeypatch, capsys):
+    """A pair without its spanning path misses a length the hypothesis
+    guarantees, with no family verdict to explain it: the replay exits 1."""
+    from rainbowpan import constructions
+
+    monkeypatch.setattr(constructions, "find_rainbow_ham_path", lambda *args, **kwargs: None)
+    code = main(["replay", "--in", str(rand7), "--pair", "0", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_FAIL and "DISCREPANCIES FOUND" in captured.err
+    (pair,) = json.loads(captured.out)["pairs"]
+    assert pair["missing_k"] == [7] and pair["verdict"] is None
+    assert [(d["k"], d["stage"]) for d in pair["discrepancies"]] == [(7, "ham_search")]
 
 
 def test_replay_out_file(rand7, tmp_path):
@@ -699,12 +786,38 @@ def test_gen_sidecar_bytes(tmp_path):
     ],
     ids=["check", "check-pair", "classify", "replay", "verify", "gen"],
 )
-def test_unwritable_output_is_usage(rand7, tmp_path, capsys, argv):
+def test_unwritable_output_is_usage(rand7, tmp_path, capsys, monkeypatch, argv):
+    """Every command rejects the path before it runs: no kernel is asked."""
+    from rainbowpan import kernels
+
+    for name in ("find_path", "find_paths", "find_cycle"):
+        monkeypatch.setattr(kernels, name, None)
     out = tmp_path / "no" / "such" / "dir" / "out.json"
     args = [a.format(inst=rand7, out=out) for a in argv]
     assert main(args) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("cannot write output:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_output_is_rejected_before_the_search(tmp_path, capsys, monkeypatch, where):
+    """`main` checks the output path before the command runs, so a
+    certificate at n = 21 never starts its search, and nothing is created."""
+    from rainbowpan import kernels
+
+    inst = write_instance_via_gen(tmp_path, "--family", "random", "--n", "21", "--m", "20",
+                                  "--min-degree", "11", "--seed", "0")
+
+    def no_search(*args):
+        raise AssertionError("the search ran before the output path was checked")
+
+    monkeypatch.setattr(kernels, "find_paths", no_search)
+    out = tmp_path / "missing" / "c.json" if where == "missing directory" else tmp_path
+    capsys.readouterr()
+    assert main(["check", "--in", str(inst), "--cert", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output:") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
 
 
 def test_writer_error_removes_the_partial_file(rand9, tmp_path, monkeypatch):

@@ -48,8 +48,8 @@ class TestPathParity:
             for _ in range(6):
                 x, y = rng.sample(alive, 2)
                 k = rng.randint(2, min(len(alive), m + 1))
-                a = _kernel_py.find_path(n, m, adj, x, y, k, vmask, 10**9)
-                b = kernel.find_path(n, m, adj, x, y, k, vmask, 10**9)
+                a = _kernel_py.find_path(n, adj, x, y, k, 10**9)
+                b = kernel.find_path(n, adj, x, y, k, 10**9)
                 assert a == b, (seed, x, y, k)
 
     def test_budget_cutoffs_agree(self, kernel):
@@ -60,8 +60,8 @@ class TestPathParity:
             x, y = alive[0], alive[-1]
             k = min(len(alive), m + 1)
             for limit in (1, 2, 5, 17):
-                a = _kernel_py.find_path(n, m, adj, x, y, k, vmask, limit)
-                b = kernel.find_path(n, m, adj, x, y, k, vmask, limit)
+                a = _kernel_py.find_path(n, adj, x, y, k, limit)
+                b = kernel.find_path(n, adj, x, y, k, limit)
                 assert a == b, (seed, limit)
 
 
@@ -82,15 +82,15 @@ class TestPathsParity:
                 k_hi = rng.randint(2, min(len(alive), m + 1))
                 k_lo = rng.randint(1, k_hi)
                 for limit in (10**9, rng.randint(1, 40)):
-                    a = _kernel_py.find_paths(n, m, adj, x, y, k_lo, k_hi, vmask, limit)
-                    assert a == kernel.find_paths(n, m, adj, x, y, k_lo, k_hi, vmask, limit)
+                    a = _kernel_py.find_paths(n, adj, x, y, k_lo, k_hi, limit)
+                    assert a == kernel.find_paths(n, adj, x, y, k_lo, k_hi, limit)
                     statuses.append(a[0])
                     for k, witness in a[1].items():
                         assert k_lo <= k <= k_hi
-                        assert _kernel_py.find_path(n, m, adj, x, y, k, vmask, 10**9)[1:3] == witness
+                        assert _kernel_py.find_path(n, adj, x, y, k, 10**9)[1:3] == witness
                     if a[0] != _kernel_py.BUDGET:
                         for k in range(k_lo, k_hi + 1):
-                            got = _kernel_py.find_path(n, m, adj, x, y, k, vmask, 10**9)
+                            got = _kernel_py.find_path(n, adj, x, y, k, 10**9)
                             assert (got[0] == _kernel_py.FOUND) == (k in a[1]), (seed, x, y, k)
         assert {_kernel_py.FOUND, _kernel_py.NONE, _kernel_py.BUDGET} <= set(statuses)
 
@@ -110,10 +110,10 @@ class TestPathsParity:
             for _ in range(6):
                 x, y = rng.sample(alive, 2)
                 k_hi = min(len(alive), m + 1)
-                a = _kernel_py.find_paths(n, m, adj, x, y, 2, k_hi, vmask, 10**9)
-                assert a == kernel.find_paths(n, m, adj, x, y, 2, k_hi, vmask, 10**9)
+                a = _kernel_py.find_paths(n, adj, x, y, 2, k_hi, 10**9)
+                assert a == kernel.find_paths(n, adj, x, y, 2, k_hi, 10**9)
                 status, paths, nodes = a
-                alone = {k: _kernel_py.find_path(n, m, adj, x, y, k, vmask, 10**9)
+                alone = {k: _kernel_py.find_path(n, adj, x, y, k, 10**9)
                          for k in range(2, k_hi + 1)}
                 bound = 1 + sum(alone[k][3] for k in paths)
                 missing = [k for k in alone if k not in paths and alone[k][3]]
@@ -132,8 +132,8 @@ class TestPathsParity:
             x = rng.choice(hubs)
             y = rng.choice([v for v in alive if v != x])
             k_hi = min(len(alive), m + 1)
-            a = _kernel_py.find_paths(n, m, adj, x, y, 2, k_hi, vmask, TestWideParity.LIMIT)
-            assert a == kernel.find_paths(n, m, adj, x, y, 2, k_hi, vmask, TestWideParity.LIMIT)
+            a = _kernel_py.find_paths(n, adj, x, y, 2, k_hi, TestWideParity.LIMIT)
+            assert a == kernel.find_paths(n, adj, x, y, 2, k_hi, TestWideParity.LIMIT)
 
     def test_every_length_up_to_64(self, kernel):
         """n = 64 and m = 63: the line 0-1-...-63, edge (i, i+1) in colors
@@ -152,18 +152,17 @@ class TestPathsParity:
             add((i, (i + 1) % 63), i, i + 1)
         for j in range(62):
             add(((j + 5) % 63, (j + 40) % 63), j, 63)
-        vmask = (1 << 64) - 1
         first, second = pack(adj), pack(adj)  # equal inputs, each with its own tables
         for args in ((first, 0, 63, 2, 64), (second, 0, 63, 30, 64), (first, 0, 63, 64, 64)):
-            a = _kernel_py.find_paths(n, m, *args, vmask, 10**6)
-            assert a == kernel.find_paths(n, m, *args, vmask, 10**6)
+            a = _kernel_py.find_paths(n, *args, 10**6)
+            assert a == kernel.find_paths(n, *args, 10**6)
             assert a[0] == _kernel_py.FOUND and sorted(a[1]) == list(range(args[3], 65))
         assert a[1][64][0] == list(range(64))
-        one = kernel.find_path(n, m, first, 0, 63, 64, vmask, 10**6)
-        assert one == _kernel_py.find_path(n, m, first, 0, 63, 64, vmask, 10**6)
+        one = kernel.find_path(n, first, 0, 63, 64, 10**6)
+        assert one == _kernel_py.find_path(n, first, 0, 63, 64, 10**6)
         assert one[:3] == (_kernel_py.FOUND, *a[1][64])
-        a = _kernel_py.find_paths(n, m, first, 0, 63, 2, 64, vmask, 40)
-        assert a == kernel.find_paths(n, m, first, 0, 63, 2, 64, vmask, 40)
+        a = _kernel_py.find_paths(n, first, 0, 63, 2, 64, 40)
+        assert a == kernel.find_paths(n, first, 0, 63, 2, 64, 40)
         assert a[0] == _kernel_py.BUDGET and a[1] and 64 not in a[1]
 
 
@@ -172,9 +171,9 @@ def test_compiled_kernel_keeps_no_reference_to_its_answers(kernel):
     container: its reference count is that of a fresh copy held the same
     way. A witness the walk's dict took without its own reference dropped
     would count one more and never be freed."""
-    n, m, vmask = 6, 6, 0b111111
+    n = 6
     adj = pack([0b100010, 0b000101, 0b001010, 0b010100, 0b101000, 0b010001] * 6)
-    status, paths, _ = kernel.find_paths(n, m, adj, 0, 3, 2, 6, vmask, 10**6)
+    status, paths, _ = kernel.find_paths(n, adj, 0, 3, 2, 6, 10**6)
     fresh = {k: (list(verts), list(cols)) for k, (verts, cols) in paths.items()}
     assert status == _kernel_py.FOUND and paths == fresh
     assert sys.getrefcount(paths) == sys.getrefcount(fresh)
@@ -182,7 +181,7 @@ def test_compiled_kernel_keeps_no_reference_to_its_answers(kernel):
         assert sys.getrefcount(paths[k]) == sys.getrefcount(fresh[k])
         for got, copy in zip(paths[k], fresh[k]):
             assert sys.getrefcount(got) == sys.getrefcount(copy)
-    answer = list(kernel.find_path(n, m, adj, 0, 3, 4, vmask, 10**6))
+    answer = list(kernel.find_path(n, adj, 0, 3, 4, 10**6))
     copy = [answer[0], list(answer[1]), list(answer[2]), answer[3]]
     assert answer == copy
     for i in (1, 2):
@@ -196,8 +195,8 @@ class TestCycleParity:
             adj = pack(words)
             top = min(len(survivors(vmask)), m)
             for length in range(3, top + 1):
-                a = _kernel_py.find_cycle(n, m, adj, length, vmask, 10**9)
-                b = kernel.find_cycle(n, m, adj, length, vmask, 10**9)
+                a = _kernel_py.find_cycle(n, adj, length, 10**9)
+                b = kernel.find_cycle(n, adj, length, 10**9)
                 assert a == b, (seed, length)
 
     def test_budget_cutoffs_agree(self, kernel):
@@ -208,8 +207,8 @@ class TestCycleParity:
             if top < 3:
                 continue
             for limit in (1, 2, 5, 17):
-                a = _kernel_py.find_cycle(n, m, adj, top, vmask, limit)
-                b = kernel.find_cycle(n, m, adj, top, vmask, limit)
+                a = _kernel_py.find_cycle(n, adj, top, limit)
+                b = kernel.find_cycle(n, adj, top, limit)
                 assert a == b, (seed, limit)
 
 
@@ -226,9 +225,8 @@ class TestWideMasks:
 
         add(0, 0, 63)
         add(1, 63, 32)
-        vmask = (1 << 64) - 1
-        a = _kernel_py.find_path(n, m, pack(adj), 0, 32, 3, vmask, 10**6)
-        b = kernel.find_path(n, m, pack(adj), 0, 32, 3, vmask, 10**6)
+        a = _kernel_py.find_path(n, pack(adj), 0, 32, 3, 10**6)
+        b = kernel.find_path(n, pack(adj), 0, 32, 3, 10**6)
         assert a == b
         assert a[0] == _kernel_py.FOUND and a[1] == [0, 63, 32]
 
@@ -240,7 +238,6 @@ class TestWideMasks:
         cuts [61, 62], and the start loop stops at 62, which has one vertex
         above it."""
         n = 64
-        vmask = (1 << 64) - 1
 
         def build(m, edges):
             adj = [0] * (m * n)
@@ -250,20 +247,20 @@ class TestWideMasks:
                     adj[c * n + v] |= 1 << u
             return pack(adj)
 
-        def ask(m, adj, length):
-            got = _kernel_py.find_cycle(n, m, adj, length, vmask, 10**6)
-            assert got == kernel.find_cycle(n, m, adj, length, vmask, 10**6), length
+        def ask(adj, length):
+            got = _kernel_py.find_cycle(n, adj, length, 10**6)
+            assert got == kernel.find_cycle(n, adj, length, 10**6), length
             return got
 
         triangle = build(3, [(range(3), 61, 62), (range(3), 62, 63), (range(3), 61, 63)])
-        got = ask(3, triangle, 3)
+        got = ask(triangle, 3)
         assert got[0] == _kernel_py.FOUND and got[1] == [61, 62, 63]
 
         square = build(4, [((0,), 60, 63), ((0, 1), 60, 61), (range(4), 61, 62), (range(4), 62, 63)])
-        # starts 0..59 take one node each; start 60 takes [60], [60, 63],
-        # [60, 61] and, at length 4, [60, 61, 62] and the leaf
-        assert ask(4, square, 4) == (_kernel_py.FOUND, [60, 61, 62, 63], [1, 3, 2, 0], 65)
-        assert ask(4, square, 3) == (_kernel_py.NONE, None, None, 65)
+        # the edgeless vertices 0..59 are no start; start 60 takes [60],
+        # [60, 63], [60, 61] and, at length 4, [60, 61, 62] and the leaf
+        assert ask(square, 4) == (_kernel_py.FOUND, [60, 61, 62, 63], [1, 3, 2, 0], 5)
+        assert ask(square, 3) == (_kernel_py.NONE, None, None, 5)
 
 
 class TestReflectionBound:
@@ -286,7 +283,7 @@ class TestReflectionBound:
 
     def test_both_kernels_find_the_first_cycle_within_1000_nodes(self, kernel, instance):
         _, view = instance
-        args = (view.n, len(view.colors), view.kernel_adj, 12, view.vertex_mask, 1000)
+        args = (view.n, view.kernel_adj, 12, 1000)
         got = _kernel_py.find_cycle(*args)
         assert got == kernel.find_cycle(*args)
         assert got[:3] == (_kernel_py.FOUND, self.CYCLE, self.COLORS)
@@ -302,7 +299,7 @@ def bad_inputs():
     the compiled kernel's 64-slot tables or are not its one input format,
     most of them one change to a query on a 5-vertex, 3-color input that
     both kernels answer."""
-    n, m, vm = 5, 3, 0b11111
+    n, m = 5, 3
     words = [0b00110, 0b00101, 0b00011, 0, 0] * m
     adj = pack(words)
     # adj cases shared by every function: (case, error, adj)
@@ -315,29 +312,29 @@ def bad_inputs():
         ("adj not whole words", ValueError, adj[:-1]),
     ]
     path = [
-        ("n above 64", ValueError, (65, 1, pack([0] * 65), 0, 1, 2, 3, 10)),
-        ("negative n", ValueError, (-1, m, b"", 0, 1, 2, 0, 10)),
-        ("m above 64", ValueError, (2, 65, pack([0] * 130), 0, 1, 2, 3, 10)),
-        *((case, error, (n, m, bad, 0, 1, 2, vm, 10)) for case, error, bad in inputs),
-        ("negative x", ValueError, (n, m, adj, -1, 1, 2, vm, 10)),
-        ("x at n", ValueError, (n, m, adj, n, 1, 2, vm, 10)),
-        ("y at n", ValueError, (n, m, adj, 0, n, 2, vm, 10)),
-        ("k above n", ValueError, (n, m, adj, 0, 1, n + 1, vm, 10)),
-        ("negative vmask", OverflowError, (n, m, adj, 0, 1, 2, -1, 10)),
-        ("vmask bit n", OverflowError, (n, m, adj, 0, 1, 2, vm | 1 << n, 10)),
-        ("vmask bit 64", OverflowError, (64, 0, b"", 0, 1, 2, 1 << 64, 10)),
-        ("row bit n", OverflowError, (n, m, pack([1 << n] + words[1:]), 0, 1, 2, vm, 10)),
+        ("n above 64", ValueError, (65, pack([0] * 65), 0, 1, 2, 10)),
+        ("negative n", ValueError, (-1, b"", 0, 1, 2, 10)),
+        ("m above 64", ValueError, (2, pack([0] * 130), 0, 1, 2, 10)),
+        ("words at n = 0", ValueError, (0, pack([0]), 0, 1, 2, 10)),
+        *((case, error, (n, bad, 0, 1, 2, 10)) for case, error, bad in inputs),
+        ("negative x", ValueError, (n, adj, -1, 1, 2, 10)),
+        ("x at n", ValueError, (n, adj, n, 1, 2, 10)),
+        ("y at n", ValueError, (n, adj, 0, n, 2, 10)),
+        ("k above n", ValueError, (n, adj, 0, 1, n + 1, 10)),
+        ("row bit n", OverflowError, (n, pack([1 << n] + words[1:]), 0, 1, 2, 10)),
+        ("last row bit n", OverflowError, (n, pack(words[:-1] + [1 << n]), 0, 1, 2, 10)),
     ]
     cycle = [
-        ("n above 64", ValueError, (65, 1, pack([0] * 65), 3, 3, 10)),
-        *((case, error, (n, m, bad, 3, vm, 10)) for case, error, bad in inputs),
-        ("length above n", ValueError, (n, m, adj, n + 1, vm, 10)),
-        ("length below 3", ValueError, (n, m, adj, 1, vm, 10)),
-        ("negative vmask", OverflowError, (n, m, adj, 3, -1, 10)),
-        ("vmask bit n", OverflowError, (n, m, adj, 3, vm | 1 << n, 10)),
+        ("n above 64", ValueError, (65, pack([0] * 65), 3, 10)),
+        ("m above 64", ValueError, (3, pack([0] * 195), 3, 10)),
+        *((case, error, (n, bad, 3, 10)) for case, error, bad in inputs),
+        ("length above n", ValueError, (n, adj, n + 1, 10)),
+        ("length below 3", ValueError, (n, adj, 1, 10)),
+        ("row bit n", OverflowError, (n, pack([1 << n] + words[1:]), 3, 10)),
+        ("last row bit n", OverflowError, (n, pack(words[:-1] + [1 << n]), 3, 10)),
     ]
     # find_paths asks lengths 2 to k, so a k above n is its k_hi
-    paths = [(case, error, args[:5] + (2,) + args[5:]) for case, error, args in path]
+    paths = [(case, error, args[:4] + (2,) + args[4:]) for case, error, args in path]
     return ([("find_path",) + c for c in path] + [("find_paths",) + c for c in paths]
             + [("find_cycle",) + c for c in cycle])
 
@@ -348,11 +345,15 @@ BAD_INPUTS = bad_inputs()
 @pytest.mark.parametrize("kind, case, error, args", BAD_INPUTS,
                          ids=[f"{kind}-{case}" for kind, case, _, _ in BAD_INPUTS])
 def test_both_kernels_reject_inputs_outside_their_tables(kernel, kind, case, error, args):
-    """Both kernels raise the same error before any search; the compiled
+    """Both kernels raise the same error before any search, with the same
+    text but for a TypeError, which the C API words itself; the compiled
     kernel would otherwise read or write outside its tables."""
+    texts = []
     for impl in (_kernel_py, kernel):
-        with pytest.raises(error):
+        with pytest.raises(error) as raised:
             getattr(impl, kind)(*args)
+        texts.append(str(raised.value))
+    assert error is TypeError or texts[0] == texts[1], texts
 
 
 WORD_BITS = (31, 32, 63)
@@ -428,8 +429,8 @@ class TestWideParity:
                 x = rng.choice(hubs)
                 y = rng.choice([v for v in alive if v != x])
                 k = rng.randint(2, min(len(alive), m + 1))
-                a = _kernel_py.find_path(n, m, adj, x, y, k, vmask, self.LIMIT)
-                b = kernel.find_path(n, m, adj, x, y, k, vmask, self.LIMIT)
+                a = _kernel_py.find_path(n, adj, x, y, k, self.LIMIT)
+                b = kernel.find_path(n, adj, x, y, k, self.LIMIT)
                 assert a == b, (seed, x, y, k)
                 statuses.append(a[0])
         assert {_kernel_py.FOUND, _kernel_py.NONE, _kernel_py.BUDGET} <= set(statuses)
@@ -452,8 +453,8 @@ class TestWideParity:
                 if top < 3:
                     continue
                 for length in sorted({3, rng.randint(3, top), top}):
-                    a = _kernel_py.find_cycle(n, m, rows, length, mask, self.LIMIT)
-                    b = kernel.find_cycle(n, m, rows, length, mask, self.LIMIT)
+                    a = _kernel_py.find_cycle(n, rows, length, self.LIMIT)
+                    b = kernel.find_cycle(n, rows, length, self.LIMIT)
                     assert a == b, (seed, mask == keep, length)
                     statuses.append(a[0])
         assert {_kernel_py.FOUND, _kernel_py.NONE, _kernel_py.BUDGET} <= set(statuses)
@@ -477,23 +478,23 @@ def test_ordered_candidates_skip_vertices_without_options():
             if (cand >> v) & 1 and om:
                 expect.append((om.bit_count(), v, om))
         expect.sort(key=lambda t: (t[0], t[1]))
-        tables = _kernel_py._tables(n, m, pack(adj))
+        tables = _kernel_py._tables(n, pack(adj))
         got = _kernel_py._Search(tables, 10).ordered_candidates(last, cand)
         assert got == expect
 
 
 def queries(seed: str, n: int, m: int, vmask: int):
-    """Path and cycle queries on one input, in a seeded order: (kind, args
-    after adj)."""
+    """Path and cycle queries on one input whose vertices are `vmask`, in a
+    seeded order: (kind, args after adj)."""
     rng = random.Random(seed)
     alive = survivors(vmask)
     asked = []
     for _ in range(8):
         x, y = rng.sample(alive, 2)
-        asked.append(("find_path", (x, y, rng.randint(2, min(len(alive), m + 1)), vmask, 10**9)))
+        asked.append(("find_path", (x, y, rng.randint(2, min(len(alive), m + 1)), 10**9)))
     for length in range(3, min(len(alive), m) + 1):
-        asked.append(("find_cycle", (length, vmask, 10**9)))
-    asked.append(("find_path", (alive[0], alive[-1], min(len(alive), m + 1), vmask, 5)))
+        asked.append(("find_cycle", (length, 10**9)))
+    asked.append(("find_path", (alive[0], alive[-1], min(len(alive), m + 1), 5)))
     rng.shuffle(asked)
     return asked
 
@@ -503,12 +504,12 @@ class TestCachedParity:
     miss or evict that cache give what the compiled kernel gives and what a
     cold call (an equal bytes object, which gets tables of its own) gives."""
 
-    def ask(self, kernel, kind, n, m, adj, args):
-        got = getattr(_kernel_py, kind)(n, m, adj, *args)
-        assert got == getattr(kernel, kind)(n, m, adj, *args), (kind, args)
+    def ask(self, kernel, kind, n, adj, args):
+        got = getattr(_kernel_py, kind)(n, adj, *args)
+        assert got == getattr(kernel, kind)(n, adj, *args), (kind, args)
         tables = _kernel_py._cached
         fresh = bytes(bytearray(adj))  # equal to adj, another object
-        assert got == getattr(_kernel_py, kind)(n, m, fresh, *args), (kind, args)
+        assert got == getattr(_kernel_py, kind)(n, fresh, *args), (kind, args)
         assert _kernel_py._cached.adj is fresh
         _kernel_py._cached = tables  # so the next query on adj hits again
         return got
@@ -518,35 +519,35 @@ class TestCachedParity:
             n, m, words, vmask = random_dense(f"tc:{seed}")
             adj = pack(words)
             for kind, args in queries(f"tc:q:{seed}", n, m, vmask):
-                self.ask(kernel, kind, n, m, adj, args)
+                self.ask(kernel, kind, n, adj, args)
                 tables = _kernel_py._cached
                 assert tables is not None and tables.adj is adj
             assert any(row is not None for row in tables.options) and tables.dists
 
     def test_distances_are_kept_per_source_and_scope(self, kernel):
         """Cycle searches cache distances over the vertices above each start;
-        a later path query to that start needs them over the whole mask."""
+        a later path query to that start needs them over every live vertex."""
         for seed in range(30):
             n, m, words, vmask = random_dense(f"ts:{seed}")
             adj = pack(words)
             alive = survivors(vmask)
             for length in range(min(len(alive), m), 2, -1):
-                self.ask(kernel, "find_cycle", n, m, adj, (length, vmask, 10**9))
+                self.ask(kernel, "find_cycle", n, adj, (length, 10**9))
             for y in alive[1:]:
                 for k in range(2, min(len(alive), m + 1) + 1):
-                    self.ask(kernel, "find_path", n, m, adj, (alive[0], y, k, vmask, 10**9))
+                    self.ask(kernel, "find_path", n, adj, (alive[0], y, k, 10**9))
 
     def test_interleaved_inputs_evict_each_other(self, kernel):
         for seed in range(20):
             inputs = []
             for side in "ab":
                 n, m, words, vmask = random_dense(f"ti:{side}:{seed}")
-                inputs.append((n, m, pack(words), queries(f"ti:q:{side}:{seed}", n, m, vmask)))
-            (na, ma, a, qa), (nb, mb, b, qb) = inputs
+                inputs.append((n, pack(words), queries(f"ti:q:{side}:{seed}", n, m, vmask)))
+            (na, a, qa), (nb, b, qb) = inputs
             for (ka, args_a), (kb, args_b) in zip(qa, qb):
-                self.ask(kernel, ka, na, ma, a, args_a)
+                self.ask(kernel, ka, na, a, args_a)
                 assert _kernel_py._cached.adj is a
-                self.ask(kernel, kb, nb, mb, b, args_b)
+                self.ask(kernel, kb, nb, b, args_b)
                 assert _kernel_py._cached.adj is b
 
     def test_equal_distinct_tuple_gets_its_own_tables(self, kernel):
@@ -555,6 +556,6 @@ class TestCachedParity:
             first, second = pack(words), pack(words)
             assert first == second and first is not second
             for kind, args in queries(f"te:q:{seed}", n, m, vmask):
-                a = self.ask(kernel, kind, n, m, first, args)
-                assert self.ask(kernel, kind, n, m, second, args) == a
+                a = self.ask(kernel, kind, n, first, args)
+                assert self.ask(kernel, kind, n, second, args) == a
                 assert _kernel_py._cached.adj is second

@@ -33,13 +33,13 @@ from rainbowpan.search import k_paths
 from .kernel_input import pack
 from .sweeps import reference_k_paths
 
-DIGEST = "23b0fd7a686c43f8b6f61c77aaa8ff9d8ee51bdc12f8e3cf701e40466ef4d312"
+DIGEST = "7ed63d6605575f9f79b2da424296cb998394b07217a0977f5aec6330b3fea6ce"
 LIMITS = (1, 4, 30, 400, 20000)
 
 
 def _instance(rng: random.Random):
-    """(n, m, adj, vmask): dense at n <= 9 or sparse up to n = 64, with an
-    occasional dead vertex."""
+    """(n, m, adj, alive): dense at n <= 9 or sparse up to n = 64, with an
+    occasional dead vertex, which `alive` leaves out."""
     if rng.random() < 0.5:
         n = rng.randint(4, 9)
         m = rng.randint(2, min(6, n))
@@ -59,7 +59,7 @@ def _instance(rng: random.Random):
                     adj[c * n + u] |= 1 << v
                     adj[c * n + v] |= 1 << u
     rng.random()  # the former list-or-tuple coin; drawn so that QUERIES keep their record
-    return n, m, pack(adj), vmask
+    return n, m, pack(adj), [v for v in range(n) if (vmask >> v) & 1]
 
 
 def _queries():
@@ -67,16 +67,15 @@ def _queries():
     rng = random.Random("kernel-pin")
     out = []
     while len(out) < 200:
-        n, m, adj, vmask = _instance(rng)
-        alive = [v for v in range(n) if (vmask >> v) & 1]
+        n, m, adj, alive = _instance(rng)
         limit = rng.choice(LIMITS)
         if len(out) < 120:
             x, y = rng.sample(alive, 2)
             k = rng.randint(2, min(len(alive), m + 1))
-            out.append(("path", (n, m, adj, x, y, k, vmask, limit)))
+            out.append(("path", (n, adj, x, y, k, limit)))
         elif min(len(alive), m) >= 3:
             length = rng.randint(3, min(len(alive), m, 12))
-            out.append(("cycle", (n, m, adj, length, vmask, limit)))
+            out.append(("cycle", (n, adj, length, limit)))
     return out
 
 
@@ -155,12 +154,12 @@ def _certificate_queries(monkeypatch, impl):
 
     def path_spy(*args):
         result = impl.find_path(*args)
-        log.append(["path", *args[3:6], result[0], result[3]])
+        log.append(["path", *args[2:5], result[0], result[3]])
         return result
 
     def walk_spy(*args):
         status, paths, nodes = impl.find_paths(*args)
-        log.append(["walk", *args[3:7], status, sorted(paths), nodes])
+        log.append(["walk", *args[2:6], status, sorted(paths), nodes])
         return status, paths, nodes
 
     monkeypatch.setattr(kernels, "find_path", path_spy)

@@ -559,7 +559,7 @@ class TestShortestPath:
         calls = []
 
         def spy(*args):
-            calls.append(args[3:6])
+            calls.append(args[2:5])
             return _kernel_py.find_path(*args)
 
         monkeypatch.setattr(kernels, "find_path", spy)
@@ -718,19 +718,18 @@ def test_pure_kernel_calls_leave_no_reference_cycles():
 
     n = m = 6
     ring = [(1 << (v + 1) % n) | (1 << (v - 1) % n) for v in range(n)]  # C6
-    full = (1 << n) - 1
     one = pack(ring * m)
     for adj in (lambda: pack(ring * m), lambda: one):
         calls = [
-            (kp.FOUND, lambda: kp.find_paths(n, m, adj(), 0, 3, 2, 6, full, 10**6)),
-            (kp.NONE, lambda: kp.find_paths(n, m, adj(), 0, 1, 3, 3, full, 10**6)),
-            (kp.BUDGET, lambda: kp.find_paths(n, m, adj(), 0, 1, 2, 6, full, 1)),
-            (kp.FOUND, lambda: kp.find_path(n, m, adj(), 0, 3, 4, full, 10**6)),
-            (kp.NONE, lambda: kp.find_path(n, m, adj(), 0, 1, 3, full, 10**6)),
-            (kp.BUDGET, lambda: kp.find_path(n, m, adj(), 0, 1, 6, full, 1)),
-            (kp.FOUND, lambda: kp.find_cycle(n, m, adj(), 6, full, 10**6)),
-            (kp.NONE, lambda: kp.find_cycle(n, m, adj(), 4, full, 10**6)),
-            (kp.BUDGET, lambda: kp.find_cycle(n, m, adj(), 6, full, 1)),
+            (kp.FOUND, lambda: kp.find_paths(n, adj(), 0, 3, 2, 6, 10**6)),
+            (kp.NONE, lambda: kp.find_paths(n, adj(), 0, 1, 3, 3, 10**6)),
+            (kp.BUDGET, lambda: kp.find_paths(n, adj(), 0, 1, 2, 6, 1)),
+            (kp.FOUND, lambda: kp.find_path(n, adj(), 0, 3, 4, 10**6)),
+            (kp.NONE, lambda: kp.find_path(n, adj(), 0, 1, 3, 10**6)),
+            (kp.BUDGET, lambda: kp.find_path(n, adj(), 0, 1, 6, 1)),
+            (kp.FOUND, lambda: kp.find_cycle(n, adj(), 6, 10**6)),
+            (kp.NONE, lambda: kp.find_cycle(n, adj(), 4, 10**6)),
+            (kp.BUDGET, lambda: kp.find_cycle(n, adj(), 6, 1)),
         ]
         gc.collect()
         gc.disable()

@@ -2,6 +2,7 @@
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import re
 import shlex
@@ -93,7 +94,6 @@ KERNEL_TWINS = {
     "find_paths": "find_paths",
     "find_cycle": "find_cycle",
     "walk": "_walk",
-    "vertex_mask": "_check_vertex_mask",
     "build_rows": "_union_rows",
     "bfs": "_bfs",
     "path_extend": "_Search.path_extend",
@@ -151,17 +151,20 @@ ROOT = PACKAGE.parents[1]
 PERFBENCH = ROOT / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("_perfbench_tracing", PERFBENCH / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+def _load_perfbench(name: str):
+    """The benchmark's module `perfbench/<name>.py`, imported under a name of
+    its own (its dataclasses look their module up in `sys.modules`)."""
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_benchmark_tracer_entry_points_resolve():
     """The benchmark's tracer `getattr`s every entry point it lists, so a
     renamed or removed function breaks traced benchmark runs."""
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     missing = [
         f"{module}.{name}"
         for module, names in tracing.LAYERS.values()
@@ -187,13 +190,59 @@ def test_benchmark_workload_names_resolve():
     assert not missing, f"perfbench/workloads.py reads missing names: {missing}"
 
 
+# besides the first two items of each workload: one classify item per case
+# and a pair of the F family whose replay reports the family verdict
+BENCHMARK_ITEMS = (
+    "classify:classify-i-n18-s0.txt",
+    "classify:classify-ii-n18-s0.txt",
+    "classify:classify-iii-n18-s0.txt",
+    "replay:replay-F_family-n11-s0:0-9",
+)
+
+
+def test_benchmark_items_decide_and_keep_their_digests(tmp_path, capsys):
+    """The workloads call methods on what the package returns and digest
+    the JSON their checks build from it (`to_json_dict` of the theorem,
+    obstruction, replay and path results), which no name check sees. A
+    sample of each workload's items at seed 0 runs and is checked as a
+    benchmark pass does: each is decided, has no problem, and has the
+    digest that `perfbench/expected.json` records for it."""
+    workloads = _load_perfbench("workloads")
+    rp = workloads.Modules()
+    expected = json.loads((PERFBENCH / "expected.json").read_text())
+    ran = []
+    for name, workload in workloads.WORKLOADS.items():
+        (tmp_path / name).mkdir()
+        items = workload.setup(rp, tmp_path / name, 0)
+        for item in items[:2] + [item for item in items if item.id in BENCHMARK_ITEMS]:
+            checked = item.check(item.run())
+            assert checked.decided and not checked.problems, (item.id, checked.problems)
+            want = expected[name].get(item.id)
+            assert want is None or workloads.digest(checked.doc) == want, item.id
+            ran.append(item.id)
+    capsys.readouterr()  # the CLI items print their verdicts
+    assert set(BENCHMARK_ITEMS) < set(ran) and len(ran) == 12
+
+
+def test_benchmark_parity_sample_finds_no_difference(kernel, tmp_path, monkeypatch):
+    """`perfbench/run.py` replays the kernel calls the package makes, with
+    the arguments it passed, on both kernels; on the `obstruction` items it
+    compares some and finds no difference."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports its sibling hostspeed
+    run, workloads = _load_perfbench("run"), _load_perfbench("workloads")
+    rp = workloads.Modules()
+    items = workloads.WORKLOADS["obstruction"].setup(rp, tmp_path, 0)
+    compared, nodes, diffs = run.parity(rp, kernel, items)
+    assert compared > 0 and nodes > 0 and not diffs, diffs
+
+
 def test_benchmark_tracer_leaves_results_unchanged():
     """The benchmark's tracer wraps the package's entry points and reads the
     positional arguments of path and cycle queries to key repeats, so every
     call the package makes internally must pass what the tracer can read.
     Traced runs of a certificate, a constructive replay and two spanning
     queries must return what untraced runs do."""
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     importlib.import_module("rainbowpan.cli")  # the tracer patches loaded modules
     from rainbowpan import analysis, constructions, search
     from rainbowpan.generate import gen_random_collection
